@@ -105,14 +105,20 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
         for slot_el in ch_el:
             slot = int(slot_el.get("id"))
             col = SlotColumn(owner=int(slot_el.get("owner")),
-                             is_gateway=slot_el.get("gateway") == "true")
+                             is_gateway=slot_el.get("gateway") == "true",
+                             slot_payload_bytes=config.slot_payload_bytes)
             sched.columns[ch][slot] = col
             for frame_el in slot_el:
                 base = int(frame_el.get("base-cycle"))
                 for inst_el in frame_el:
+                    bit_offset = int(inst_el.get("bit-offset"))
+                    if bit_offset % 8:
+                        raise ValueError(
+                            f"signal {inst_el.get('signal')} in slot {slot} on channel "
+                            f"{ch}: bit-offset {bit_offset} is not a whole byte")
                     occ = Occupancy(
                         signal=int(inst_el.get("signal")),
-                        offset=int(inst_el.get("bit-offset")) // 8,
+                        offset=bit_offset // 8,
                         payload=int(inst_el.get("payload-bytes")),
                         is_image=inst_el.get("image") == "true",
                     )

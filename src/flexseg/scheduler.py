@@ -9,10 +9,13 @@ final reordering pass.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .assignment import CH_A, CH_B, ChannelAssignment
 from .model import (
+    ALLOWED_PERIOD_CYCLES,
     HYPERPERIOD_CYCLES,
     EcuKind,
     Instance,
@@ -51,14 +54,110 @@ class Occupancy:
 class SlotColumn:
     owner: int
     is_gateway: bool
+    slot_payload_bytes: int
     frames: dict[int, list[Occupancy]] = field(default_factory=dict)
-    # occupied-byte bitmask per cycle, kept in step with frames
-    masks: dict[int, int] = field(default_factory=dict)
+    # value of `mask`; None until `mask` is next read
+    _mask: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.frames:
+            self._mask = 0
 
     def add(self, cycle: int, occ: Occupancy) -> None:
         self.frames.setdefault(cycle, []).append(occ)
-        bits = ((1 << occ.payload) - 1) << occ.offset
-        self.masks[cycle] = self.masks.get(cycle, 0) | bits
+        self._mask = None
+
+    def add_every(self, base: int, period: int, occ: Occupancy) -> None:
+        """Add `occ` to every `period`-th cycle from `base` on; `period`
+        divides the hyperperiod and `base` lies in 1..period."""
+        for cycle in occurrence_cycles(base, period):
+            self.frames.setdefault(cycle, []).append(occ)
+        if self._mask is not None:
+            h = self.slot_payload_bytes
+            self._mask |= _cycle_pattern(period, h) * _frame_bits(occ, h) << (base - 1) * h
+
+    @property
+    def mask(self) -> int:
+        """Occupied bytes of all cycles as one int: bit
+        (cycle - 1) * slot_payload_bytes + byte."""
+        if self._mask is None:
+            h = self.slot_payload_bytes
+            self._mask = 0
+            for cycle, entries in self.frames.items():
+                if 1 <= cycle <= HYPERPERIOD_CYCLES:
+                    for occ in entries:
+                        self._mask |= _frame_bits(occ, h) << (cycle - 1) * h
+        return self._mask
+
+    def is_full(self) -> bool:
+        return self.mask == (1 << HYPERPERIOD_CYCLES * self.slot_payload_bytes) - 1
+
+
+def _frame_bits(occ: Occupancy, h: int) -> int:
+    """The bytes of one h-byte frame that `occ` covers."""
+    return (((1 << occ.payload) - 1) << occ.offset) & ((1 << h) - 1)
+
+
+@lru_cache(maxsize=None)
+def _cycle_pattern(period: int, h: int) -> int:
+    """Bit 0 of every `period`-th cycle of a column mask."""
+    return sum(1 << k * period * h for k in range(HYPERPERIOD_CYCLES // period))
+
+
+@dataclass
+class _SlotIndex:
+    """Where first-fit looks on each channel, derived from the columns.
+
+    Only slots in `open` (ascending ids of the columns that are not full,
+    per channel, owner and gateway flag), in `holes` (ascending ids in
+    1..top with no column) or above `top` can take a placement.  `sizes`
+    and `sources` record the column dicts the index was derived from, so a
+    schedule changed by hand is indexed again."""
+    sources: dict[str, dict[int, SlotColumn]]
+    sizes: dict[str, int]
+    top: dict[str, int]
+    holes: dict[str, list[int]]
+    open: dict[tuple[str, int, bool], list[int]]
+
+    @classmethod
+    def derive(cls, columns: dict[str, dict[int, SlotColumn]]) -> _SlotIndex:
+        idx = cls(sources=dict(columns), sizes={}, top={}, holes={}, open={})
+        for ch in CHANNELS:
+            cols = columns[ch]
+            idx.sizes[ch] = len(cols)
+            # slot ids below 1 are invalid and never take a placement
+            idx.top[ch] = top = max(max(cols, default=0), 0)
+            idx.holes[ch] = [t for t in range(1, top + 1) if t not in cols]
+            for t in sorted(cols):
+                col = cols[t]
+                if t >= 1 and not col.is_full():
+                    idx.open.setdefault((ch, col.owner, col.is_gateway), []).append(t)
+        return idx
+
+    def in_step(self, columns: dict[str, dict[int, SlotColumn]]) -> bool:
+        return all(self.sources[ch] is columns[ch] and self.sizes[ch] == len(columns[ch])
+                   for ch in CHANNELS)
+
+    def candidates(self, ch: str, owner: int, is_gateway: bool, limit: int):
+        """Ascending slot ids below `limit` that are empty on `ch` or hold an
+        open column of `owner` there."""
+        own = self.open.get((ch, owner, is_gateway), [])
+        empty = self.holes[ch] + list(range(self.top[ch] + 1, limit))
+        return sorted(own + empty) if empty else own
+
+    def opened(self, ch: str, slot: int, col: SlotColumn) -> None:
+        if slot > self.top[ch]:
+            self.holes[ch].extend(range(self.top[ch] + 1, slot))
+            self.top[ch] = slot
+        else:
+            holes = self.holes[ch]
+            del holes[bisect_left(holes, slot)]
+        insort(self.open.setdefault((ch, col.owner, col.is_gateway), []), slot)
+        self.sizes[ch] += 1
+
+    def filled(self, ch: str, slot: int, col: SlotColumn) -> None:
+        own = self.open[(ch, col.owner, col.is_gateway)]
+        del own[bisect_left(own, slot)]
 
 
 @dataclass
@@ -68,6 +167,8 @@ class Schedule:
         default_factory=lambda: {CH_A: {}, CH_B: {}})
     ft_slots: tuple[int, ...] = ()
     placements: list[Placement] = field(default_factory=list)
+    _index: _SlotIndex | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def max_slot(self, channel: str) -> int:
         cols = self.columns[channel]
@@ -126,12 +227,42 @@ def determine_channel(sig: Signal, inst: Instance, asg: ChannelAssignment,
     return CH_A if loads[CH_A] <= loads[CH_B] else CH_B
 
 
-def _first_free_offset(mask: int, payload: int, slot_payload: int) -> int | None:
-    probe = (1 << payload) - 1
-    for offset in range(slot_payload - payload + 1):
-        if mask & (probe << offset) == 0:
-            return offset
-    return None
+@lru_cache(maxsize=1024)
+def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
+    """Shifts and masks that find the first free (base, offset) in a
+    column mask for a signal of this period and payload.
+
+    Folding the mask onto `period` cycles ORs the occurrences of every base
+    together; bit (base - 1) * h + offset of the free-run mask is set when
+    bytes offset..offset+payload-1 are free in all of them."""
+    fold, width = [], HYPERPERIOD_CYCLES * h
+    while width > period * h:
+        width //= 2
+        fold.append(width)
+    runs, length = [], 1
+    while length < payload:
+        step = min(length, payload - length)
+        runs.append(step)
+        length += step
+    starts = (1 << max(h - payload + 1, 0)) - 1
+    allowed = sum(starts << (b - 1) * h for b in bases)
+    return tuple(fold), (1 << width) - 1, tuple(runs), allowed
+
+
+def _first_fit(mask: int, period: int, h: int, payload: int,
+               bases: tuple[int, ...]) -> tuple[int, int] | None:
+    """Lowest base, then lowest offset, where the signal fits the mask."""
+    fold, width_mask, runs, allowed = _fit_plan(period, h, payload, bases)
+    for shift in fold:
+        mask |= mask >> shift
+    free = ~mask & width_mask
+    for step in runs:
+        free &= free >> step
+    free &= allowed
+    if not free:
+        return None
+    base, offset = divmod((free & -free).bit_length() - 1, h)
+    return base + 1, offset
 
 
 def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
@@ -139,45 +270,51 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
                       fixed_base_cycle: int | None = None) -> list[Placement]:
     """First-fit placement of all occurrences of one signal.
 
-    Scans slot ids ascending, base cycles ascending within the feasible
-    window, offsets ascending; takes the first position where the slot is
-    unowned or owned by `owner` on every target channel and all
-    period-induced occurrences fit at a common offset.  Falls back to a
-    fresh slot at max_slot+1.
+    Takes the lowest slot id, then the lowest base cycle within the feasible
+    window, then the lowest offset, where the slot is unowned or owned by
+    `owner` on every target channel and all period-induced occurrences fit
+    at a common offset.  Falls back to a fresh slot at max_slot+1, and
+    never below 1.  Only the open slots of `owner` and empty slot ids are
+    visited, and each is tested with a few operations on its packed column
+    mask.
     """
     h = sched.config.slot_payload_bytes
     channels = CHANNELS if target == BOTH else (target,)
+    if sig.period_cycles not in ALLOWED_PERIOD_CYCLES:
+        raise ValueError(f"signal {sig.id}: period_cycles {sig.period_cycles} is not "
+                         f"a power of two in 1..{HYPERPERIOD_CYCLES}")
     if fixed_base_cycle is not None:
-        base_candidates = [fixed_base_cycle]
+        if not 1 <= fixed_base_cycle <= sig.period_cycles:
+            raise ValueError(f"signal {sig.id}: fixed base cycle {fixed_base_cycle} "
+                             f"outside 1..{sig.period_cycles}")
+        bases = (fixed_base_cycle,)
     else:
-        base_candidates = feasible_base_cycles(sig, sched.config.cycle_duration_ms)
-        if not base_candidates:
+        bases = tuple(feasible_base_cycles(sig, sched.config.cycle_duration_ms))
+        if not bases:
             raise InfeasibleWindowError(
                 f"signal {sig.id}: no feasible base cycle in its window")
 
-    limit = max(sched.max_slot(ch) for ch in channels) + 1
+    idx = sched._index
+    if idx is None or not idx.in_step(sched.columns):
+        idx = sched._index = _SlotIndex.derive(sched.columns)
+    limit = max(idx.top[ch] for ch in channels) + 1
     chosen: tuple[int, int, int] | None = None
-    for slot in range(1, limit + 1):
-        cols = [sched.columns[ch].get(slot) for ch in channels]
-        if any(c is not None and (c.owner != owner or c.is_gateway != is_image)
-               for c in cols):
-            continue
-        for base in base_candidates:
-            mask = 0
-            for col in cols:
-                if col is None:
-                    continue
-                for cyc in occurrence_cycles(base, sig.period_cycles):
-                    mask |= col.masks.get(cyc, 0)
-            offset = _first_free_offset(mask, sig.payload_bytes, h)
-            if offset is not None:
-                chosen = (slot, base, offset)
+    for slot in idx.candidates(channels[0], owner, is_image, limit):
+        mask = 0
+        for ch in channels:
+            col = sched.columns[ch].get(slot)
+            if col is not None:
+                if col.owner != owner or col.is_gateway != is_image:
+                    break
+                mask |= col.mask
+        else:
+            fit = _first_fit(mask, sig.period_cycles, h, sig.payload_bytes, bases)
+            if fit is not None:
+                chosen = (slot, *fit)
                 break
-        if chosen:
-            break
     if chosen is None:
         # A fresh slot always has room; use the earliest feasible cycle.
-        chosen = (limit, base_candidates[0], 0)
+        chosen = (limit, bases[0], 0)
 
     slot, base, offset = chosen
     occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
@@ -185,10 +322,12 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     for ch in channels:
         col = sched.columns[ch].get(slot)
         if col is None:
-            col = SlotColumn(owner=owner, is_gateway=is_image)
+            col = SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h)
             sched.columns[ch][slot] = col
-        for cyc in occurrence_cycles(base, sig.period_cycles):
-            col.add(cyc, occ)
+            idx.opened(ch, slot, col)
+        col.add_every(base, sig.period_cycles, occ)
+        if col.is_full():
+            idx.filled(ch, slot, col)
     placement = Placement(signal=sig.id, channel=target, base_cycle=base,
                           slot=slot, offset_bytes=offset, is_image=is_image)
     sched.placements.append(placement)

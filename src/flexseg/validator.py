@@ -31,9 +31,10 @@ def _other(ch: str) -> str:
 def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Violation]:
     """Check a schedule against every feasibility rule; empty list = feasible.
 
-    V1 placement multiplicity, V2 frame packing, V3 slot ownership,
-    V4 periodicity, V5 time windows, V6 fault-tolerant alignment,
-    V7 receiver reachability, V8 image precedence, V9 channel discipline.
+    V1 placement multiplicity, V2 frame packing, V3 slot ownership and
+    slot ids below 1 (FlexRay static slots count from 1), V4 periodicity,
+    V5 time windows, V6 fault-tolerant alignment, V7 receiver
+    reachability, V8 image precedence, V9 channel discipline.
     """
     out: list[Violation] = []
     signals = {s.id: s for s in inst.signals}
@@ -45,6 +46,8 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
     groups: dict[tuple[int, str, int, bool], dict[int, int]] = {}
     for ch in CHANNELS:
         for slot, col in sched.columns[ch].items():
+            if slot < 1:
+                out.append(Violation("V3", f"({ch},{slot}): slot id below 1"))
             owner_kind = None
             if col.owner not in {e.id for e in inst.ecus}:
                 out.append(Violation("V3", f"({ch},{slot}): owner {col.owner} is not an ECU"))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flexseg.cli import main, run_benchmark, run_sweep
+from flexseg.fibex import read_fibex
 from flexseg.generator import GeneratorProfile
 from flexseg.model import save_instance
 
@@ -55,6 +56,18 @@ def test_validate_reports_violations(tmp_path, example1_file, capsys):
     violations = json.loads(capsys.readouterr().out)
     assert code == 1
     assert violations
+
+
+def test_validate_rejects_misaligned_bit_offset(tmp_path, example1_file, capsys):
+    fibex = tmp_path / "out.xml"
+    main(["solve", str(example1_file), "--fibex", str(fibex)])
+    capsys.readouterr()
+    misaligned = tmp_path / "misaligned.xml"
+    misaligned.write_text(fibex.read_text().replace('bit-offset="0"', 'bit-offset="3"', 1))
+    with pytest.raises(ValueError, match="bit-offset 3 is not a whole byte"):
+        read_fibex(misaligned)
+    assert main(["validate", str(example1_file), str(misaligned)]) == 2
+    assert "bit-offset 3" in capsys.readouterr().err
 
 
 def test_generate_command(tmp_path, capsys):

@@ -1,0 +1,50 @@
+"""Pinned sha256 digests of the FIBEX export of three fixed-seed runs.
+
+A change to channel scheduling, renumbering or the export that alters any
+byte of these files fails here; update a digest only with a change that is
+meant to alter results and says so.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from flexseg.driver import DriverConfig, run
+from flexseg.fibex import export_fibex
+from flexseg.generator import GeneratorProfile, generate, sae_profile
+
+from conftest import example1_instance
+
+CASES = {
+    # one fault-tolerant signal and four gateway images
+    "example1": (
+        example1_instance,
+        DriverConfig(cah_tries=20, rng_seed=0),
+        "5e445af69bbb3eb100afbbf62d750da816b285df9daf414713f8175a87dc8a8f",
+    ),
+    # eight fault-tolerant signals and 75 gateway images
+    "sae4-ft": (
+        lambda: generate(sae_profile(4, ecu_count=10, signal_count=150,
+                                     fault_tolerant_fraction=0.2), seed=3),
+        DriverConfig(cah_tries=20, rng_seed=3),
+        "67b0531c3228ce08e2c61e8b49d26deee16d41133ab489b77b1c88daa29855a8",
+    ),
+    # 16-byte slots, so the packed column masks use a stride other than 8
+    "h16": (
+        lambda: generate(GeneratorProfile(ecu_count=9, signal_count=120,
+                                          slot_payload_bytes=16), seed=5),
+        DriverConfig(cah_tries=20, rng_seed=5),
+        "ca4e194f3e629d86ec45a14f1c1ab47c50de2be832ee70f70cad4e47cb1d0cac",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fibex_digest_pinned(tmp_path, name):
+    make, cfg, digest = CASES[name]
+    inst = make()
+    result = run(inst, cfg)
+    path = tmp_path / f"{name}.xml"
+    export_fibex(inst, result.assignment, result.schedule, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -39,12 +39,12 @@ def test_reference_fragment_has_no_packing_violations():
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
 
-    col_a3 = SlotColumn(owner=5, is_gateway=False)
+    col_a3 = SlotColumn(owner=5, is_gateway=False, slot_payload_bytes=8)
     add_occurrences(col_a3, signal=8, base=1, period=1, offset=0, payload=4)
     add_occurrences(col_a3, signal=9, base=1, period=2, offset=4, payload=4)
     sched.columns[CH_A][3] = col_a3
 
-    col_b2 = SlotColumn(owner=2, is_gateway=False)
+    col_b2 = SlotColumn(owner=2, is_gateway=False, slot_payload_bytes=8)
     add_occurrences(col_b2, signal=3, base=2, period=2, offset=0, payload=8)
     sched.columns[CH_B][2] = col_b2
 
@@ -61,7 +61,7 @@ def test_overlapping_frames_flagged_v2():
     )
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=1, is_gateway=False)
+    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
     add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=8)
     add_occurrences(col, signal=2, base=1, period=1, offset=0, payload=8)
     sched.columns[CH_A][1] = col
@@ -81,7 +81,7 @@ def test_jitter_flagged_v4():
     signals = (Signal(1, 1, 4, 4, 0.0, 64.0, False, frozenset({2})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=1, is_gateway=False)
+    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
     for cycle in (1, 5, 9, 13):  # one missing, rest fine
         if cycle != 9:
             col.add(cycle, Occupancy(1, 0, 4, False))
@@ -96,7 +96,7 @@ def test_window_violation_flagged_v5():
     signals = (Signal(1, 1, 4, 4, 2.0, 4.0, False, frozenset({2})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=1, is_gateway=False)
+    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
     add_occurrences(col, signal=1, base=1, period=4, offset=0, payload=4)  # too early
     sched.columns[CH_A][1] = col
     assert "V5" in codes(validate(inst, plain_assignment({}), sched))
@@ -134,10 +134,10 @@ def test_image_preceding_original_flagged_v8():
     signals = (Signal(1, 3, 1, 4, 0.0, 64.0, False, frozenset({4})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col_b = SlotColumn(owner=3, is_gateway=False)
+    col_b = SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=8)
     add_occurrences(col_b, signal=1, base=1, period=1, offset=0, payload=4)
     sched.columns[CH_B][2] = col_b
-    col_gw = SlotColumn(owner=0, is_gateway=True)
+    col_gw = SlotColumn(owner=0, is_gateway=True, slot_payload_bytes=8)
     add_occurrences(col_gw, signal=1, base=1, period=1, offset=0, payload=4,
                     is_image=True)
     sched.columns[CH_A][1] = col_gw  # image slot id below the original's
@@ -150,7 +150,7 @@ def test_gateway_slot_with_original_flagged_v3():
     signals = (Signal(1, 1, 1, 4, 0.0, 64.0, False, frozenset({2})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=0, is_gateway=True)
+    col = SlotColumn(owner=0, is_gateway=True, slot_payload_bytes=8)
     add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=4)
     sched.columns[CH_A][1] = col
     assert "V3" in codes(validate(inst, plain_assignment({}), sched))
@@ -162,7 +162,7 @@ def test_receiver_cannot_hear_flagged_v7():
     signals = (Signal(1, 3, 1, 4, 0.0, 64.0, False, frozenset({4})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=3, is_gateway=False)
+    col = SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=8)
     add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=4)
     sched.columns[CH_B][1] = col
     # receiver 4 sits on channel A and no image exists
@@ -193,3 +193,18 @@ def test_violation_json_shape():
     from flexseg.validator import Violation
     v = Violation("V2", "overlap")
     assert v.to_json_dict() == {"code": "V2", "message": "overlap"}
+
+
+def test_slot_id_below_one_flagged_v3():
+    # an otherwise clean frame in slot 0: FlexRay static slot ids start at 1
+    ecus = (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON))
+    signals = (Signal(1, 1, 1, 4, 0.0, 64.0, False, frozenset({2})),)
+    inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
+    for slot in (0, -3):
+        sched = Schedule(config=inst.config)
+        col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+        add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=4)
+        sched.columns[CH_A][slot] = col
+        violations = validate(inst, plain_assignment({}), sched)
+        assert [v.code for v in violations] == ["V3"]
+        assert "below 1" in violations[0].message
