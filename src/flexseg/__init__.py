@@ -13,7 +13,7 @@ from .assignment import (
 from .driver import DriverConfig, DriverResult, run
 from .fibex import export_fibex, read_fibex
 from .generator import GeneratorProfile, generate, reduce_partition, sweep_profiles
-from .hypergraph import Hyperedge, Hypergraph, build_hypergraph
+from .hypergraph import Hypergraph, build_hypergraph
 from .model import (
     Ecu,
     EcuKind,
@@ -38,7 +38,7 @@ __all__ = [
     "DriverConfig", "DriverResult", "run",
     "export_fibex", "read_fibex",
     "GeneratorProfile", "generate", "reduce_partition", "sweep_profiles",
-    "Hyperedge", "Hypergraph", "build_hypergraph",
+    "Hypergraph", "build_hypergraph",
     "Ecu", "EcuKind", "Instance", "NetworkConfig", "Signal",
     "load_instance", "save_instance",
     "Schedule", "lbsc", "schedule_channels", "schedule_single_channel", "sort_signals",

@@ -55,29 +55,28 @@ class ChannelAssignment:
 def default_alpha(hg: Hypergraph) -> float:
     """1 / total signal payload, the weight at which gateway traffic only
     breaks ties between assignments with equal channel payloads."""
-    total = hg.total_weight_bytes()
+    total = hg.total_weight_bytes
     return 1.0 / total if total > 0 else 0.0
 
 
 class _State:
-    """Incremental payload bookkeeping over a partial channel assignment.
+    """Incremental payload bookkeeping over a partial channel assignment,
+    the one evaluator of P_A, P_B and P_G behind every solver.
 
-    Edges with no one-port endpoint never constrain the assignment and are
-    excluded.  Unassigned ECUs are treated as absent: an edge counts toward
-    a channel once at least one of its assigned endpoints lies there.
+    Unassigned ECUs are treated as absent: an edge counts toward a channel
+    once at least one of its assigned endpoints lies there.
     """
 
     __slots__ = ("weights", "cnt_a", "cnt_b", "incident", "ft",
                  "sum_a", "sum_b", "sum_g", "sum_float", "assigned")
 
     def __init__(self, hg: Hypergraph):
-        edges = [e for e in hg.edges if e.free_endpoints]
-        self.weights = [e.weight_bytes for e in edges]
-        self.cnt_a = [0] * len(edges)
-        self.cnt_b = [0] * len(edges)
+        self.weights = list(hg.edges.values())
+        self.cnt_a = [0] * len(self.weights)
+        self.cnt_b = [0] * len(self.weights)
         self.incident: dict[int, list[int]] = {u: [] for u in hg.free_ecus}
-        for k, e in enumerate(edges):
-            for u in e.free_endpoints:
+        for k, ends in enumerate(hg.edges):
+            for u in ends:
                 self.incident[u].append(k)
         self.ft = hg.ft_weight_bytes
         self.sum_a = 0
@@ -206,9 +205,9 @@ def pinned_ecu(hg: Hypergraph) -> int | None:
 
 def _branch_order(hg: Hypergraph) -> list[int]:
     totals = dict.fromkeys(hg.free_ecus, 0)
-    for e in hg.edges:
-        for u in e.free_endpoints:
-            totals[u] += e.weight_bytes
+    for ends, w in hg.edges.items():
+        for u in ends:
+            totals[u] += w
     return sorted(hg.free_ecus, key=lambda u: (-totals[u], u))
 
 
@@ -219,6 +218,12 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
     The first ECU in branch order is pinned to channel A; children are
     explored cheaper-bound first and pruned against the incumbent.  On
     time-limit expiry the incumbent is returned flagged non-optimal.
+
+    The pin only removes mirror images: swapping the channels of a map
+    swaps P_A and P_B, which leaves max(beta*P_A, P_B) unchanged at
+    beta = 1 alone.  At any other beta the optimum may need the pinned ECU
+    on B, so the result is the best map with the pin and never flagged
+    optimal.
     """
     free = list(hg.free_ecus)
     if not free:
@@ -270,7 +275,8 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
         # Expired before reaching any leaf: fall back to everything on A.
         best_map = {u: CH_A for u in free}
         timed_out = True
-    return _finish(hg, best_map, params, optimal=not timed_out)
+    return _finish(hg, best_map, params,
+                   optimal=not timed_out and params.beta == 1)
 
 
 def _greedy_assignment(st: _State, ordered: list[int], params: CriterionParams) -> None:
@@ -353,22 +359,6 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
     return _finish(hg, dict(st.assigned), params, optimal=False)
 
 
-def _mask_criterion(masks: list[int], weights: list[int], ft: int, full: int,
-                    params: CriterionParams, bits: int) -> float:
-    p_a = p_b = p_g = 0
-    for m, w in zip(masks, weights):
-        in_a = m & bits
-        in_b = m & ~bits & full
-        if in_a:
-            p_a += w
-            if in_b:
-                p_b += w
-                p_g += w
-        elif in_b:
-            p_b += w
-    return max(params.beta * (p_a + ft), p_b + ft) + params.alpha * p_g
-
-
 def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
              population_size: int = 100, max_generations: int = 100,
              stagnation_limit: int = 20) -> ChannelAssignment:
@@ -384,26 +374,24 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
     if n == 0:
         return _finish(hg, {}, params, optimal=True)
 
-    idx = {u: i for i, u in enumerate(free)}
-    edge_masks = []
-    edge_weights = []
-    for e in hg.edges:
-        if e.free_endpoints:
-            m = 0
-            for u in e.free_endpoints:
-                m |= 1 << idx[u]
-            edge_masks.append(m)
-            edge_weights.append(e.weight_bytes)
-    full = (1 << n) - 1
-    ft = hg.ft_weight_bytes
-
+    # The evaluator holds the last individual scored, starting from all
+    # on B; scoring another moves only the ECUs whose bits differ.
+    st = _State(hg)
+    for u in free:
+        st.assign(u, CH_B)
+    held = 0
     fitness_cache: dict[int, float] = {}
 
     def fitness(ind: int) -> float:
+        nonlocal held
         val = fitness_cache.get(ind)
         if val is None:
-            val = _mask_criterion(edge_masks, edge_weights, ft, full, params, ind)
-            fitness_cache[ind] = val
+            diff, held = ind ^ held, ind
+            while diff:
+                low = diff & -diff
+                st.move(free[low.bit_length() - 1])
+                diff ^= low
+            val = fitness_cache[ind] = st.criterion(params)
         return val
 
     rng = random.Random(rng_seed)
@@ -445,7 +433,7 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
         else:
             stagnant += 1
 
-    mapping = {u: (CH_A if best >> i & 1 else CH_B) for u, i in idx.items()}
+    mapping = {u: (CH_A if best >> i & 1 else CH_B) for i, u in enumerate(free)}
     return _finish(hg, mapping, params, optimal=False)
 
 
@@ -453,12 +441,10 @@ def export_lp(hg: Hypergraph, params: CriterionParams, path: str | Path) -> None
     """Write the assignment model in LP file format.
 
     Variables: binary x<i> per one-port ECU (1 = channel A), continuous
-    uA<k>/uB<k> in [0,1] per edge flagging presence on each channel, and
-    continuous PA, PB, PG, z.  Edges with no one-port endpoint are outside
-    the assignment problem and are left out of the model.
+    uA<k>/uB<k> in [0,1] per edge (one-port endpoint set) flagging presence
+    on each channel, and continuous PA, PB, PG, z.
     """
-    edges = [e for e in hg.edges if e.free_endpoints]
-    sum_w = sum(e.weight_bytes for e in edges)
+    sum_w = sum(hg.edges.values())
     pin = pinned_ecu(hg)
     ft = hg.ft_weight_bytes
 
@@ -468,22 +454,22 @@ def export_lp(hg: Hypergraph, params: CriterionParams, path: str | Path) -> None
     lines.append(f" balA: {params.beta!r} PA - z <= {-params.beta * ft + 0.0!r}")
     lines.append(f" balB: PB - z <= {-ft}")
     lines.append(f" gwdef: PA + PB - PG = {sum_w}")
-    if edges:
-        terms = " + ".join(f"{e.weight_bytes} uA{k}" for k, e in enumerate(edges))
+    if hg.edges:
+        terms = " + ".join(f"{w} uA{k}" for k, w in enumerate(hg.edges.values()))
         lines.append(f" defA: {terms} - PA = 0")
-        terms = " + ".join(f"{e.weight_bytes} uB{k}" for k, e in enumerate(edges))
+        terms = " + ".join(f"{w} uB{k}" for k, w in enumerate(hg.edges.values()))
         lines.append(f" defB: {terms} - PB = 0")
     else:
         lines.append(" defA: PA = 0")
         lines.append(" defB: PB = 0")
-    for k, e in enumerate(edges):
-        for u in sorted(e.free_endpoints):
+    for k, ends in enumerate(hg.edges):
+        for u in sorted(ends):
             lines.append(f" linkA_{k}_{u}: x{u} - uA{k} <= 0")
             lines.append(f" linkB_{k}_{u}: x{u} + uB{k} >= 1")
     if pin is not None:
         lines.append(f" pin: x{pin} = 1")
     lines.append("Bounds")
-    for k in range(len(edges)):
+    for k in range(len(hg.edges)):
         lines.append(f" 0 <= uA{k} <= 1")
         lines.append(f" 0 <= uB{k} <= 1")
     if hg.free_ecus:

@@ -96,12 +96,18 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
     )
     channel_of: dict[int, str] = {}
     for ecu_el in root.find("ecus"):
-        if ecu_el.get("class") == EcuKind.ONE_PORT.value and ecu_el.get("channels"):
-            channel_of[int(ecu_el.get("id"))] = ecu_el.get("channels")
+        # An empty value is an ECU without a channel, which validate reports.
+        ch = ecu_el.get("channels")
+        if ecu_el.get("class") == EcuKind.ONE_PORT.value and ch:
+            if ch not in CHANNELS:
+                raise ValueError(f"ecu {ecu_el.get('id')}: channels {ch!r} is not A or B")
+            channel_of[int(ecu_el.get("id"))] = ch
 
     sched = Schedule(config=config)
     for ch_el in root.find("channels"):
         ch = ch_el.get("name")
+        if ch not in CHANNELS:
+            raise ValueError(f"channel element: name {ch!r} is not A or B")
         for slot_el in ch_el:
             slot = int(slot_el.get("id"))
             col = SlotColumn(owner=int(slot_el.get("owner")),

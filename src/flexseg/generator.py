@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 
-from .hypergraph import Hyperedge, Hypergraph
+from .hypergraph import Hypergraph
 from .model import (
     ALLOWED_PERIOD_CYCLES,
     Ecu,
@@ -181,21 +181,14 @@ def reduce_partition(items: list[int]) -> Hypergraph:
     exists iff the assignment optimum at alpha=0, beta=1 is sum/2."""
     if not items:
         raise ValueError("multiset must not be empty")
-    edges = []
-    for i, value in enumerate(items):
+    for value in items:
         if value <= 0:
             raise ValueError(f"item {value} is not a positive integer")
-        ecu = i + 1
-        edges.append(Hyperedge(
-            endpoints=frozenset({ecu}),
-            free_endpoints=frozenset({ecu}),
-            weight_bytes=value,
-            member_signals=(i + 1,),
-        ))
     return Hypergraph(
-        edges=tuple(edges),
+        edges={frozenset({ecu}): value for ecu, value in enumerate(items, 1)},
         free_ecus=tuple(range(1, len(items) + 1)),
         ft_weight_bytes=0,
+        total_weight_bytes=sum(items),
     )
 
 

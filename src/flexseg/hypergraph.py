@@ -1,75 +1,50 @@
-"""Aggregate signals into hyperedges keyed by their endpoint set.
+"""Aggregate signals into hyperedges keyed by their one-port endpoint set.
 
 The hypergraph is the input of the ECU-to-channel assignment subproblem:
-vertices are ECUs, one hyperedge per distinct endpoint set of the
-non-fault-tolerant signals, weighted by summed payloads.
+vertices are the one-port ECUs, one hyperedge per distinct set of one-port
+endpoints of the non-fault-tolerant signals, weighted by summed payloads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import EcuKind, Instance
-
-
-@dataclass(frozen=True)
-class Hyperedge:
-    endpoints: frozenset[int]
-    free_endpoints: frozenset[int]
-    weight_bytes: int
-    member_signals: tuple[int, ...]
+from .model import Instance
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    edges: tuple[Hyperedge, ...]
+    # one-port endpoint set -> summed payload, non-empty sets in sorted order
+    edges: dict[frozenset[int], int]
     free_ecus: tuple[int, ...]
     ft_weight_bytes: int
-
-    def total_weight_bytes(self) -> int:
-        return sum(e.weight_bytes for e in self.edges) + self.ft_weight_bytes
+    total_weight_bytes: int
 
 
 def build_hypergraph(inst: Instance) -> Hypergraph:
-    """Group non-fault-tolerant signals by endpoint set.
+    """Group non-fault-tolerant signals by their one-port endpoints.
 
-    Endpoints are the transmitter plus the receivers, with the gateway
-    dropped (it is wired to both channels and never constrains the
-    assignment).  Fault-tolerant signals are duplicated on both channels
-    regardless of the assignment, so they are kept out of the edges and
-    only accumulated as a constant payload added to both sides.
+    Endpoints are the transmitter plus the receivers.  Common ECUs and the
+    gateway are wired to both channels and never constrain the assignment,
+    so a signal with no one-port endpoint is in no edge and only counts
+    toward the total payload.  Fault-tolerant signals are duplicated on
+    both channels regardless of the assignment, so they are kept out of the
+    edges and only accumulated as a constant payload added to both sides.
     """
-    gw = inst.gateway.id
-    groups: dict[frozenset[int], list[int]] = {}
-    ft_weight = 0
-    by_id = {s.id: s for s in inst.signals}
+    one_port = {e.id for e in inst.one_port_ecus}
+    groups: dict[frozenset[int], int] = {}
+    ft_weight = total = 0
     for s in inst.signals:
+        total += s.payload_bytes
         if s.fault_tolerant:
             ft_weight += s.payload_bytes
             continue
-        key = frozenset({s.transmitter, *s.receivers} - {gw})
-        groups.setdefault(key, []).append(s.id)
+        key = frozenset(one_port.intersection((s.transmitter, *s.receivers)))
+        if key:
+            groups[key] = groups.get(key, 0) + s.payload_bytes
 
-    edges = []
-    for key in sorted(groups, key=lambda k: sorted(k)):
-        members = groups[key]
-        free = frozenset(u for u in key if inst.kind_of(u) == EcuKind.ONE_PORT)
-        edges.append(Hyperedge(
-            endpoints=key,
-            free_endpoints=free,
-            weight_bytes=sum(by_id[i].payload_bytes for i in members),
-            member_signals=tuple(members),
-        ))
-
-    free_ecus = tuple(sorted(e.id for e in inst.one_port_ecus))
-    return Hypergraph(edges=tuple(edges), free_ecus=free_ecus, ft_weight_bytes=ft_weight)
-
-
-def format_hypergraph(hg: Hypergraph) -> str:
-    """Adjacency-style text dump, one edge per line."""
-    lines = [f"free ECUs: {list(hg.free_ecus)}  ft weight: {hg.ft_weight_bytes}"]
-    for e in hg.edges:
-        lines.append(
-            f"{sorted(e.endpoints)} | {sorted(e.free_endpoints)} | "
-            f"{e.weight_bytes} | {list(e.member_signals)}"
-        )
-    return "\n".join(lines)
+    return Hypergraph(
+        edges={key: groups[key] for key in sorted(groups, key=sorted)},
+        free_ecus=tuple(sorted(one_port)),
+        ft_weight_bytes=ft_weight,
+        total_weight_bytes=total,
+    )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from flexseg.hypergraph import Hyperedge, Hypergraph
+from flexseg.hypergraph import Hypergraph
 from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, Signal
 
 
@@ -47,19 +47,17 @@ def oracle_payloads(hg: Hypergraph, channel_of: dict[int, str]) -> tuple[int, in
     """Straightforward re-statement of the payload rules, written
     independently of the package evaluator."""
     p_a = p_b = p_g = 0
-    for edge in hg.edges:
-        if not edge.free_endpoints:
-            continue
-        on_a = any(channel_of[u] == "A" for u in edge.free_endpoints)
-        on_b = any(channel_of[u] == "B" for u in edge.free_endpoints)
+    for ends, weight in hg.edges.items():
+        on_a = any(channel_of[u] == "A" for u in ends)
+        on_b = any(channel_of[u] == "B" for u in ends)
         if on_a and on_b:
-            p_a += edge.weight_bytes
-            p_b += edge.weight_bytes
-            p_g += edge.weight_bytes
+            p_a += weight
+            p_b += weight
+            p_g += weight
         elif on_a:
-            p_a += edge.weight_bytes
+            p_a += weight
         elif on_b:
-            p_b += edge.weight_bytes
+            p_b += weight
     return p_a + hg.ft_weight_bytes, p_b + hg.ft_weight_bytes, p_g
 
 
@@ -93,15 +91,18 @@ def subset_sum_half(items: list[int]) -> bool:
 
 def random_hypergraph(rng: random.Random, max_free: int = 12,
                       max_edges: int = 40) -> Hypergraph:
-    """Random assignment problem: a few common vertices, weighted edges over
-    1..3 one-port endpoints, occasional all-common edges and FT payload."""
+    """Random assignment problem: a few common vertices, weighted signal
+    groups over 1..3 one-port endpoints, occasional all-common groups and
+    FT payload.  Groups with equal one-port endpoints merge into one edge;
+    all-common groups only add to the total payload."""
     n_free = rng.randint(3, max_free)
     free = list(range(1, n_free + 1))
     common = list(range(101, 101 + rng.randint(0, 3)))
     n_edges = rng.randint(1, max_edges)
     seen: set[frozenset[int]] = set()
-    edges = []
-    for i in range(n_edges):
+    edges: dict[frozenset[int], int] = {}
+    total = 0
+    for _ in range(n_edges):
         if common and rng.random() < 0.1:
             members = rng.sample(common, min(len(common), rng.randint(1, 2)))
         else:
@@ -111,14 +112,15 @@ def random_hypergraph(rng: random.Random, max_free: int = 12,
         if key in seen:
             continue
         seen.add(key)
-        edges.append(Hyperedge(
-            endpoints=key,
-            free_endpoints=frozenset(u for u in key if u <= 100),
-            weight_bytes=rng.randint(1, 20),
-            member_signals=(i + 1,),
-        ))
-    return Hypergraph(edges=tuple(edges), free_ecus=tuple(free),
-                      ft_weight_bytes=rng.choice([0, 0, rng.randint(1, 15)]))
+        weight = rng.randint(1, 20)
+        total += weight
+        ends = key.difference(common)
+        if ends:
+            edges[ends] = edges.get(ends, 0) + weight
+    ft = rng.choice([0, 0, rng.randint(1, 15)])
+    return Hypergraph(edges={k: edges[k] for k in sorted(edges, key=sorted)},
+                      free_ecus=tuple(free), ft_weight_bytes=ft,
+                      total_weight_bytes=total + ft)
 
 
 def spearman_rho(xs: list[float], ys: list[float]) -> float:

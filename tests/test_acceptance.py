@@ -53,12 +53,11 @@ def enumerate_minimum(hg: Hypergraph, alpha: float, beta: float) -> float:
     free = list(hg.free_ecus)
     index = {u: i for i, u in enumerate(free)}
     pairs = []
-    for e in hg.edges:
-        if e.free_endpoints:
-            mask = 0
-            for u in e.free_endpoints:
-                mask |= 1 << index[u]
-            pairs.append((mask, e.weight_bytes))
+    for ends, weight in hg.edges.items():
+        mask = 0
+        for u in ends:
+            mask |= 1 << index[u]
+        pairs.append((mask, weight))
     ft = hg.ft_weight_bytes
     best = float("inf")
     for bits in range(1 << len(free)):

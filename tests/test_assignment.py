@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -24,7 +25,8 @@ from flexseg.assignment import (
     solve_ga,
 )
 from flexseg.generator import reduce_partition
-from flexseg.hypergraph import Hyperedge, Hypergraph, build_hypergraph
+from flexseg.hypergraph import Hypergraph, build_hypergraph
+from flexseg.model import Signal
 
 EXAMPLE1_OPT = 40 + 20 / 52
 
@@ -68,7 +70,7 @@ def test_evaluate_all_on_a():
 
 
 def test_evaluate_empty_hypergraph():
-    hg = Hypergraph(edges=(), free_ecus=(), ft_weight_bytes=0)
+    hg = Hypergraph(edges={}, free_ecus=(), ft_weight_bytes=0, total_weight_bytes=0)
     params = CriterionParams(alpha=0.5, beta=1.0)
     assert evaluate_criterion(hg, {}, params) == (0, 0, 0, 0)
 
@@ -93,13 +95,17 @@ def test_channel_relabel_symmetry():
 
 
 def test_all_common_edges_do_not_count(example1):
-    # an edge with no one-port endpoint loads neither channel here
-    hg = Hypergraph(
-        edges=(Hyperedge(frozenset({101, 102}), frozenset(), 30, (1,)),),
-        free_ecus=(1,), ft_weight_bytes=0)
-    p_a, p_b, p_g, crit = evaluate_criterion(
-        hg, {1: "A"}, CriterionParams(alpha=1.0, beta=1.0))
-    assert (p_a, p_b, p_g, crit) == (0, 0, 0, 0)
+    # a signal with no one-port endpoint loads neither channel here, but its
+    # payload still sets the default alpha
+    common = Signal(id=11, transmitter=1, period_cycles=1, payload_bytes=30,
+                    release_ms=0.0, deadline_ms=2.0, fault_tolerant=False,
+                    receivers=frozenset({2}))
+    inst = dataclasses.replace(example1, signals=example1.signals + (common,))
+    params = CriterionParams(alpha=1.0, beta=1.0)
+    channel_of = {3: "B", 4: "B", 5: "A"}
+    assert evaluate_criterion(build_hypergraph(inst), channel_of, params) == \
+        evaluate_criterion(build_hypergraph(example1), channel_of, params)
+    assert default_alpha(build_hypergraph(inst)) == pytest.approx(1 / 82)
 
 
 # --- exact solver -----------------------------------------------------------
@@ -115,9 +121,8 @@ def test_exact_example1(example1):
 
 def test_exact_single_free_ecu_self_loop():
     for w, ft in [(7, 0), (3, 5)]:
-        hg = Hypergraph(
-            edges=(Hyperedge(frozenset({1}), frozenset({1}), w, (1,)),),
-            free_ecus=(1,), ft_weight_bytes=ft)
+        hg = Hypergraph(edges={frozenset({1}): w}, free_ecus=(1,),
+                        ft_weight_bytes=ft, total_weight_bytes=w + ft)
         result = solve_exact(hg, CriterionParams(alpha=0.0, beta=1.0))
         assert result.channel_of == {1: "A"}
         assert result.criterion == max(w + ft, ft)
@@ -146,9 +151,20 @@ def test_exact_beta_not_one_respects_pin():
         hg = random_hypergraph(rng, max_free=8, max_edges=15)
         params = CriterionParams(alpha=0.01, beta=1.7)
         result = solve_exact(hg, params)
+        assert not result.optimal
         assert result.channel_of[pinned_ecu(hg)] == "A"
         assert result.criterion == pytest.approx(
             oracle_minimum(hg, params.alpha, params.beta, pin=pinned_ecu(hg)))
+
+
+def test_exact_pin_not_optimal_away_from_beta_one():
+    # ECU 1 (item 3) is pinned to A; the optimum at beta = 2 puts it on B
+    hg = reduce_partition([3, 2])
+    params = CriterionParams(alpha=0.0, beta=2.0)
+    result = solve_exact(hg, params)
+    assert result.criterion == 6
+    assert not result.optimal
+    assert oracle_minimum(hg, params.alpha, params.beta) == 4
 
 
 def test_exact_time_limit_returns_incumbent():
@@ -172,7 +188,8 @@ def test_bound_admissible_on_partial_assignments():
         bound = st.bound(params)
         rest = [u for u in hg.free_ecus if u not in partial]
         for completion in brute_force_assignments(
-                Hypergraph(edges=(), free_ecus=tuple(rest), ft_weight_bytes=0)):
+                Hypergraph(edges={}, free_ecus=tuple(rest), ft_weight_bytes=0,
+                           total_weight_bytes=0)):
             full = {**partial, **completion}
             assert bound <= oracle_criterion(
                 hg, full, params.alpha, params.beta) + 1e-9
@@ -188,9 +205,8 @@ def test_cah_example1_hits_optimum(example1):
 
 
 def test_cah_single_free_ecu_matches_exact():
-    hg = Hypergraph(
-        edges=(Hyperedge(frozenset({1}), frozenset({1}), 9, (1,)),),
-        free_ecus=(1,), ft_weight_bytes=2)
+    hg = Hypergraph(edges={frozenset({1}): 9}, free_ecus=(1,),
+                    ft_weight_bytes=2, total_weight_bytes=11)
     params = CriterionParams(alpha=0.1, beta=1.0)
     assert solve_cah(hg, params, tries_count=3, rng_seed=0).criterion == \
         solve_exact(hg, params).criterion
@@ -255,9 +271,8 @@ def test_ga_example1_sandwich(example1):
 
 
 def test_ga_single_free_ecu_exact():
-    hg = Hypergraph(
-        edges=(Hyperedge(frozenset({1}), frozenset({1}), 9, (1,)),),
-        free_ecus=(1,), ft_weight_bytes=0)
+    hg = Hypergraph(edges={frozenset({1}): 9}, free_ecus=(1,),
+                    ft_weight_bytes=0, total_weight_bytes=9)
     params = CriterionParams(alpha=0.0, beta=1.0)
     assert solve_ga(hg, params, rng_seed=0).criterion == \
         solve_exact(hg, params).criterion
@@ -284,7 +299,7 @@ def test_ga_deterministic(example1):
 # --- degenerate inputs ------------------------------------------------------
 
 def test_solvers_accept_no_free_ecus():
-    hg = Hypergraph(edges=(), free_ecus=(), ft_weight_bytes=12)
+    hg = Hypergraph(edges={}, free_ecus=(), ft_weight_bytes=12, total_weight_bytes=12)
     params = CriterionParams(alpha=0.5, beta=1.0)
     for solver in (solve_exact, lambda h, p: solve_cah(h, p, tries_count=1),
                    lambda h, p: solve_ga(h, p)):
@@ -304,17 +319,17 @@ def test_lp_export_structure(tmp_path, example1):
     assert text.rstrip().endswith("End")
     binaries = text.split("Binaries\n")[1].split("\n")[0].split()
     assert binaries == ["x3", "x4", "x5"]
-    # constraint count stays within 6 + 2 * sum(|free endpoints per edge|)
+    # constraint count stays within 6 + 2 * sum(|one-port endpoints per edge|)
     n_constraints = sum(
         1 for line in text.splitlines()
         if ":" in line and not line.startswith((" obj", "Minimize")))
-    limit = 6 + 2 * sum(len(e.free_endpoints) for e in hg.edges)
+    limit = 6 + 2 * sum(len(ends) for ends in hg.edges)
     assert n_constraints <= limit
     assert f" pin: x{pinned_ecu(hg)} = 1" in text
 
 
 def test_lp_export_empty_edges(tmp_path):
-    hg = Hypergraph(edges=(), free_ecus=(), ft_weight_bytes=0)
+    hg = Hypergraph(edges={}, free_ecus=(), ft_weight_bytes=0, total_weight_bytes=0)
     path = tmp_path / "empty.lp"
     export_lp(hg, CriterionParams(alpha=0.0, beta=1.0), path)
     text = path.read_text()

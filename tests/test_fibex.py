@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from flexseg.assignment import CriterionParams, solve_exact
+from flexseg.cli import main
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import sae_profile, generate
 from flexseg.hypergraph import build_hypergraph
-from flexseg.model import Instance
+from flexseg.model import Instance, save_instance
 from flexseg.scheduler import schedule_channels
 
 
@@ -137,3 +140,25 @@ def test_roundtrip_on_generated_instance(tmp_path):
             expected.add((p.signal, ch, p.base_cycle, p.slot, p.offset_bytes,
                           p.is_image))
     assert independent_placements(path) == expected
+
+
+
+@pytest.mark.parametrize("element, attr, value, message", [
+    ("ecus/ecu[@id='3']", "channels", "X", "ecu 3: channels 'X' is not A or B"),
+    ("channels/channel[@name='B']", "name", "C", "channel element: name 'C' is not A or B"),
+])
+def test_reader_rejects_unknown_channel_names(tmp_path, example1, capsys,
+                                              element, attr, value, message):
+    asg, sched = solved_example1(example1)
+    path = tmp_path / "example1.xml"
+    export_fibex(example1, asg, sched, path)
+    tree = ET.parse(path)
+    tree.getroot().find(element).set(attr, value)
+    broken = tmp_path / "broken.xml"
+    tree.write(broken)
+    with pytest.raises(ValueError, match=message):
+        read_fibex(broken)
+    inst_file = tmp_path / "example1.json"
+    save_instance(example1, inst_file)
+    assert main(["validate", str(inst_file), str(broken)]) == 2
+    assert message in capsys.readouterr().err

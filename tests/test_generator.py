@@ -127,13 +127,11 @@ def test_sweep_profiles_generate_valid_instances():
 
 def test_reduce_partition_shapes():
     hg = reduce_partition([3, 1, 1, 2, 2, 1])
-    assert len(hg.edges) == 6
-    assert len(hg.free_ecus) == 6
+    assert hg.edges == {frozenset({ecu}): value
+                        for ecu, value in enumerate([3, 1, 1, 2, 2, 1], 1)}
+    assert hg.free_ecus == (1, 2, 3, 4, 5, 6)
     assert hg.ft_weight_bytes == 0
-    for edge, value in zip(hg.edges, [3, 1, 1, 2, 2, 1]):
-        assert edge.weight_bytes == value
-        assert len(edge.endpoints) == 1
-        assert edge.endpoints == edge.free_endpoints
+    assert hg.total_weight_bytes == 10
 
 
 def test_reduce_partition_rejects_bad_items():
