@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the FIBEX export of three fixed-seed runs.
+"""Pinned sha256 digests of the FIBEX export of four fixed-seed runs.
 
 A change to channel scheduling, renumbering or the export that alters any
 byte of these files fails here; update a digest only with a change that is
@@ -12,7 +12,7 @@ import pytest
 
 from flexseg.driver import DriverConfig, run
 from flexseg.fibex import export_fibex
-from flexseg.generator import GeneratorProfile, generate, sae_profile
+from flexseg.generator import GeneratorProfile, generate, realcase_profile, sae_profile
 
 from conftest import example1_instance
 
@@ -36,6 +36,12 @@ CASES = {
                                           slot_payload_bytes=16), seed=5),
         DriverConfig(cah_tries=20, rng_seed=5),
         "ca4e194f3e629d86ec45a14f1c1ab47c50de2be832ee70f70cad4e47cb1d0cac",
+    ),
+    # 5043 signals under the default driver settings: the largest schedule
+    "realcase": (
+        lambda: generate(realcase_profile(), seed=0),
+        DriverConfig(),
+        "20308ed1778961117504fed6e998886ae8dc86862392cb8c01c130b1ab42516d",
     ),
 }
 
