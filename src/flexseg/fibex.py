@@ -12,7 +12,13 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .assignment import ChannelAssignment
-from .model import EcuKind, Instance, NetworkConfig
+from .model import (
+    ALLOWED_PERIOD_CYCLES,
+    HYPERPERIOD_CYCLES,
+    EcuKind,
+    Instance,
+    NetworkConfig,
+)
 from .scheduler import CHANNELS, Occupancy, Schedule, SlotColumn
 
 
@@ -39,7 +45,6 @@ def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
         })
 
     channels = ET.SubElement(root, "channels")
-    periods = {s.id: s.period_cycles for s in inst.signals}
     for ch in CHANNELS:
         ch_el = ET.SubElement(channels, "channel", {
             "name": ch, "max-slot": str(sched.max_slot(ch)),
@@ -51,24 +56,14 @@ def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
                 "owner": str(col.owner),
                 "gateway": "true" if col.is_gateway else "false",
             })
-            # One frame element per base cycle: an occurrence belongs to the
-            # base-cycle frame of its signal in this slot.
-            frames: dict[int, list[Occupancy]] = {}
-            base_cycle: dict[tuple[int, bool], int] = {}
-            for cycle in sorted(col.frames):
-                for occ in col.frames[cycle]:
-                    key = (occ.signal, occ.is_image)
-                    if key not in base_cycle:
-                        base_cycle[key] = cycle
-                        frames.setdefault(cycle, []).append(occ)
-            for base in sorted(frames):
+            for base in sorted(col.frames):
                 frame_el = ET.SubElement(slot_el, "frame", {"base-cycle": str(base)})
-                for occ in sorted(frames[base], key=lambda o: (o.offset, o.signal)):
+                for occ in sorted(col.frames[base], key=lambda o: (o.offset, o.signal)):
                     ET.SubElement(frame_el, "signal-instance", {
                         "signal": str(occ.signal),
                         "bit-offset": str(occ.offset * 8),
                         "payload-bytes": str(occ.payload),
-                        "repetition": str(periods[occ.signal]),
+                        "repetition": str(occ.repetition),
                         "image": "true" if occ.is_image else "false",
                     })
 
@@ -116,19 +111,26 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             sched.columns[ch][slot] = col
             for frame_el in slot_el:
                 base = int(frame_el.get("base-cycle"))
+                if not 1 <= base <= HYPERPERIOD_CYCLES:
+                    raise ValueError(f"frame in slot {slot} on channel {ch}: base-cycle "
+                                     f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
                 for inst_el in frame_el:
                     bit_offset = int(inst_el.get("bit-offset"))
                     if bit_offset % 8:
                         raise ValueError(
                             f"signal {inst_el.get('signal')} in slot {slot} on channel "
                             f"{ch}: bit-offset {bit_offset} is not a whole byte")
-                    occ = Occupancy(
+                    rep = int(inst_el.get("repetition"))
+                    if rep not in ALLOWED_PERIOD_CYCLES:
+                        raise ValueError(
+                            f"signal {inst_el.get('signal')} in slot {slot} on channel "
+                            f"{ch}: repetition {rep} is not a power of two in "
+                            f"1..{HYPERPERIOD_CYCLES}")
+                    col.add(base, Occupancy(
                         signal=int(inst_el.get("signal")),
                         offset=bit_offset // 8,
                         payload=int(inst_el.get("payload-bytes")),
                         is_image=inst_el.get("image") == "true",
-                    )
-                    rep = int(inst_el.get("repetition"))
-                    for cycle in range(base, config.hyperperiod_cycles + 1, rep):
-                        col.add(cycle, occ)
+                        repetition=rep,
+                    ))
     return sched, channel_of

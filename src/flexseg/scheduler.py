@@ -44,50 +44,32 @@ class Placement:
 
 @dataclass(frozen=True)
 class Occupancy:
+    """One signal instance of a frame: it occurs in the frame's base cycle
+    and every `repetition` cycles after it."""
     signal: int
     offset: int
     payload: int
     is_image: bool
+    repetition: int
 
 
 @dataclass
 class SlotColumn:
+    """The frames of one slot on one channel, keyed by base cycle as in
+    the FIBEX file, and `mask`, the occupied bytes of all cycles as one
+    int: bit (cycle - 1) * slot_payload_bytes + byte."""
     owner: int
     is_gateway: bool
     slot_payload_bytes: int
-    frames: dict[int, list[Occupancy]] = field(default_factory=dict)
-    # value of `mask`; None until `mask` is next read
-    _mask: int | None = field(default=None, init=False, repr=False, compare=False)
+    frames: dict[int, list[Occupancy]] = field(default_factory=dict, init=False)
+    mask: int = field(default=0, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.frames:
-            self._mask = 0
-
-    def add(self, cycle: int, occ: Occupancy) -> None:
-        self.frames.setdefault(cycle, []).append(occ)
-        self._mask = None
-
-    def add_every(self, base: int, period: int, occ: Occupancy) -> None:
-        """Add `occ` to every `period`-th cycle from `base` on; `period`
-        divides the hyperperiod and `base` lies in 1..period."""
-        for cycle in occurrence_cycles(base, period):
-            self.frames.setdefault(cycle, []).append(occ)
-        if self._mask is not None:
-            h = self.slot_payload_bytes
-            self._mask |= _cycle_pattern(period, h) * _frame_bits(occ, h) << (base - 1) * h
-
-    @property
-    def mask(self) -> int:
-        """Occupied bytes of all cycles as one int: bit
-        (cycle - 1) * slot_payload_bytes + byte."""
-        if self._mask is None:
-            h = self.slot_payload_bytes
-            self._mask = 0
-            for cycle, entries in self.frames.items():
-                if 1 <= cycle <= HYPERPERIOD_CYCLES:
-                    for occ in entries:
-                        self._mask |= _frame_bits(occ, h) << (cycle - 1) * h
-        return self._mask
+    def add(self, base: int, occ: Occupancy) -> None:
+        self.frames.setdefault(base, []).append(occ)
+        h = self.slot_payload_bytes
+        bits = _cycle_pattern(occ.repetition, h) * _frame_bits(occ, h) << (base - 1) * h
+        # a base above the repetition runs past the hyperperiod
+        self.mask |= bits & ((1 << HYPERPERIOD_CYCLES * h) - 1)
 
     def is_full(self) -> bool:
         return self.mask == (1 << HYPERPERIOD_CYCLES * self.slot_payload_bytes) - 1
@@ -102,6 +84,16 @@ def _frame_bits(occ: Occupancy, h: int) -> int:
 def _cycle_pattern(period: int, h: int) -> int:
     """Bit 0 of every `period`-th cycle of a column mask."""
     return sum(1 << k * period * h for k in range(HYPERPERIOD_CYCLES // period))
+
+
+def _occupied_cycles(mask: int, h: int) -> int:
+    """The number of cycles with an occupied byte in a column mask."""
+    length = 1
+    while length < h:
+        step = min(length, h - length)
+        mask |= mask >> step
+        length += step
+    return (mask & _cycle_pattern(1, h)).bit_count()
 
 
 @dataclass
@@ -183,13 +175,9 @@ class Schedule:
         )
 
     def frame_count(self) -> int:
-        return sum(
-            len(col.frames) for ch in CHANNELS for col in self.columns[ch].values()
-        )
-
-
-def occurrence_cycles(base_cycle: int, period_cycles: int) -> range:
-    return range(base_cycle, HYPERPERIOD_CYCLES + 1, period_cycles)
+        """Occupied (channel, slot, cycle) frames."""
+        return sum(_occupied_cycles(col.mask, col.slot_payload_bytes)
+                   for ch in CHANNELS for col in self.columns[ch].values())
 
 
 def sort_signals(signals) -> list[Signal]:
@@ -318,14 +306,14 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
 
     slot, base, offset = chosen
     occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
-                    is_image=is_image)
+                    is_image=is_image, repetition=sig.period_cycles)
     for ch in channels:
         col = sched.columns[ch].get(slot)
         if col is None:
             col = SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h)
             sched.columns[ch][slot] = col
             idx.opened(ch, slot, col)
-        col.add_every(base, sig.period_cycles, occ)
+        col.add(base, occ)
         if col.is_full():
             idx.filled(ch, slot, col)
     placement = Placement(signal=sig.id, channel=target, base_cycle=base,
@@ -406,11 +394,9 @@ def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
     for ch in CHANNELS:
         pending = []
         for t in gateways[ch]:
-            latest = 0
-            for cycle_entries in sched.columns[ch][t].frames.values():
-                for occ in cycle_entries:
-                    orig_ch, orig_slot = original_slot[occ.signal]
-                    latest = max(latest, new_ids[(orig_ch, orig_slot)])
+            frames = sched.columns[ch][t].frames
+            latest = max((new_ids[original_slot[occ.signal]]
+                          for entries in frames.values() for occ in entries), default=0)
             pending.append((t, latest))
         tick = len(ft) + len(chains[ch]) + 1
         while pending:
@@ -464,31 +450,3 @@ def lbsc(signals, slot_payload_bytes: int) -> int:
         per_ecu[s.transmitter] = per_ecu.get(s.transmitter, 0) + signal_volume(s)
     capacity = HYPERPERIOD_CYCLES * slot_payload_bytes
     return sum(-(-load // capacity) for load in per_ecu.values())
-
-
-def format_schedule(sched: Schedule) -> str:
-    """Fixed-width table per channel: rows are cycles, columns slots."""
-    lines = []
-    for ch in CHANNELS:
-        cols = sched.columns[ch]
-        slots = sorted(cols)
-        lines.append(f"channel {ch} (max slot {sched.max_slot(ch)})")
-        if not slots:
-            lines.append("  (empty)")
-            continue
-        owners = "  ".join(
-            f"s{t}:ECU{cols[t].owner}" + ("*" if cols[t].is_gateway else "")
-            for t in slots
-        )
-        lines.append(f"  owners: {owners}")
-        for cyc in range(1, HYPERPERIOD_CYCLES + 1):
-            cells = []
-            for t in slots:
-                entries = cols[t].frames.get(cyc, [])
-                cell = ",".join(
-                    f"{occ.signal}{'~' if occ.is_image else ''}@{occ.offset}"
-                    for occ in sorted(entries, key=lambda o: o.offset)
-                )
-                cells.append(cell or "-")
-            lines.append(f"  c{cyc:02d} | " + " | ".join(cells))
-    return "\n".join(lines)

@@ -1,8 +1,9 @@
 """Independent schedule feasibility checker.
 
-Walks the slot/cycle grids directly and re-derives every occurrence, so it
-shares no placement logic with the scheduler.  Violations are returned as
-data (machine-readable codes V1..V9), never raised.
+Expands every stored signal instance (base cycle plus repetition) to its
+cycles itself and checks the resulting slot/cycle grids, so it shares no
+placement logic with the scheduler.  Violations are returned as data
+(machine-readable codes V1..V9), never raised.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
     h = inst.config.slot_payload_bytes
     m = inst.config.cycle_duration_ms
 
-    # Re-derive occurrence groups from the grids:
+    # Expand every stored signal instance to its cycles:
     # (signal, channel, slot, is_image) -> {cycle: offset}
     groups: dict[tuple[int, str, int, bool], dict[int, int]] = {}
     for ch in CHANNELS:
@@ -56,21 +57,23 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                 if col.is_gateway != (owner_kind == EcuKind.GATEWAY):
                     out.append(Violation(
                         "V3", f"({ch},{slot}): gateway flag does not match owner class"))
-            for cycle, entries in col.frames.items():
-                total = 0
-                spans = []
+            # cycle -> (first byte, end byte, signal) of each occurrence
+            cells: dict[int, list[tuple[int, int, int]]] = {}
+            for base, entries in col.frames.items():
                 for occ in entries:
                     sig = signals.get(occ.signal)
                     if sig is None:
                         out.append(Violation(
-                            "V1", f"({ch},{slot},{cycle}): unknown signal {occ.signal}"))
+                            "V1", f"({ch},{slot},{base}): unknown signal {occ.signal}"))
                         continue
                     if occ.payload != sig.payload_bytes:
                         out.append(Violation(
-                            "V2", f"signal {sig.id} at ({ch},{slot},{cycle}): stored "
+                            "V2", f"signal {sig.id} at ({ch},{slot},{base}): stored "
                                   f"payload {occ.payload} != {sig.payload_bytes}"))
-                    total += sig.payload_bytes
-                    spans.append((occ.offset, occ.offset + sig.payload_bytes, sig.id))
+                    if occ.repetition != sig.period_cycles:
+                        out.append(Violation(
+                            "V4", f"signal {sig.id} at ({ch},{slot},{base}): repetition "
+                                  f"{occ.repetition} != period {sig.period_cycles}"))
                     if occ.is_image:
                         if not col.is_gateway:
                             out.append(Violation(
@@ -84,12 +87,21 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                             out.append(Violation(
                                 "V3", f"signal {sig.id} in slot ({ch},{slot}) owned by "
                                       f"ECU {col.owner}, transmitter is {sig.transmitter}"))
-                    key = (occ.signal, ch, slot, occ.is_image)
-                    cyc_map = groups.setdefault(key, {})
-                    if cycle in cyc_map:
+                    span = (occ.offset, occ.offset + sig.payload_bytes, sig.id)
+                    if span[0] < 0 or span[1] > h:
                         out.append(Violation(
-                            "V2", f"signal {sig.id} twice in frame ({ch},{slot},{cycle})"))
-                    cyc_map[cycle] = occ.offset
+                            "V2", f"signal {sig.id} outside frame bounds in "
+                                  f"({ch},{slot},{base})"))
+                    cyc_map = groups.setdefault((occ.signal, ch, slot, occ.is_image), {})
+                    for cycle in range(base, 64 + 1, occ.repetition):
+                        cells.setdefault(cycle, []).append(span)
+                        if cycle in cyc_map:
+                            out.append(Violation(
+                                "V2", f"signal {sig.id} twice in frame "
+                                      f"({ch},{slot},{cycle})"))
+                        cyc_map[cycle] = occ.offset
+            for cycle, spans in cells.items():
+                total = sum(hi - lo for lo, hi, _ in spans)
                 if total > h:
                     out.append(Violation(
                         "V2", f"frame ({ch},{slot},{cycle}) payload {total} exceeds {h}"))
@@ -99,10 +111,6 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                         out.append(Violation(
                             "V2", f"signals {a_id} and {b_id} overlap in frame "
                                   f"({ch},{slot},{cycle})"))
-                for lo, hi, sid in spans:
-                    if lo < 0 or hi > h:
-                        out.append(Violation(
-                            "V2", f"signal {sid} outside frame bounds in ({ch},{slot},{cycle})"))
 
     # Periodicity, offsets and windows per occurrence group.
     base_of: dict[tuple[int, str, int, bool], tuple[int, int]] = {}

@@ -1,10 +1,11 @@
 """place_to_schedule against a plain linear first-fit scan.
 
 The oracle visits every slot id from 1, every feasible base cycle and
-every offset, and re-derives occupancy from the frames of each column, so
-it shares neither the owner index nor the packed column masks of the
-scheduler.  Random sequences of placements, with hand-built columns
-before and between them, must yield the same placements and frames.
+every offset, and expands the stored instances of each column (base cycle
+plus repetition) to their cycles itself, so it shares neither the owner
+index nor the packed column masks of the scheduler.  Random sequences of
+placements, with hand-built columns before and between them, must yield
+the same placements and frames.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from flexseg.scheduler import (
     Placement,
     Schedule,
     SlotColumn,
-    occurrence_cycles,
     place_to_schedule,
 )
 
@@ -59,11 +59,13 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
                for c in cols):
             continue
         for base in bases:
+            cycles = set(range(base, 65, sig.period_cycles))
             used = 0
             for col in cols:
-                for cyc in occurrence_cycles(base, sig.period_cycles):
-                    for occ in col.frames.get(cyc, ()) if col else ():
-                        used |= ((1 << occ.payload) - 1) << occ.offset
+                for stored_base, entries in col.frames.items() if col else ():
+                    for occ in entries:
+                        if cycles & set(range(stored_base, 65, occ.repetition)):
+                            used |= ((1 << occ.payload) - 1) << occ.offset
             offset = next((o for o in range(h - sig.payload_bytes + 1)
                            if not used & probe << o), None)
             if offset is not None:
@@ -76,12 +78,11 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
 
     slot, base, offset = chosen
     occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
-                    is_image=is_image)
+                    is_image=is_image, repetition=sig.period_cycles)
     for ch in channels:
-        col = sched.columns[ch].setdefault(
-            slot, SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h))
-        for cyc in occurrence_cycles(base, sig.period_cycles):
-            col.add(cyc, occ)
+        sched.columns[ch].setdefault(
+            slot, SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h)
+        ).add(base, occ)
     placement = Placement(signal=sig.id, channel=target, base_cycle=base,
                           slot=slot, offset_bytes=offset, is_image=is_image)
     sched.placements.append(placement)
@@ -102,8 +103,7 @@ def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies) ->
         col = sched.columns[ch][slot] = SlotColumn(
             owner=owner, is_gateway=owner == GATEWAY, slot_payload_bytes=h)
     for sid, period, base, offset, payload in occupancies:
-        for cyc in occurrence_cycles(base, period):
-            col.add(cyc, Occupancy(sid, offset, payload, col.is_gateway))
+        col.add(base, Occupancy(sid, offset, payload, col.is_gateway, period))
 
 
 @st.composite

@@ -19,9 +19,7 @@ from flexseg.scheduler import (
     InfeasibleWindowError,
     Schedule,
     determine_channel,
-    format_schedule,
     lbsc,
-    occurrence_cycles,
     place_to_schedule,
     reorder_slots,
     schedule_channels,
@@ -120,7 +118,7 @@ def test_frame_packing_two_signals_share_slot():
 
 def brute_force_positions(sched: Schedule, sig: Signal, channel: str, owner: int):
     """All feasible (slot, base, offset) triples within the allocated slots,
-    enumerated directly against the frames."""
+    enumerated directly against the stored instances of each column."""
     h = sched.config.slot_payload_bytes
     feasible = []
     for slot in range(1, sched.max_slot(channel) + 1):
@@ -131,18 +129,13 @@ def brute_force_positions(sched: Schedule, sig: Signal, channel: str, owner: int
             if not ((base - 1) * sched.config.cycle_duration_ms >= sig.release_ms - 1e-9
                     and base * sched.config.cycle_duration_ms <= sig.deadline_ms + 1e-9):
                 continue
+            cycles = set(range(base, 65, sig.period_cycles))
+            sharing = [occ for stored_base, entries in (col.frames.items() if col else ())
+                       for occ in entries
+                       if cycles & set(range(stored_base, 65, occ.repetition))]
             for offset in range(h - sig.payload_bytes + 1):
-                ok = True
-                for cyc in occurrence_cycles(base, sig.period_cycles):
-                    entries = col.frames.get(cyc, []) if col else []
-                    for occ in entries:
-                        if not (offset + sig.payload_bytes <= occ.offset
-                                or occ.offset + occ.payload <= offset):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
+                if all(offset + sig.payload_bytes <= occ.offset
+                       or occ.offset + occ.payload <= offset for occ in sharing):
                     feasible.append((slot, base, offset))
     return feasible
 
@@ -261,9 +254,10 @@ def test_schedule_single_sided_instance(example1):
 
 def test_schedule_deterministic(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
-    one = format_schedule(schedule_channels(example1, asg))
-    two = format_schedule(schedule_channels(example1, asg))
-    assert one == two
+    one = schedule_channels(example1, asg)
+    two = schedule_channels(example1, asg)
+    assert one.columns == two.columns
+    assert one.placements == two.placements
 
 
 # --- slot reordering --------------------------------------------------------
@@ -289,7 +283,8 @@ def test_reorder_no_gateway_slots_is_identity(example1):
     asg = assignment_for(inst, {3: "A", 4: "A", 5: "A"})
     sched = schedule_channels(inst, asg)
     again = reorder_slots(sched)
-    assert format_schedule(again) == format_schedule(sched)
+    assert again.columns == sched.columns
+    assert again.placements == sched.placements
 
 
 def test_reorder_pushes_gateway_past_cross_channel_original():
@@ -391,10 +386,3 @@ def test_adding_a_signal_never_frees_slots():
         grown = Instance(inst.config, inst.ecus, inst.signals + (extra,))
         bigger = schedule_channels(grown, asg)
         assert bigger.allocated_slots() >= base.allocated_slots()
-
-
-def test_format_schedule_mentions_owners(example1):
-    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
-    text = format_schedule(schedule_channels(example1, asg))
-    assert "channel A" in text and "channel B" in text
-    assert "ECU" in text

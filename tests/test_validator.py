@@ -16,9 +16,8 @@ def plain_assignment(channel_of):
 
 def add_occurrences(col: SlotColumn, signal: int, base: int, period: int,
                     offset: int, payload: int, is_image=False):
-    for cycle in range(base, 65, period):
-        col.add(cycle, Occupancy(signal=signal, offset=offset, payload=payload,
-                                 is_image=is_image))
+    col.add(base, Occupancy(signal=signal, offset=offset, payload=payload,
+                            is_image=is_image, repetition=period))
 
 
 def codes(violations):
@@ -77,18 +76,27 @@ def test_missing_signal_flagged_v1(example1):
 
 
 def test_jitter_flagged_v4():
+    # (period of signal 1, [(base, repetition, offset) of each stored instance])
+    cases = [
+        # every 8 cycles: cycles 5, 13, ... are missing
+        (4, [(1, 8, 0)]),
+        # every 4th cycle between them, but at two offsets
+        (4, [(1, 8, 0), (5, 8, 4)]),
+        # a base cycle beyond the period: cycles 1 and 2 are missing
+        (4, [(6, 4, 0)]),
+        # the one occurrence of a period-64 signal, stored with repetition 32
+        (64, [(33, 32, 0)]),
+    ]
     ecus = (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON))
-    signals = (Signal(1, 1, 4, 4, 0.0, 64.0, False, frozenset({2})),)
-    inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
-    sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
-    for cycle in (1, 5, 9, 13):  # one missing, rest fine
-        if cycle != 9:
-            col.add(cycle, Occupancy(1, 0, 4, False))
-    for cycle in range(17, 65, 4):
-        col.add(cycle, Occupancy(1, 0, 4, False))
-    sched.columns[CH_A][1] = col
-    assert "V4" in codes(validate(inst, plain_assignment({}), sched))
+    for period, stored in cases:
+        signals = (Signal(1, 1, period, 4, 0.0, 64.0, False, frozenset({2})),)
+        inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
+        sched = Schedule(config=inst.config)
+        col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+        for base, repetition, offset in stored:
+            col.add(base, Occupancy(1, offset, 4, False, repetition))
+        sched.columns[CH_A][1] = col
+        assert "V4" in codes(validate(inst, plain_assignment({}), sched)), stored
 
 
 def test_window_violation_flagged_v5():
