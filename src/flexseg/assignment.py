@@ -64,7 +64,11 @@ class _State:
     the one evaluator of P_A, P_B and P_G behind every solver.
 
     Unassigned ECUs are treated as absent: an edge counts toward a channel
-    once at least one of its assigned endpoints lies there.
+    once at least one of its assigned endpoints lies there.  `add_split`
+    and `move_delta` score a candidate in one walk over the ECU's incident
+    edges without changing any state; `criterion_at` and `bound_at` turn
+    the resulting sums into the same floats `criterion` and `bound` give
+    once the candidate is applied.
     """
 
     __slots__ = ("weights", "cnt_a", "cnt_b", "incident", "ft",
@@ -72,13 +76,17 @@ class _State:
 
     def __init__(self, hg: Hypergraph):
         self.weights = list(hg.edges.values())
-        self.cnt_a = [0] * len(self.weights)
-        self.cnt_b = [0] * len(self.weights)
         self.incident: dict[int, list[int]] = {u: [] for u in hg.free_ecus}
         for k, ends in enumerate(hg.edges):
             for u in ends:
                 self.incident[u].append(k)
         self.ft = hg.ft_weight_bytes
+        self.reset()
+
+    def reset(self) -> None:
+        """Unassign every ECU."""
+        self.cnt_a = [0] * len(self.weights)
+        self.cnt_b = [0] * len(self.weights)
         self.sum_a = 0
         self.sum_b = 0
         self.sum_g = 0
@@ -87,91 +95,131 @@ class _State:
 
     def assign(self, ecu: int, ch: str) -> None:
         self.assigned[ecu] = ch
-        weights, cnt_a, cnt_b = self.weights, self.cnt_a, self.cnt_b
-        if ch == CH_A:
-            for k in self.incident[ecu]:
-                if cnt_a[k] == 0:
-                    w = weights[k]
-                    self.sum_a += w
-                    if cnt_b[k] == 0:
-                        self.sum_float -= w
-                    else:
-                        self.sum_g += w
-                cnt_a[k] += 1
-        else:
-            for k in self.incident[ecu]:
-                if cnt_b[k] == 0:
-                    w = weights[k]
-                    self.sum_b += w
-                    if cnt_a[k] == 0:
-                        self.sum_float -= w
-                    else:
-                        self.sum_g += w
-                cnt_b[k] += 1
+        cnt_on, cnt_off = (self.cnt_a, self.cnt_b) if ch == CH_A else (self.cnt_b, self.cnt_a)
+        weights = self.weights
+        added = floating = 0
+        for k in self.incident[ecu]:
+            if cnt_on[k] == 0:
+                w = weights[k]
+                added += w
+                if cnt_off[k] == 0:
+                    floating += w
+            cnt_on[k] += 1
+        self._shift(ch, added, floating)
 
     def unassign(self, ecu: int) -> None:
         ch = self.assigned.pop(ecu)
-        weights, cnt_a, cnt_b = self.weights, self.cnt_a, self.cnt_b
+        cnt_on, cnt_off = (self.cnt_a, self.cnt_b) if ch == CH_A else (self.cnt_b, self.cnt_a)
+        weights = self.weights
+        removed = floating = 0
+        for k in self.incident[ecu]:
+            cnt_on[k] -= 1
+            if cnt_on[k] == 0:
+                w = weights[k]
+                removed += w
+                if cnt_off[k] == 0:
+                    floating += w
+        self._shift(ch, -removed, -floating)
+
+    def _shift(self, ch: str, added: int, floating: int) -> None:
+        """Book `added` weight newly on `ch`, `floating` of it taken from the
+        pool of edges without an assigned endpoint and the rest onto both
+        channels (the gateway)."""
         if ch == CH_A:
-            for k in self.incident[ecu]:
-                cnt_a[k] -= 1
-                if cnt_a[k] == 0:
-                    w = weights[k]
-                    self.sum_a -= w
-                    if cnt_b[k] == 0:
-                        self.sum_float += w
-                    else:
-                        self.sum_g -= w
+            self.sum_a += added
         else:
-            for k in self.incident[ecu]:
-                cnt_b[k] -= 1
-                if cnt_b[k] == 0:
-                    w = weights[k]
-                    self.sum_b -= w
-                    if cnt_a[k] == 0:
-                        self.sum_float += w
-                    else:
-                        self.sum_g -= w
+            self.sum_b += added
+        self.sum_float -= floating
+        self.sum_g += added - floating
 
     def move(self, ecu: int) -> None:
         ch = self.assigned[ecu]
         self.unassign(ecu)
         self.assign(ecu, CH_B if ch == CH_A else CH_A)
 
+    def add_split(self, ecu: int) -> tuple[int, int, int]:
+        """Incident weight of an unassigned ECU that is (floating, on B
+        only, on A only).  Assigning it to A adds floating + on-B-only to
+        P_A and on-B-only to P_G; to B, floating + on-A-only to P_B and
+        on-A-only to P_G.  Either takes the floating weight off the pool."""
+        weights, cnt_a, cnt_b = self.weights, self.cnt_a, self.cnt_b
+        floating = on_b = on_a = 0
+        for k in self.incident[ecu]:
+            if cnt_a[k]:
+                if not cnt_b[k]:
+                    on_a += weights[k]
+            elif cnt_b[k]:
+                on_b += weights[k]
+            else:
+                floating += weights[k]
+        return floating, on_b, on_a
+
+    def move_delta(self, ecu: int) -> tuple[int, int, int]:
+        """(dA, dB, dG) that flipping an assigned ECU's channel would make
+        to the sums.  An edge leaves the old channel when the ECU is its
+        only endpoint there, and reaches the new one when it has none
+        there yet; the gateway carries it exactly while it is on both."""
+        on_a = self.assigned[ecu] == CH_A
+        cnt_from, cnt_to = (self.cnt_a, self.cnt_b) if on_a else (self.cnt_b, self.cnt_a)
+        weights = self.weights
+        d_from = d_to = d_g = 0
+        for k in self.incident[ecu]:
+            if cnt_from[k] == 1:
+                w = weights[k]
+                d_from -= w
+                if cnt_to[k]:
+                    d_g -= w
+                else:
+                    d_to += w
+            elif not cnt_to[k]:
+                w = weights[k]
+                d_to += w
+                d_g += w
+        return (d_from, d_to, d_g) if on_a else (d_to, d_from, d_g)
+
     def payloads(self) -> tuple[int, int, int]:
         return self.sum_a + self.ft, self.sum_b + self.ft, self.sum_g
 
     def criterion(self, params: CriterionParams) -> float:
-        p_a, p_b, p_g = self.payloads()
-        return max(params.beta * p_a, p_b) + params.alpha * p_g
+        return self.criterion_at(params, self.sum_a, self.sum_b, self.sum_g)
+
+    def criterion_at(self, params: CriterionParams, sum_a: int, sum_b: int,
+                     sum_g: int) -> float:
+        """The criterion of a map with these edge sums (fault-tolerant
+        payload excluded, as in `sum_a`/`sum_b`)."""
+        return max(params.beta * (sum_a + self.ft), sum_b + self.ft) + params.alpha * sum_g
 
     def bound(self, params: CriterionParams) -> float:
-        """Admissible lower bound over all completions of the partial map.
+        return self.bound_at(params, self.sum_a, self.sum_b, self.sum_g, self.sum_float)
 
-        Decided edge weights count fully; the pooled weight of edges with no
-        assigned endpoint is split fractionally between the channels at the
-        balance point, which can only undercut any integral completion.
+    def bound_at(self, params: CriterionParams, sum_a: int, sum_b: int, sum_g: int,
+                 pool: int) -> float:
+        """Admissible lower bound over all completions of a partial map with
+        these edge sums and `pool` weight on edges with no assigned endpoint.
+
+        Decided edge weights count fully; the pooled weight is split
+        fractionally between the channels at the balance point, which can
+        only undercut any integral completion.
         """
         beta = params.beta
-        fa = self.sum_a + self.ft
-        fb = self.sum_b + self.ft
-        pool = self.sum_float
+        fa = sum_a + self.ft
+        fb = sum_b + self.ft
         if pool:
             split = (fb + pool - beta * fa) / (1.0 + beta)
             split = min(max(split, 0.0), float(pool))
             m = max(beta * (fa + split), fb + pool - split)
         else:
             m = max(beta * fa, fb)
-        return m + params.alpha * self.sum_g
+        return m + params.alpha * sum_g
 
 
-def _finish(hg: Hypergraph, mapping: dict[int, str], params: CriterionParams,
-            optimal: bool) -> ChannelAssignment:
-    p_a, p_b, p_g, crit = evaluate_criterion(hg, mapping, params)
+def _finish(st: _State, params: CriterionParams, optimal: bool) -> ChannelAssignment:
+    """The result for the full map `st` holds."""
+    p_a, p_b, p_g = st.payloads()
     return ChannelAssignment(
-        channel_of=dict(sorted(mapping.items())),
+        channel_of=dict(sorted(st.assigned.items())),
         payload_a=p_a, payload_b=p_b, payload_gw=p_g,
-        criterion=crit, optimal=optimal,
+        criterion=st.criterion(params), optimal=optimal,
     )
 
 
@@ -225,12 +273,11 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
     on B, so the result is the best map with the pin and never flagged
     optimal.
     """
-    free = list(hg.free_ecus)
-    if not free:
-        return _finish(hg, {}, params, optimal=True)
+    st = _State(hg)
+    if not hg.free_ecus:
+        return _finish(st, params, optimal=True)
 
     order = _branch_order(hg)
-    st = _State(hg)
     deadline = time.monotonic() + time_limit_ms / 1000.0
     best_crit = float("inf")
     best_map: dict[int, str] = {}
@@ -251,21 +298,25 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
                 best_crit = crit
                 best_map = dict(st.assigned)
             return
+        # Both child bounds from one walk; a child is assigned only when
+        # its bound survives the incumbent found so far.
         ecu = order[depth]
+        floating, on_b, on_a = st.add_split(ecu)
+        pool = st.sum_float - floating
+        bound_a = st.bound_at(params, st.sum_a + floating + on_b, st.sum_b,
+                              st.sum_g + on_b, pool)
         if depth == 0:
-            choices = [CH_A]
+            children = ((bound_a, CH_A),)
         else:
-            bounds = {}
-            for ch in (CH_A, CH_B):
+            bound_b = st.bound_at(params, st.sum_a, st.sum_b + floating + on_a,
+                                  st.sum_g + on_a, pool)
+            children = ((bound_b, CH_B), (bound_a, CH_A)) if bound_b < bound_a \
+                else ((bound_a, CH_A), (bound_b, CH_B))
+        for bound, ch in children:
+            if not bound > best_crit:
                 st.assign(ecu, ch)
-                bounds[ch] = st.bound(params)
-                st.unassign(ecu)
-            choices = sorted((CH_A, CH_B), key=lambda c: bounds[c])
-        for ch in choices:
-            st.assign(ecu, ch)
-            if not st.bound(params) > best_crit:
                 dfs(depth + 1)
-            st.unassign(ecu)
+                st.unassign(ecu)
 
     if time.monotonic() > deadline:
         timed_out = True
@@ -273,55 +324,59 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
         dfs(0)
     if not best_map:
         # Expired before reaching any leaf: fall back to everything on A.
-        best_map = {u: CH_A for u in free}
+        best_map = dict.fromkeys(hg.free_ecus, CH_A)
         timed_out = True
-    return _finish(hg, best_map, params,
-                   optimal=not timed_out and params.beta == 1)
+    for u, ch in best_map.items():
+        st.assign(u, ch)
+    return _finish(st, params, optimal=not timed_out and params.beta == 1)
 
 
 def _greedy_assignment(st: _State, ordered: list[int], params: CriterionParams) -> None:
     """List-style construction: place each ECU on the channel that yields
     the lower partial criterion, ties to the lighter channel, then A."""
     for ecu in ordered:
-        st.assign(ecu, CH_A)
-        crit_a = st.criterion(params)
-        st.unassign(ecu)
-        load_a, load_b = st.sum_a, st.sum_b
-        st.assign(ecu, CH_B)
-        crit_b = st.criterion(params)
+        floating, on_b, on_a = st.add_split(ecu)
+        load_a, load_b, load_g = st.sum_a, st.sum_b, st.sum_g
+        crit_a = st.criterion_at(params, load_a + floating + on_b, load_b, load_g + on_b)
+        crit_b = st.criterion_at(params, load_a, load_b + floating + on_a, load_g + on_a)
         if crit_a < crit_b or (crit_a == crit_b and load_a <= load_b):
-            st.unassign(ecu)
             st.assign(ecu, CH_A)
+        else:
+            st.assign(ecu, CH_B)
 
 
 def _exchange(st: _State, ordered: list[int], params: CriterionParams) -> None:
     """Move single ECUs across while any move strictly improves."""
+    crit = st.criterion(params)
     improved = True
     while improved:
         improved = False
         for ecu in ordered:
-            before = st.criterion(params)
-            st.move(ecu)
-            if st.criterion(params) < before:
-                improved = True
-            else:
+            d_a, d_b, d_g = st.move_delta(ecu)
+            moved = st.criterion_at(params, st.sum_a + d_a, st.sum_b + d_b, st.sum_g + d_g)
+            if moved < crit:
                 st.move(ecu)
+                crit = moved
+                improved = True
 
 
 def _two_opt(st: _State, ecus: list[int], params: CriterionParams) -> None:
     """Swap channel-A/channel-B pairs when the swap strictly improves."""
+    crit = st.criterion(params)
     for u in ecus:
         if st.assigned[u] != CH_A:
             continue
         for v in ecus:
-            if st.assigned[v] != CH_B or st.assigned[u] != CH_A:
+            if st.assigned[v] != CH_B:
                 continue
-            before = st.criterion(params)
             st.move(u)
-            st.move(v)
-            if not st.criterion(params) < before:
-                st.move(u)
+            d_a, d_b, d_g = st.move_delta(v)
+            swapped = st.criterion_at(params, st.sum_a + d_a, st.sum_b + d_b, st.sum_g + d_g)
+            if swapped < crit:
                 st.move(v)
+                crit = swapped
+                break
+            st.move(u)
 
 
 def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
@@ -330,21 +385,23 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
 
     Each restart shuffles the ECU list, builds a greedy assignment, then
     applies single-move exchanges to a local optimum.  The best restart
-    gets a final pairwise 2-opt pass.  All criterion updates are delta
-    evaluations over the edges incident to the moved ECU.
+    gets a final pairwise 2-opt pass.  One evaluator serves every restart;
+    each candidate is scored by a one-walk delta over the edges incident
+    to the ECU and only the chosen move is applied.
     """
     if tries_count < 1:
         raise ValueError("tries_count must be >= 1")
+    st = _State(hg)
     free = list(hg.free_ecus)
     if not free:
-        return _finish(hg, {}, params, optimal=True)
+        return _finish(st, params, optimal=True)
 
     rng = random.Random(rng_seed)
     best_crit = float("inf")
     best_map: dict[int, str] = {}
     for _ in range(tries_count):
         ordered = rng.sample(free, len(free))
-        st = _State(hg)
+        st.reset()
         _greedy_assignment(st, ordered, params)
         _exchange(st, ordered, params)
         crit = st.criterion(params)
@@ -352,11 +409,11 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
             best_crit = crit
             best_map = dict(st.assigned)
 
-    st = _State(hg)
+    st.reset()
     for u in free:
         st.assign(u, best_map[u])
     _two_opt(st, sorted(free), params)
-    return _finish(hg, dict(st.assigned), params, optimal=False)
+    return _finish(st, params, optimal=False)
 
 
 def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
@@ -369,28 +426,31 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
     probability 0.9, per-bit mutation 1/|N|, elitism of 1; stops after the
     generation budget or 20 generations without improvement.
     """
+    st = _State(hg)
     free = list(hg.free_ecus)
     n = len(free)
     if n == 0:
-        return _finish(hg, {}, params, optimal=True)
+        return _finish(st, params, optimal=True)
 
-    # The evaluator holds the last individual scored, starting from all
-    # on B; scoring another moves only the ECUs whose bits differ.
-    st = _State(hg)
+    # The evaluator holds the last individual loaded, starting from all
+    # on B; loading another moves only the ECUs whose bits differ.
     for u in free:
         st.assign(u, CH_B)
     held = 0
     fitness_cache: dict[int, float] = {}
 
-    def fitness(ind: int) -> float:
+    def load(ind: int) -> None:
         nonlocal held
+        diff, held = ind ^ held, ind
+        while diff:
+            low = diff & -diff
+            st.move(free[low.bit_length() - 1])
+            diff ^= low
+
+    def fitness(ind: int) -> float:
         val = fitness_cache.get(ind)
         if val is None:
-            diff, held = ind ^ held, ind
-            while diff:
-                low = diff & -diff
-                st.move(free[low.bit_length() - 1])
-                diff ^= low
+            load(ind)
             val = fitness_cache[ind] = st.criterion(params)
         return val
 
@@ -433,8 +493,8 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
         else:
             stagnant += 1
 
-    mapping = {u: (CH_A if best >> i & 1 else CH_B) for i, u in enumerate(free)}
-    return _finish(hg, mapping, params, optimal=False)
+    load(best)
+    return _finish(st, params, optimal=False)
 
 
 def export_lp(hg: Hypergraph, params: CriterionParams, path: str | Path) -> None:

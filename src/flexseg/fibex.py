@@ -105,6 +105,8 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             raise ValueError(f"channel element: name {ch!r} is not A or B")
         for slot_el in ch_el:
             slot = int(slot_el.get("id"))
+            if slot in sched.columns[ch]:
+                raise ValueError(f"channel {ch}: slot id {slot} appears twice")
             col = SlotColumn(owner=int(slot_el.get("owner")),
                              is_gateway=slot_el.get("gateway") == "true",
                              slot_payload_bytes=config.slot_payload_bytes)

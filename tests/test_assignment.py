@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_assignments,
@@ -145,6 +147,31 @@ def test_exact_matches_enumeration():
         assert result.criterion == oracle_minimum(hg, params.alpha, params.beta)
 
 
+BETAS = st.one_of(st.just(1.0), st.floats(1 / 8, 8))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), BETAS)
+def test_exact_matches_enumeration_at_any_beta(seed, alpha, beta):
+    # the pinned search is exact over maps with the pin on A; at beta = 1
+    # mirror images score alike, so that is the unrestricted minimum
+    hg = random_hypergraph(random.Random(seed), max_free=8, max_edges=20)
+    params = CriterionParams(alpha=alpha, beta=beta)
+    exact = solve_exact(hg, params)
+    assert exact.criterion == pytest.approx(
+        oracle_minimum(hg, alpha, beta, pin=pinned_ecu(hg)), rel=1e-12)
+    assert exact.optimal == (beta == 1)
+    unrestricted = oracle_minimum(hg, alpha, beta)
+    if beta == 1:
+        assert exact.criterion == pytest.approx(unrestricted, rel=1e-12)
+    # cah searches both channels for every ECU, so away from beta = 1 it
+    # may beat the pinned search, but never the enumeration
+    cah = solve_cah(hg, params, tries_count=10, rng_seed=seed)
+    assert cah.criterion >= unrestricted - 1e-9
+    if beta == 1:
+        assert cah.criterion >= exact.criterion - 1e-9
+
+
 def test_exact_beta_not_one_respects_pin():
     rng = random.Random(13)
     for _ in range(15):
@@ -258,6 +285,39 @@ def test_delta_evaluation_matches_full_reevaluation():
             assert st.payloads() == oracle_payloads(hg, channel_of)
             assert st.criterion(params) == pytest.approx(
                 oracle_criterion(hg, channel_of, params.alpha, params.beta))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), st.floats(1 / 8, 8))
+def test_split_and_move_delta_match_applied_moves(seed, alpha, beta):
+    rng = random.Random(seed)
+    hg = random_hypergraph(rng, max_free=8, max_edges=20)
+    params = CriterionParams(alpha=alpha, beta=beta)
+    state = _State(hg)
+    for u in hg.free_ecus:
+        if rng.random() < 0.5:
+            state.assign(u, rng.choice("AB"))
+    sums = (state.sum_a, state.sum_b, state.sum_g, state.sum_float)
+    for u in hg.free_ecus:
+        if u in state.assigned:
+            d_a, d_b, d_g = state.move_delta(u)
+            state.move(u)
+            assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == \
+                (sums[0] + d_a, sums[1] + d_b, sums[2] + d_g, sums[3])
+            assert state.criterion(params) == state.criterion_at(
+                params, sums[0] + d_a, sums[1] + d_b, sums[2] + d_g)
+            state.move(u)
+        else:
+            floating, on_b, on_a = state.add_split(u)
+            for ch, child in (("A", (sums[0] + floating + on_b, sums[1], sums[2] + on_b)),
+                              ("B", (sums[0], sums[1] + floating + on_a, sums[2] + on_a))):
+                state.assign(u, ch)
+                assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == \
+                    (*child, sums[3] - floating)
+                assert state.bound(params) == state.bound_at(params, *child, sums[3] - floating)
+                assert state.criterion(params) == state.criterion_at(params, *child)
+                state.unassign(u)
+        assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == sums
 
 
 # --- genetic algorithm ------------------------------------------------------

@@ -44,13 +44,16 @@ def test_validate_reports_violations(tmp_path, example1_file, capsys):
     fibex = tmp_path / "out.xml"
     main(["solve", str(example1_file), "--fibex", str(fibex)])
     capsys.readouterr()
-    # corrupt a slot id so an image precedes its original
+    # swap the ids of channel A's first gateway slot and its slot 1 so an
+    # image precedes its original; no id repeats, so the file still reads
     text = fibex.read_text()
     broken = tmp_path / "broken.xml"
-    broken.write_text(text.replace('gateway="true"', 'gateway="true" ', 1))
     import re
-    text = re.sub(r'<slot id="(\d+)" owner="0" gateway="true">',
-                  '<slot id="1" owner="0" gateway="true">', text, count=1)
+    gateway = re.search(r'<slot id="(\d+)" owner="0" gateway="true">', text).group(1)
+    text = text.replace('<slot id="1" ', '<slot id="swap" ', 1)
+    text = text.replace(f'<slot id="{gateway}" owner="0" gateway="true">',
+                        '<slot id="1" owner="0" gateway="true">', 1)
+    text = text.replace('<slot id="swap" ', f'<slot id="{gateway}" ', 1)
     broken.write_text(text)
     code = main(["validate", str(example1_file), str(broken)])
     violations = json.loads(capsys.readouterr().out)

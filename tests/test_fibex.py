@@ -178,6 +178,13 @@ def assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, mess
 FRAME = "channels/channel/slot/frame"
 
 
+def test_reader_rejects_repeated_slot_id(tmp_path, example1, capsys):
+    # a second slot element with the id of the first on channel A must not
+    # replace it and drop its frames
+    assert_reader_rejects(tmp_path, example1, capsys, "channels/channel[@name='A']/slot[2]",
+                          "id", "1", "channel A: slot id 1 appears twice")
+
+
 @pytest.mark.parametrize("element, attr, value, message", [
     (FRAME, "base-cycle", "0", "base-cycle 0 is outside 1..64"),
     (FRAME, "base-cycle", "65", "base-cycle 65 is outside 1..64"),
