@@ -59,123 +59,45 @@ def default_alpha(hg: Hypergraph) -> float:
     return 1.0 / total if total > 0 else 0.0
 
 
-class _State:
-    """Incremental payload bookkeeping over a partial channel assignment,
-    the one evaluator of P_A, P_B and P_G behind every solver.
+# The solvers read the coverage table up to this many one-port ECUs and
+# walk each ECU's incident edges above it.  The table holds 2**n entries of
+# 8 bytes and its build doubles with each ECU.  On sae4 hypergraphs of
+# about 650 edges (2 cores, Python 3.11), a 100-try cah call saves 50-70 ms
+# with the table; the build pays back after 1.5 calls at n = 19, 3 at 20,
+# 5-7 at 21 and 11-13 at 22, more than a run's 10 iterations.
+TABLE_MAX_ECUS = 20
 
-    Unassigned ECUs are treated as absent: an edge counts toward a channel
-    once at least one of its assigned endpoints lies there.  `add_split`
-    and `move_delta` score a candidate in one walk over the ECU's incident
-    edges without changing any state; `criterion_at` and `bound_at` turn
-    the resulting sums into the same floats `criterion` and `bound` give
-    once the candidate is applied.
+
+class _State:
+    """Payload bookkeeping over a partial channel assignment, the one
+    evaluator of P_A, P_B and P_G behind every solver.
+
+    The map is two bitmasks over `free_ecus`, bit i standing for the i-th
+    ECU: `mask_a` and `mask_b`.  Unassigned ECUs are treated as absent: an
+    edge counts toward a channel once at least one of its assigned
+    endpoints lies there.  `add_split` and `move_delta` score a candidate
+    without changing any state; `criterion_at` and `bound_at` turn the
+    resulting sums into the same floats `criterion` and `bound` give once
+    the candidate is applied.  `_TableState` keeps the sums by lookups in
+    the hypergraph's coverage table, `_WalkState` by walking the incident
+    edges of the ECU that changes; each has `reset` (unassign every ECU),
+    `load`, `assign`, `unassign`, `move`, `add_split` and `move_delta`.
     """
 
-    __slots__ = ("weights", "cnt_a", "cnt_b", "incident", "ft",
-                 "sum_a", "sum_b", "sum_g", "sum_float", "assigned")
+    __slots__ = ("bit", "full", "ft", "mask_a", "mask_b",
+                 "sum_a", "sum_b", "sum_g", "sum_float")
 
     def __init__(self, hg: Hypergraph):
-        self.weights = list(hg.edges.values())
-        self.incident: dict[int, list[int]] = {u: [] for u in hg.free_ecus}
-        for k, ends in enumerate(hg.edges):
-            for u in ends:
-                self.incident[u].append(k)
+        self.bit = {u: 1 << i for i, u in enumerate(hg.free_ecus)}
+        self.full = (1 << len(hg.free_ecus)) - 1
         self.ft = hg.ft_weight_bytes
         self.reset()
 
-    def reset(self) -> None:
-        """Unassign every ECU."""
-        self.cnt_a = [0] * len(self.weights)
-        self.cnt_b = [0] * len(self.weights)
-        self.sum_a = 0
-        self.sum_b = 0
-        self.sum_g = 0
-        self.sum_float = sum(self.weights)
-        self.assigned: dict[int, str] = {}
-
-    def assign(self, ecu: int, ch: str) -> None:
-        self.assigned[ecu] = ch
-        cnt_on, cnt_off = (self.cnt_a, self.cnt_b) if ch == CH_A else (self.cnt_b, self.cnt_a)
-        weights = self.weights
-        added = floating = 0
-        for k in self.incident[ecu]:
-            if cnt_on[k] == 0:
-                w = weights[k]
-                added += w
-                if cnt_off[k] == 0:
-                    floating += w
-            cnt_on[k] += 1
-        self._shift(ch, added, floating)
-
-    def unassign(self, ecu: int) -> None:
-        ch = self.assigned.pop(ecu)
-        cnt_on, cnt_off = (self.cnt_a, self.cnt_b) if ch == CH_A else (self.cnt_b, self.cnt_a)
-        weights = self.weights
-        removed = floating = 0
-        for k in self.incident[ecu]:
-            cnt_on[k] -= 1
-            if cnt_on[k] == 0:
-                w = weights[k]
-                removed += w
-                if cnt_off[k] == 0:
-                    floating += w
-        self._shift(ch, -removed, -floating)
-
-    def _shift(self, ch: str, added: int, floating: int) -> None:
-        """Book `added` weight newly on `ch`, `floating` of it taken from the
-        pool of edges without an assigned endpoint and the rest onto both
-        channels (the gateway)."""
-        if ch == CH_A:
-            self.sum_a += added
-        else:
-            self.sum_b += added
-        self.sum_float -= floating
-        self.sum_g += added - floating
-
-    def move(self, ecu: int) -> None:
-        ch = self.assigned[ecu]
-        self.unassign(ecu)
-        self.assign(ecu, CH_B if ch == CH_A else CH_A)
-
-    def add_split(self, ecu: int) -> tuple[int, int, int]:
-        """Incident weight of an unassigned ECU that is (floating, on B
-        only, on A only).  Assigning it to A adds floating + on-B-only to
-        P_A and on-B-only to P_G; to B, floating + on-A-only to P_B and
-        on-A-only to P_G.  Either takes the floating weight off the pool."""
-        weights, cnt_a, cnt_b = self.weights, self.cnt_a, self.cnt_b
-        floating = on_b = on_a = 0
-        for k in self.incident[ecu]:
-            if cnt_a[k]:
-                if not cnt_b[k]:
-                    on_a += weights[k]
-            elif cnt_b[k]:
-                on_b += weights[k]
-            else:
-                floating += weights[k]
-        return floating, on_b, on_a
-
-    def move_delta(self, ecu: int) -> tuple[int, int, int]:
-        """(dA, dB, dG) that flipping an assigned ECU's channel would make
-        to the sums.  An edge leaves the old channel when the ECU is its
-        only endpoint there, and reaches the new one when it has none
-        there yet; the gateway carries it exactly while it is on both."""
-        on_a = self.assigned[ecu] == CH_A
-        cnt_from, cnt_to = (self.cnt_a, self.cnt_b) if on_a else (self.cnt_b, self.cnt_a)
-        weights = self.weights
-        d_from = d_to = d_g = 0
-        for k in self.incident[ecu]:
-            if cnt_from[k] == 1:
-                w = weights[k]
-                d_from -= w
-                if cnt_to[k]:
-                    d_g -= w
-                else:
-                    d_to += w
-            elif not cnt_to[k]:
-                w = weights[k]
-                d_to += w
-                d_g += w
-        return (d_from, d_to, d_g) if on_a else (d_to, d_from, d_g)
+    @property
+    def assigned(self) -> dict[int, str]:
+        """The channel of each assigned ECU, in `free_ecus` order."""
+        a, b = self.mask_a, self.mask_b
+        return {u: CH_A if a & m else CH_B for u, m in self.bit.items() if (a | b) & m}
 
     def payloads(self) -> tuple[int, int, int]:
         return self.sum_a + self.ft, self.sum_b + self.ft, self.sum_g
@@ -213,6 +135,201 @@ class _State:
         return m + params.alpha * sum_g
 
 
+class _TableState(_State):
+    """Sums read from the coverage table `hg.uncovered`: with u the table
+    and T = u[0] the edge payload, P_A = T - u[A], P_B = T - u[B], the
+    floating pool is u[A|B] and P_G = P_A + P_B - (T - u[A|B]).  Every
+    change and every candidate costs two or three lookups."""
+
+    __slots__ = ("uncovered", "total")
+
+    def __init__(self, hg: Hypergraph):
+        self.uncovered = hg.uncovered
+        self.total = self.uncovered[0]
+        super().__init__(hg)
+
+    def _set(self, mask_a: int, mask_b: int) -> None:
+        u, total = self.uncovered, self.total
+        self.mask_a, self.mask_b = mask_a, mask_b
+        self.sum_a = total - u[mask_a]
+        self.sum_b = total - u[mask_b]
+        self.sum_float = u[mask_a | mask_b]
+        self.sum_g = self.sum_a + self.sum_b - total + self.sum_float
+
+    def reset(self) -> None:
+        self._set(0, 0)
+
+    def load(self, mask: int) -> None:
+        """Assign every ECU: bit set = channel A."""
+        self._set(mask, self.full ^ mask)
+
+    def assign(self, ecu: int, ch: str) -> None:
+        if ch == CH_A:
+            self._set(self.mask_a | self.bit[ecu], self.mask_b)
+        else:
+            self._set(self.mask_a, self.mask_b | self.bit[ecu])
+
+    def unassign(self, ecu: int) -> None:
+        keep = self.full ^ self.bit[ecu]
+        self._set(self.mask_a & keep, self.mask_b & keep)
+
+    def move(self, ecu: int) -> None:
+        b = self.bit[ecu]
+        self._set(self.mask_a ^ b, self.mask_b ^ b)
+
+    def add_split(self, ecu: int) -> tuple[int, int, int]:
+        """Incident weight of an unassigned ECU that is (floating, on B
+        only, on A only).  Assigning it to A adds floating + on-B-only to
+        P_A and on-B-only to P_G; to B, floating + on-A-only to P_B and
+        on-A-only to P_G.  Either takes the floating weight off the pool."""
+        b, u = self.bit[ecu], self.uncovered
+        floating = self.sum_float - u[self.mask_a | self.mask_b | b]
+        return (floating,
+                self.total - u[self.mask_a | b] - self.sum_a - floating,
+                self.total - u[self.mask_b | b] - self.sum_b - floating)
+
+    def move_delta(self, ecu: int) -> tuple[int, int, int]:
+        """(dA, dB, dG) that flipping an assigned ECU's channel would make
+        to the sums.  A|B stays the same, so dG = dA + dB."""
+        b, u = self.bit[ecu], self.uncovered
+        d_a = self.total - u[self.mask_a ^ b] - self.sum_a
+        d_b = self.total - u[self.mask_b ^ b] - self.sum_b
+        return d_a, d_b, d_a + d_b
+
+
+class _WalkState(_State):
+    """Sums kept by walking the moved ECU's incident edges, with a count
+    per edge of its assigned endpoints on each channel.  The evaluator of
+    hypergraphs above `TABLE_MAX_ECUS`, of single maps and the reference
+    the table is tested against."""
+
+    __slots__ = ("weights", "incident", "cnt_a", "cnt_b")
+
+    def __init__(self, hg: Hypergraph):
+        self.weights = list(hg.edges.values())
+        self.incident: dict[int, list[int]] = {u: [] for u in hg.free_ecus}
+        for k, ends in enumerate(hg.edges):
+            for u in ends:
+                self.incident[u].append(k)
+        super().__init__(hg)
+
+    def reset(self) -> None:
+        self.cnt_a = [0] * len(self.weights)
+        self.cnt_b = [0] * len(self.weights)
+        self.mask_a = self.mask_b = 0
+        self.sum_a = 0
+        self.sum_b = 0
+        self.sum_g = 0
+        self.sum_float = sum(self.weights)
+
+    def load(self, mask: int) -> None:
+        """Assign every ECU: bit set = channel A.  ECUs already on their
+        channel stay, so loading a map near the last one is cheap."""
+        for u, b in self.bit.items():
+            if not (self.mask_a | self.mask_b) & b:
+                self.assign(u, CH_A if mask & b else CH_B)
+            elif (self.mask_a ^ mask) & b:
+                self.move(u)
+
+    def assign(self, ecu: int, ch: str) -> None:
+        if ch == CH_A:
+            self.mask_a |= self.bit[ecu]
+            cnt_on, cnt_off = self.cnt_a, self.cnt_b
+        else:
+            self.mask_b |= self.bit[ecu]
+            cnt_on, cnt_off = self.cnt_b, self.cnt_a
+        weights = self.weights
+        added = floating = 0
+        for k in self.incident[ecu]:
+            if cnt_on[k] == 0:
+                w = weights[k]
+                added += w
+                if cnt_off[k] == 0:
+                    floating += w
+            cnt_on[k] += 1
+        self._shift(ch, added, floating)
+
+    def unassign(self, ecu: int) -> None:
+        b = self.bit[ecu]
+        if self.mask_a & b:
+            ch, cnt_on, cnt_off = CH_A, self.cnt_a, self.cnt_b
+        else:
+            ch, cnt_on, cnt_off = CH_B, self.cnt_b, self.cnt_a
+        self.mask_a &= ~b
+        self.mask_b &= ~b
+        weights = self.weights
+        removed = floating = 0
+        for k in self.incident[ecu]:
+            cnt_on[k] -= 1
+            if cnt_on[k] == 0:
+                w = weights[k]
+                removed += w
+                if cnt_off[k] == 0:
+                    floating += w
+        self._shift(ch, -removed, -floating)
+
+    def _shift(self, ch: str, added: int, floating: int) -> None:
+        """Book `added` weight newly on `ch`, `floating` of it taken from the
+        pool of edges without an assigned endpoint and the rest onto both
+        channels (the gateway)."""
+        if ch == CH_A:
+            self.sum_a += added
+        else:
+            self.sum_b += added
+        self.sum_float -= floating
+        self.sum_g += added - floating
+
+    def move(self, ecu: int) -> None:
+        ch = CH_B if self.mask_a & self.bit[ecu] else CH_A
+        self.unassign(ecu)
+        self.assign(ecu, ch)
+
+    def add_split(self, ecu: int) -> tuple[int, int, int]:
+        """As `_TableState.add_split`, in one walk."""
+        weights, cnt_a, cnt_b = self.weights, self.cnt_a, self.cnt_b
+        floating = on_b = on_a = 0
+        for k in self.incident[ecu]:
+            if cnt_a[k]:
+                if not cnt_b[k]:
+                    on_a += weights[k]
+            elif cnt_b[k]:
+                on_b += weights[k]
+            else:
+                floating += weights[k]
+        return floating, on_b, on_a
+
+    def move_delta(self, ecu: int) -> tuple[int, int, int]:
+        """(dA, dB, dG) that flipping an assigned ECU's channel would make
+        to the sums.  An edge leaves the old channel when the ECU is its
+        only endpoint there, and reaches the new one when it has none
+        there yet; the gateway carries it exactly while it is on both."""
+        on_a = bool(self.mask_a & self.bit[ecu])
+        cnt_from, cnt_to = (self.cnt_a, self.cnt_b) if on_a else (self.cnt_b, self.cnt_a)
+        weights = self.weights
+        d_from = d_to = d_g = 0
+        for k in self.incident[ecu]:
+            if cnt_from[k] == 1:
+                w = weights[k]
+                d_from -= w
+                if cnt_to[k]:
+                    d_g -= w
+                else:
+                    d_to += w
+            elif not cnt_to[k]:
+                w = weights[k]
+                d_to += w
+                d_g += w
+        return (d_from, d_to, d_g) if on_a else (d_to, d_from, d_g)
+
+
+def _new_state(hg: Hypergraph) -> _State:
+    """The solvers' evaluator: table lookups up to `TABLE_MAX_ECUS`
+    one-port ECUs, edge walks above."""
+    if len(hg.free_ecus) <= TABLE_MAX_ECUS:
+        return _TableState(hg)
+    return _WalkState(hg)
+
+
 def _finish(st: _State, params: CriterionParams, optimal: bool) -> ChannelAssignment:
     """The result for the full map `st` holds."""
     p_a, p_b, p_g = st.payloads()
@@ -234,7 +351,7 @@ def evaluate_criterion(hg: Hypergraph, channel_of: dict[int, str],
     for u in hg.free_ecus:
         if u not in channel_of:
             raise ValueError(f"no channel assigned for ECU {u}")
-    st = _State(hg)
+    st = _WalkState(hg)
     for u in hg.free_ecus:
         st.assign(u, channel_of[u])
     p_a, p_b, p_g = st.payloads()
@@ -273,19 +390,19 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
     on B, so the result is the best map with the pin and never flagged
     optimal.
     """
-    st = _State(hg)
+    st = _new_state(hg)
     if not hg.free_ecus:
         return _finish(st, params, optimal=True)
 
     order = _branch_order(hg)
     deadline = time.monotonic() + time_limit_ms / 1000.0
     best_crit = float("inf")
-    best_map: dict[int, str] = {}
+    best_a: int | None = None
     nodes = 0
     timed_out = False
 
     def dfs(depth: int) -> None:
-        nonlocal best_crit, best_map, nodes, timed_out
+        nonlocal best_crit, best_a, nodes, timed_out
         if timed_out:
             return
         nodes += 1
@@ -296,9 +413,9 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
             crit = st.criterion(params)
             if crit < best_crit:
                 best_crit = crit
-                best_map = dict(st.assigned)
+                best_a = st.mask_a
             return
-        # Both child bounds from one walk; a child is assigned only when
+        # Both child bounds from one add_split; a child is assigned only when
         # its bound survives the incumbent found so far.
         ecu = order[depth]
         floating, on_b, on_a = st.add_split(ecu)
@@ -322,12 +439,11 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
         timed_out = True
     else:
         dfs(0)
-    if not best_map:
+    if best_a is None:
         # Expired before reaching any leaf: fall back to everything on A.
-        best_map = dict.fromkeys(hg.free_ecus, CH_A)
+        best_a = st.full
         timed_out = True
-    for u, ch in best_map.items():
-        st.assign(u, ch)
+    st.load(best_a)
     return _finish(st, params, optimal=not timed_out and params.beta == 1)
 
 
@@ -364,10 +480,10 @@ def _two_opt(st: _State, ecus: list[int], params: CriterionParams) -> None:
     """Swap channel-A/channel-B pairs when the swap strictly improves."""
     crit = st.criterion(params)
     for u in ecus:
-        if st.assigned[u] != CH_A:
+        if not st.mask_a & st.bit[u]:
             continue
         for v in ecus:
-            if st.assigned[v] != CH_B:
+            if not st.mask_b & st.bit[v]:
                 continue
             st.move(u)
             d_a, d_b, d_g = st.move_delta(v)
@@ -386,19 +502,19 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
     Each restart shuffles the ECU list, builds a greedy assignment, then
     applies single-move exchanges to a local optimum.  The best restart
     gets a final pairwise 2-opt pass.  One evaluator serves every restart;
-    each candidate is scored by a one-walk delta over the edges incident
-    to the ECU and only the chosen move is applied.
+    each candidate is scored without applying it (`add_split`,
+    `move_delta`) and only the chosen move is applied.
     """
     if tries_count < 1:
         raise ValueError("tries_count must be >= 1")
-    st = _State(hg)
+    st = _new_state(hg)
     free = list(hg.free_ecus)
     if not free:
         return _finish(st, params, optimal=True)
 
     rng = random.Random(rng_seed)
     best_crit = float("inf")
-    best_map: dict[int, str] = {}
+    best_a = 0
     for _ in range(tries_count):
         ordered = rng.sample(free, len(free))
         st.reset()
@@ -407,11 +523,9 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
         crit = st.criterion(params)
         if crit < best_crit:
             best_crit = crit
-            best_map = dict(st.assigned)
+            best_a = st.mask_a
 
-    st.reset()
-    for u in free:
-        st.assign(u, best_map[u])
+    st.load(best_a)
     _two_opt(st, sorted(free), params)
     return _finish(st, params, optimal=False)
 
@@ -426,31 +540,17 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
     probability 0.9, per-bit mutation 1/|N|, elitism of 1; stops after the
     generation budget or 20 generations without improvement.
     """
-    st = _State(hg)
-    free = list(hg.free_ecus)
-    n = len(free)
+    st = _new_state(hg)
+    n = len(hg.free_ecus)
     if n == 0:
         return _finish(st, params, optimal=True)
 
-    # The evaluator holds the last individual loaded, starting from all
-    # on B; loading another moves only the ECUs whose bits differ.
-    for u in free:
-        st.assign(u, CH_B)
-    held = 0
     fitness_cache: dict[int, float] = {}
-
-    def load(ind: int) -> None:
-        nonlocal held
-        diff, held = ind ^ held, ind
-        while diff:
-            low = diff & -diff
-            st.move(free[low.bit_length() - 1])
-            diff ^= low
 
     def fitness(ind: int) -> float:
         val = fitness_cache.get(ind)
         if val is None:
-            load(ind)
+            st.load(ind)
             val = fitness_cache[ind] = st.criterion(params)
         return val
 
@@ -493,7 +593,7 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
         else:
             stagnant += 1
 
-    load(best)
+    st.load(best)
     return _finish(st, params, optimal=False)
 
 

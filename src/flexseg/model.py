@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 HYPERPERIOD_CYCLES = 64
@@ -96,12 +96,18 @@ def feasible_base_cycles(sig: Signal, cycle_duration_ms: float) -> list[int]:
     The first occurrence in cycle y is feasible when (y-1)*m >= release and
     y*m <= deadline; timing is resolved at cycle granularity only.
     """
+    return list(base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
+                                  cycle_duration_ms))
+
+
+@lru_cache(maxsize=4096)
+def base_cycle_window(period_cycles: int, release_ms: float, deadline_ms: float,
+                      cycle_duration_ms: float) -> tuple[int, ...]:
+    """`feasible_base_cycles` of a signal with these fields.  Cached: the
+    scheduler asks once per placement, and signals share a few windows."""
     m = cycle_duration_ms
-    out = []
-    for y in range(1, sig.period_cycles + 1):
-        if (y - 1) * m >= sig.release_ms - _EPS_MS and y * m <= sig.deadline_ms + _EPS_MS:
-            out.append(y)
-    return out
+    return tuple(y for y in range(1, period_cycles + 1)
+                 if (y - 1) * m >= release_ms - _EPS_MS and y * m <= deadline_ms + _EPS_MS)
 
 
 def validate_instance(inst: Instance) -> None:

@@ -21,7 +21,7 @@ from .model import (
     Instance,
     NetworkConfig,
     Signal,
-    feasible_base_cycles,
+    base_cycle_window,
 )
 
 BOTH = "BOTH"
@@ -277,7 +277,8 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
                              f"outside 1..{sig.period_cycles}")
         bases = (fixed_base_cycle,)
     else:
-        bases = tuple(feasible_base_cycles(sig, sched.config.cycle_duration_ms))
+        bases = base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
+                                  sched.config.cycle_duration_ms)
         if not bases:
             raise InfeasibleWindowError(
                 f"signal {sig.id}: no feasible base cycle in its window")

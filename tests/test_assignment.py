@@ -15,9 +15,12 @@ from conftest import (
     random_hypergraph,
     subset_sum_half,
 )
+from flexseg import assignment as asg_mod
 from flexseg.assignment import (
+    TABLE_MAX_ECUS,
     CriterionParams,
-    _State,
+    _TableState,
+    _WalkState,
     default_alpha,
     evaluate_criterion,
     export_lp,
@@ -31,6 +34,9 @@ from flexseg.hypergraph import Hypergraph, build_hypergraph
 from flexseg.model import Signal
 
 EXAMPLE1_OPT = 40 + 20 / 52
+
+# The two evaluator paths; the edge walk is the reference.
+STATES = (_TableState, _WalkState)
 
 
 def example1_hg(example1) -> Hypergraph:
@@ -55,6 +61,8 @@ def test_evaluate_example1_reference_assignment(example1):
     p_a, p_b, p_g, crit = evaluate_criterion(hg, {3: "B", 4: "B", 5: "A"}, params)
     assert (p_a, p_b, p_g) == (40, 40, 20)
     assert crit == pytest.approx(EXAMPLE1_OPT, abs=1e-9)
+    # scoring one map builds no coverage table
+    assert "uncovered" not in vars(hg)
     # and the independent enumeration confirms it is the minimum
     assert oracle_minimum(hg, 1 / 52, 1.0) == pytest.approx(EXAMPLE1_OPT, abs=1e-9)
 
@@ -83,17 +91,27 @@ def test_evaluate_missing_ecu(example1):
         evaluate_criterion(hg, {3: "A", 4: "A"}, CriterionParams(alpha=0.0))
 
 
-def test_channel_relabel_symmetry():
-    rng = random.Random(11)
-    params = CriterionParams(alpha=0.03, beta=1.0)
-    for _ in range(20):
-        hg = random_hypergraph(rng, max_free=8, max_edges=15)
-        channel_of = {u: rng.choice("AB") for u in hg.free_ecus}
-        flipped = {u: "B" if c == "A" else "A" for u, c in channel_of.items()}
-        p_a, p_b, p_g, crit = evaluate_criterion(hg, channel_of, params)
-        q_a, q_b, q_g, crit2 = evaluate_criterion(hg, flipped, params)
-        assert (q_a, q_b, q_g) == (p_b, p_a, p_g)
-        assert crit2 == pytest.approx(crit)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), st.floats(1 / 8, 8))
+def test_channel_relabel_symmetry(seed, alpha, beta):
+    # Mirroring a map swaps P_A and P_B, so at beta = 1 the criterion stays
+    # and at any beta crit(mirror, alpha, beta) = beta * crit(map, alpha/beta, 1/beta).
+    rng = random.Random(seed)
+    hg = random_hypergraph(rng, max_free=8, max_edges=15)
+    channel_of = {u: rng.choice("AB") for u in hg.free_ecus}
+    flipped = {u: "B" if c == "A" else "A" for u, c in channel_of.items()}
+    p_a, p_b, p_g, crit = evaluate_criterion(hg, channel_of, CriterionParams(alpha, 1.0))
+    q_a, q_b, q_g, crit2 = evaluate_criterion(hg, flipped, CriterionParams(alpha, 1.0))
+    assert (q_a, q_b, q_g) == (p_b, p_a, p_g)
+    assert crit2 == crit
+    mirrored = evaluate_criterion(hg, flipped, CriterionParams(alpha, beta))[3]
+    scaled = evaluate_criterion(hg, channel_of, CriterionParams(alpha / beta, 1 / beta))[3]
+    assert mirrored == pytest.approx(beta * scaled, rel=1e-12)
+    table = _TableState(hg)
+    mask = sum(b for u, b in table.bit.items() if channel_of[u] == "A")
+    table.load(table.full ^ mask)
+    assert table.payloads() == (q_a, q_b, q_g)
+    assert table.criterion(CriterionParams(alpha, beta)) == mirrored
 
 
 def test_all_common_edges_do_not_count(example1):
@@ -207,12 +225,16 @@ def test_bound_admissible_on_partial_assignments():
     params = CriterionParams(alpha=0.05, beta=1.3)
     for _ in range(25):
         hg = random_hypergraph(rng, max_free=7, max_edges=12)
-        st = _State(hg)
         fixed = [u for u in hg.free_ecus if rng.random() < 0.5]
         partial = {u: rng.choice("AB") for u in fixed}
-        for u, ch in partial.items():
-            st.assign(u, ch)
-        bound = st.bound(params)
+        bounds = []
+        for make in STATES:
+            st = make(hg)
+            for u, ch in partial.items():
+                st.assign(u, ch)
+            bounds.append(st.bound(params))
+        bound = bounds[0]
+        assert bounds == [bound] * len(STATES)
         rest = [u for u in hg.free_ecus if u not in partial]
         for completion in brute_force_assignments(
                 Hypergraph(edges={}, free_ecus=tuple(rest), ft_weight_bytes=0,
@@ -273,18 +295,27 @@ def test_delta_evaluation_matches_full_reevaluation():
     params = CriterionParams(alpha=0.04, beta=1.2)
     for _ in range(15):
         hg = random_hypergraph(rng, max_free=8, max_edges=20)
-        st = _State(hg)
+        states = [make(hg) for make in STATES]
         channel_of = {}
         for u in hg.free_ecus:
             channel_of[u] = rng.choice("AB")
-            st.assign(u, channel_of[u])
+            for state in states:
+                state.assign(u, channel_of[u])
         for _ in range(60):
             u = rng.choice(hg.free_ecus)
-            st.move(u)
             channel_of[u] = "B" if channel_of[u] == "A" else "A"
-            assert st.payloads() == oracle_payloads(hg, channel_of)
-            assert st.criterion(params) == pytest.approx(
-                oracle_criterion(hg, channel_of, params.alpha, params.beta))
+            for state in states:
+                state.move(u)
+                assert state.payloads() == oracle_payloads(hg, channel_of)
+                assert state.criterion(params) == pytest.approx(
+                    oracle_criterion(hg, channel_of, params.alpha, params.beta))
+        for _ in range(10):
+            channel_of = {u: rng.choice("AB") for u in hg.free_ecus}
+            mask = sum(1 << i for i, u in enumerate(hg.free_ecus) if channel_of[u] == "A")
+            for state in states:
+                state.load(mask)
+                assert state.assigned == channel_of
+                assert state.payloads() == oracle_payloads(hg, channel_of)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -293,14 +324,22 @@ def test_split_and_move_delta_match_applied_moves(seed, alpha, beta):
     rng = random.Random(seed)
     hg = random_hypergraph(rng, max_free=8, max_edges=20)
     params = CriterionParams(alpha=alpha, beta=beta)
-    state = _State(hg)
-    for u in hg.free_ecus:
-        if rng.random() < 0.5:
-            state.assign(u, rng.choice("AB"))
+    partial = {u: rng.choice("AB") for u in hg.free_ecus if rng.random() < 0.5}
+    seen = [check_split_and_move_delta(make(hg), partial, params) for make in STATES]
+    assert seen == [seen[-1]] * len(STATES)
+
+
+def check_split_and_move_delta(state, partial, params) -> list[tuple[int, ...]]:
+    """Check each candidate's sums against the move applied; return the
+    sums and every candidate's split or delta, for comparing paths."""
+    for u, ch in partial.items():
+        state.assign(u, ch)
     sums = (state.sum_a, state.sum_b, state.sum_g, state.sum_float)
-    for u in hg.free_ecus:
+    seen = [sums]
+    for u in state.bit:
         if u in state.assigned:
             d_a, d_b, d_g = state.move_delta(u)
+            seen.append((d_a, d_b, d_g))
             state.move(u)
             assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == \
                 (sums[0] + d_a, sums[1] + d_b, sums[2] + d_g, sums[3])
@@ -309,6 +348,7 @@ def test_split_and_move_delta_match_applied_moves(seed, alpha, beta):
             state.move(u)
         else:
             floating, on_b, on_a = state.add_split(u)
+            seen.append((floating, on_b, on_a))
             for ch, child in (("A", (sums[0] + floating + on_b, sums[1], sums[2] + on_b)),
                               ("B", (sums[0], sums[1] + floating + on_a, sums[2] + on_a))):
                 state.assign(u, ch)
@@ -318,6 +358,75 @@ def test_split_and_move_delta_match_applied_moves(seed, alpha, beta):
                 assert state.criterion(params) == state.criterion_at(params, *child)
                 state.unassign(u)
         assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == sums
+    return seen
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_coverage_table_matches_edge_sums(seed):
+    hg = random_hypergraph(random.Random(seed), max_free=8, max_edges=30)
+    check_coverage_table(hg)
+
+
+def test_coverage_table_across_blocks():
+    # more ECUs than one block of the transform holds
+    rng = random.Random(5)
+    free = tuple(range(1, 13))
+    edges = {}
+    for _ in range(40):
+        ends = frozenset(rng.sample(free, rng.randint(1, 4)))
+        edges[ends] = edges.get(ends, 0) + rng.randint(1, 2**40)
+    check_coverage_table(Hypergraph(edges=edges, free_ecus=free, ft_weight_bytes=0,
+                                    total_weight_bytes=sum(edges.values())))
+
+
+def check_coverage_table(hg):
+    """Payload with an endpoint in S, from the table, against a sum over
+    the edges, for every subset S of the free ECUs."""
+    table = hg.uncovered
+    assert len(table) == 2 ** len(hg.free_ecus)
+    assert table[0] == sum(hg.edges.values())
+    for s in range(len(table)):
+        members = {u for i, u in enumerate(hg.free_ecus) if s >> i & 1}
+        assert table[0] - table[s] == sum(w for ends, w in hg.edges.items() if ends & members)
+
+
+def test_walk_above_table_cap():
+    rng = random.Random(3)
+    free = tuple(range(1, TABLE_MAX_ECUS + 2))
+    edges = {}
+    for _ in range(30):
+        ends = frozenset(rng.sample(free, rng.randint(1, 3)))
+        edges[ends] = edges.get(ends, 0) + rng.randint(1, 20)
+    big = Hypergraph(edges={k: edges[k] for k in sorted(edges, key=sorted)}, free_ecus=free,
+                     ft_weight_bytes=4, total_weight_bytes=sum(edges.values()) + 4)
+    small = random_hypergraph(rng, max_free=6)
+    params = CriterionParams(alpha=0.01, beta=1.1)
+    for hg in (big, small):
+        for result in (solve_cah(hg, params, tries_count=3),
+                       solve_ga(hg, params, max_generations=5),
+                       solve_exact(hg, params, time_limit_ms=50)):
+            assert set(result.channel_of) == set(hg.free_ecus)
+            assert (result.payload_a, result.payload_b, result.payload_gw,
+                    result.criterion) == evaluate_criterion(hg, result.channel_of, params)
+    # the table is a cached property of the hypergraph, built on first use
+    assert "uncovered" not in vars(big)
+    assert "uncovered" in vars(small)
+
+
+def test_solvers_agree_on_both_paths(monkeypatch):
+    rng = random.Random(41)
+    hgs = [random_hypergraph(rng, max_free=10, max_edges=30) for _ in range(8)]
+    params = [CriterionParams(alpha=0.02, beta=beta) for beta in (1.0, 0.8, 1.4)]
+
+    def results():
+        return [solver(hg, p).to_json_dict() for hg in hgs for p in params
+                for solver in (solve_exact, lambda h, q: solve_cah(h, q, tries_count=20),
+                               lambda h, q: solve_ga(h, q, max_generations=10))]
+
+    with_table = results()
+    monkeypatch.setattr(asg_mod, "TABLE_MAX_ECUS", -1)
+    assert results() == with_table
 
 
 # --- genetic algorithm ------------------------------------------------------
