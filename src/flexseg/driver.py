@@ -4,13 +4,14 @@ Each iteration solves the assignment under the current balance weight,
 schedules both channels, then recomputes the weight from the observed
 per-channel slot usage so the next assignment counterweights the
 imbalance.  The best schedule seen is kept; the loop stops on an
-iteration budget or when an assignment repeats.
+iteration budget or when an assignment repeats.  A repeated assignment is
+not scheduled again: its schedule is that of the earlier iteration.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import assignment as asg_mod
 from .assignment import CH_A, CH_B, ChannelAssignment, CriterionParams
@@ -48,6 +49,9 @@ class IterationRecord:
     slots_a: int
     slots_b: int
     gw_slots: int
+    # The earlier iteration whose channel map this one repeats, which ends
+    # the loop; its slot counts are copied from that iteration.
+    repeat_of: int | None = None
 
 
 @dataclass
@@ -78,26 +82,30 @@ def run(inst: Instance, cfg: DriverConfig) -> DriverResult:
 
     beta = 1.0
     best: DriverResult | None = None
-    seen: set[tuple] = set()
+    seen: dict[tuple, IterationRecord] = {}
     log: list[IterationRecord] = []
 
     for iteration in range(1, cfg.max_iterations + 1):
         params = CriterionParams(alpha=alpha, beta=beta)
         asg = _solve(cfg.assignment_solver, hg, params, cfg, seeds.randrange(2**32))
-        sched = schedule_channels(inst, asg)
+        # The schedule depends only on the instance and the channel map, so
+        # a repeated map is not scheduled again and cannot beat `best`.
+        key = tuple(sorted(asg.channel_of.items()))
+        earlier = seen.get(key)
+        if earlier is not None:
+            log.append(replace(earlier, iteration=iteration, beta=beta,
+                               criterion=asg.criterion, repeat_of=earlier.iteration))
+            break
 
+        sched = schedule_channels(inst, asg)
         slots_a, slots_b = sched.max_slot(CH_A), sched.max_slot(CH_B)
-        log.append(IterationRecord(
+        seen[key] = rec = IterationRecord(
             iteration=iteration, beta=beta, criterion=asg.criterion,
             slots_a=slots_a, slots_b=slots_b, gw_slots=sched.gateway_slot_count(),
-        ))
+        )
+        log.append(rec)
         if best is None or _schedule_key(sched) < _schedule_key(best.schedule):
             best = DriverResult(schedule=sched, assignment=asg)
-
-        key = tuple(sorted(asg.channel_of.items()))
-        if key in seen:
-            break
-        seen.add(key)
 
         if slots_a == 0 and slots_b == 0:
             break

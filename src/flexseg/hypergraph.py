@@ -95,7 +95,7 @@ def build_hypergraph(inst: Instance) -> Hypergraph:
     both channels regardless of the assignment, so they are kept out of the
     edges and only accumulated as a constant payload added to both sides.
     """
-    one_port = {e.id for e in inst.one_port_ecus}
+    one_port = inst.one_port_ids
     groups: dict[frozenset[int], int] = {}
     ft_weight = total = 0
     for s in inst.signals:
@@ -103,7 +103,7 @@ def build_hypergraph(inst: Instance) -> Hypergraph:
         if s.fault_tolerant:
             ft_weight += s.payload_bytes
             continue
-        key = frozenset(one_port.intersection((s.transmitter, *s.receivers)))
+        key = one_port.intersection((s.transmitter, *s.receivers))
         if key:
             groups[key] = groups.get(key, 0) + s.payload_bytes
 

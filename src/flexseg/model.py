@@ -86,6 +86,12 @@ class Instance:
         return tuple(e for e in self.ecus if e.kind == EcuKind.COMMON)
 
     @cached_property
+    def one_port_ids(self) -> frozenset[int]:
+        """Ids of the ECUs wired to one channel only: the endpoints whose
+        channel the assignment chooses."""
+        return frozenset(e.id for e in self.one_port_ecus)
+
+    @cached_property
     def _by_id(self) -> dict[int, Ecu]:
         return {e.id: e for e in self.ecus}
 

@@ -17,7 +17,6 @@ from .assignment import CH_A, CH_B, ChannelAssignment
 from .model import (
     ALLOWED_PERIOD_CYCLES,
     HYPERPERIOD_CYCLES,
-    EcuKind,
     Instance,
     NetworkConfig,
     Signal,
@@ -196,18 +195,16 @@ def signal_volume(sig: Signal) -> int:
     return sig.payload_bytes * sig.occurrence_count()
 
 
-def determine_channel(sig: Signal, inst: Instance, asg: ChannelAssignment,
+def determine_channel(sig: Signal, one_port: frozenset[int], channel_of: dict[int, str],
                       loads: dict[str, float]) -> str:
     """Channel selection for a non-fault-tolerant signal.
 
-    One-port endpoints force their assigned channel; if they span both,
-    the signal must appear on both.  When every endpoint is wired to both
-    channels the lighter-loaded channel is chosen.
+    One-port endpoints (ids in `one_port`) force their assigned channel in
+    `channel_of`; if they span both, the signal must appear on both.  When
+    every endpoint is wired to both channels the lighter-loaded channel is
+    chosen.
     """
-    required = set()
-    for u in (sig.transmitter, *sig.receivers):
-        if inst.kind_of(u) == EcuKind.ONE_PORT:
-            required.add(asg.channel_of[u])
+    required = {channel_of[u] for u in (sig.transmitter, *sig.receivers) if u in one_port}
     if len(required) == 2:
         return BOTH
     if len(required) == 1:
@@ -346,12 +343,13 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment) -> Schedule:
         i += 1
     sched.ft_slots = tuple(sorted(sched.columns[CH_A]))
 
+    one_port = inst.one_port_ids
     for sig in ordered[i:]:
-        ch = determine_channel(sig, inst, asg, loads)
+        ch = determine_channel(sig, one_port, asg.channel_of, loads)
         if ch != BOTH:
             place_to_schedule(sched, sig, ch, owner=sig.transmitter)
             loads[ch] += signal_volume(sig)
-        elif inst.kind_of(sig.transmitter) == EcuKind.COMMON:
+        elif sig.transmitter not in one_port:
             place_to_schedule(sched, sig, CH_A, owner=sig.transmitter)
             place_to_schedule(sched, sig, CH_B, owner=sig.transmitter)
             loads[CH_A] += signal_volume(sig)

@@ -221,7 +221,7 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
         for slot, col in sched.columns[ch].items():
             if col.owner == gw_id:
                 continue
-            if col.owner in {e.id for e in inst.one_port_ecus}:
+            if col.owner in inst.one_port_ids:
                 assigned = asg.channel_of.get(col.owner)
                 if assigned is not None and assigned != ch:
                     out.append(Violation(

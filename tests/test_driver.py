@@ -1,10 +1,20 @@
 from __future__ import annotations
 
-import pytest
+import math
+import random
 
-from flexseg.driver import DriverConfig, log_to_csv_rows, run
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import flexseg.assignment as asg_mod
+import flexseg.driver as driver_mod
+from flexseg.assignment import CH_A, CH_B, CriterionParams
+from flexseg.driver import BETA_MAX, BETA_MIN, DriverConfig, log_to_csv_rows, run
 from flexseg.generator import GeneratorProfile, generate, sae_profile
+from flexseg.hypergraph import build_hypergraph
 from flexseg.model import Instance
+from flexseg.scheduler import schedule_channels
 from flexseg.validator import validate
 
 
@@ -85,3 +95,86 @@ def test_alpha_default_matches_total_payload(example1):
     explicit = run(example1, DriverConfig(alpha=1 / 52, assignment_solver="EXACT"))
     default = run(example1, DriverConfig(assignment_solver="EXACT"))
     assert explicit.log[0].criterion == default.log[0].criterion
+
+
+def test_repeated_map_is_not_scheduled_again(monkeypatch):
+    # generator seed 7 ends its loop at iteration 5 on the map of iteration
+    # 2, whose slot counts no other iteration has
+    inst = generate(sae_profile(3, ecu_count=10, signal_count=40), seed=7)
+    maps, scheduled = [], []
+    original_cah = asg_mod.solve_cah
+
+    def solve_cah(*args, **kwargs):
+        asg = original_cah(*args, **kwargs)
+        maps.append(dict(asg.channel_of))
+        return asg
+
+    def counting_schedule(inst, asg):
+        scheduled.append(dict(asg.channel_of))
+        return schedule_channels(inst, asg)
+
+    monkeypatch.setattr(asg_mod, "solve_cah", solve_cah)
+    monkeypatch.setattr(driver_mod, "schedule_channels", counting_schedule)
+    result = run(inst, DriverConfig(cah_tries=5, rng_seed=0))
+    monkeypatch.undo()
+
+    *head, last = result.log
+    assert [rec.repeat_of for rec in head] == [None] * len(head)
+    assert last.repeat_of == 2 and last.iteration == 5
+    # one schedule per distinct map, and none for the repeat
+    assert scheduled == maps[:-1]
+    assert len({tuple(sorted(m.items())) for m in scheduled}) == len(scheduled)
+    assert maps[-1] == maps[last.repeat_of - 1]
+    earlier = result.log[last.repeat_of - 1]
+    assert (last.slots_a, last.slots_b, last.gw_slots) == \
+        (earlier.slots_a, earlier.slots_b, earlier.gw_slots)
+    assert [(r.slots_a, r.slots_b, r.gw_slots) for r in head].count(
+        (last.slots_a, last.slots_b, last.gw_slots)) == 1
+
+
+def reference_run(inst: Instance, cfg: DriverConfig):
+    """The beta loop that schedules every iteration's map, repeats included.
+    Returns the log rows as tuples and the best (assignment, schedule)."""
+    hg = build_hypergraph(inst)
+    alpha = cfg.alpha if cfg.alpha is not None else asg_mod.default_alpha(hg)
+    seeds = random.Random(cfg.rng_seed)
+    beta, best, seen, rows = 1.0, None, set(), []
+    for iteration in range(1, cfg.max_iterations + 1):
+        asg = driver_mod._solve(cfg.assignment_solver, hg,
+                                CriterionParams(alpha=alpha, beta=beta), cfg,
+                                seeds.randrange(2**32))
+        sched = schedule_channels(inst, asg)
+        a, b = sched.max_slot(CH_A), sched.max_slot(CH_B)
+        rows.append((iteration, beta, asg.criterion, a, b, sched.gateway_slot_count()))
+        key = (sched.allocated_slots(), sched.gateway_slot_count(), sched.frame_count())
+        if best is None or key < best[0]:
+            best = (key, asg, sched)
+        channel_map = tuple(sorted(asg.channel_of.items()))
+        if channel_map in seen or a == b == 0:
+            break
+        seen.add(channel_map)
+        if b == 0:
+            beta = min(max(math.sqrt(a), BETA_MIN), BETA_MAX)
+        elif a == 0:
+            beta = min(max(1.0 / math.sqrt(b), BETA_MIN), BETA_MAX)
+        else:
+            beta = math.sqrt(a / b)
+    return rows, best[1], best[2]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 60),
+       st.sampled_from([0.0, 0.2]), st.sampled_from(["CAH", "EXACT"]),
+       st.integers(0, 2**16), st.integers(0, 2**16))
+def test_run_matches_loop_scheduling_every_iteration(level, ecus, signals, ft, solver,
+                                                     gen_seed, rng_seed):
+    inst = generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
+                                fault_tolerant_fraction=ft), gen_seed)
+    cfg = DriverConfig(assignment_solver=solver, cah_tries=5, rng_seed=rng_seed)
+    result = run(inst, cfg)
+    rows, asg, sched = reference_run(inst, cfg)
+    assert [(r.iteration, r.beta, r.criterion, r.slots_a, r.slots_b, r.gw_slots)
+            for r in result.log] == rows
+    assert result.assignment.channel_of == asg.channel_of
+    assert result.schedule.columns == sched.columns
+    assert result.schedule.placements == sched.placements

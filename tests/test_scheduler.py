@@ -81,16 +81,17 @@ def test_determine_channel_one_port_receiver(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
     loads = {CH_A: 0.0, CH_B: 0.0}
     s3 = example1.signals[2]  # ECU2 -> {4}
-    assert determine_channel(s3, example1, asg, loads) == CH_B
+    assert determine_channel(s3, example1.one_port_ids, asg.channel_of, loads) == CH_B
     s5 = example1.signals[4]  # ECU3 -> {4, 5}: spans both channels
-    assert determine_channel(s5, example1, asg, loads) == BOTH
+    assert determine_channel(s5, example1.one_port_ids, asg.channel_of, loads) == BOTH
 
 
 def test_determine_channel_balances_common_traffic(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
     sig = make_signal(99, 1, receivers={2})  # common -> common
-    assert determine_channel(sig, example1, asg, {CH_A: 0.0, CH_B: 10.0}) == CH_A
-    assert determine_channel(sig, example1, asg, {CH_A: 10.0, CH_B: 0.0}) == CH_B
+    one_port, channel_of = example1.one_port_ids, asg.channel_of
+    assert determine_channel(sig, one_port, channel_of, {CH_A: 0.0, CH_B: 10.0}) == CH_A
+    assert determine_channel(sig, one_port, channel_of, {CH_A: 10.0, CH_B: 0.0}) == CH_B
 
 
 # --- placement --------------------------------------------------------------
