@@ -110,7 +110,7 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             col = SlotColumn(owner=int(slot_el.get("owner")),
                              is_gateway=slot_el.get("gateway") == "true",
                              slot_payload_bytes=config.slot_payload_bytes)
-            sched.columns[ch][slot] = col
+            sched.add_column(ch, slot, col)
             for frame_el in slot_el:
                 base = int(frame_el.get("base-cycle"))
                 if not 1 <= base <= HYPERPERIOD_CYCLES:

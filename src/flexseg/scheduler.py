@@ -31,7 +31,7 @@ class InfeasibleWindowError(ValueError):
     """No base cycle satisfies a signal's release/deadline window."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Placement:
     signal: int
     channel: str  # CH_A, CH_B or BOTH
@@ -41,7 +41,7 @@ class Placement:
     is_image: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Occupancy:
     """One signal instance of a frame: it occurs in the frame's base cycle
     and every `repetition` cycles after it."""
@@ -66,17 +66,14 @@ class SlotColumn:
     def add(self, base: int, occ: Occupancy) -> None:
         self.frames.setdefault(base, []).append(occ)
         h = self.slot_payload_bytes
-        bits = _cycle_pattern(occ.repetition, h) * _frame_bits(occ, h) << (base - 1) * h
+        # the bytes of one h-byte frame that `occ` covers
+        frame = (((1 << occ.payload) - 1) << occ.offset) & ((1 << h) - 1)
+        bits = _cycle_pattern(occ.repetition, h) * frame << (base - 1) * h
         # a base above the repetition runs past the hyperperiod
         self.mask |= bits & ((1 << HYPERPERIOD_CYCLES * h) - 1)
 
     def is_full(self) -> bool:
         return self.mask == (1 << HYPERPERIOD_CYCLES * self.slot_payload_bytes) - 1
-
-
-def _frame_bits(occ: Occupancy, h: int) -> int:
-    """The bytes of one h-byte frame that `occ` covers."""
-    return (((1 << occ.payload) - 1) << occ.offset) & ((1 << h) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -97,25 +94,21 @@ def _occupied_cycles(mask: int, h: int) -> int:
 
 @dataclass
 class _SlotIndex:
-    """Where first-fit looks on each channel, derived from the columns.
+    """Where first-fit looks on each channel, derived from the columns once
+    and then kept in step by each placement; `Schedule.add_column` drops it.
 
     Only slots in `open` (ascending ids of the columns that are not full,
     per channel, owner and gateway flag), in `holes` (ascending ids in
-    1..top with no column) or above `top` can take a placement.  `sizes`
-    and `sources` record the column dicts the index was derived from, so a
-    schedule changed by hand is indexed again."""
-    sources: dict[str, dict[int, SlotColumn]]
-    sizes: dict[str, int]
+    1..top with no column) or above `top` can take a placement."""
     top: dict[str, int]
     holes: dict[str, list[int]]
     open: dict[tuple[str, int, bool], list[int]]
 
     @classmethod
     def derive(cls, columns: dict[str, dict[int, SlotColumn]]) -> _SlotIndex:
-        idx = cls(sources=dict(columns), sizes={}, top={}, holes={}, open={})
+        idx = cls(top={}, holes={}, open={})
         for ch in CHANNELS:
             cols = columns[ch]
-            idx.sizes[ch] = len(cols)
             # slot ids below 1 are invalid and never take a placement
             idx.top[ch] = top = max(max(cols, default=0), 0)
             idx.holes[ch] = [t for t in range(1, top + 1) if t not in cols]
@@ -125,16 +118,15 @@ class _SlotIndex:
                     idx.open.setdefault((ch, col.owner, col.is_gateway), []).append(t)
         return idx
 
-    def in_step(self, columns: dict[str, dict[int, SlotColumn]]) -> bool:
-        return all(self.sources[ch] is columns[ch] and self.sizes[ch] == len(columns[ch])
-                   for ch in CHANNELS)
-
-    def candidates(self, ch: str, owner: int, is_gateway: bool, limit: int):
+    def candidates(self, ch: str, owner: int, is_gateway: bool, limit: int) -> list[int]:
         """Ascending slot ids below `limit` that are empty on `ch` or hold an
-        open column of `owner` there."""
+        open column of `owner` there; the open list itself when there is no
+        empty one."""
         own = self.open.get((ch, owner, is_gateway), [])
-        empty = self.holes[ch] + list(range(self.top[ch] + 1, limit))
-        return sorted(own + empty) if empty else own
+        holes, top = self.holes[ch], self.top[ch]
+        if holes:
+            own = sorted(own + holes)
+        return [*own, *range(top + 1, limit)] if top + 1 < limit else own
 
     def opened(self, ch: str, slot: int, col: SlotColumn) -> None:
         if slot > self.top[ch]:
@@ -144,7 +136,6 @@ class _SlotIndex:
             holes = self.holes[ch]
             del holes[bisect_left(holes, slot)]
         insort(self.open.setdefault((ch, col.owner, col.is_gateway), []), slot)
-        self.sizes[ch] += 1
 
     def filled(self, ch: str, slot: int, col: SlotColumn) -> None:
         own = self.open[(ch, col.owner, col.is_gateway)]
@@ -160,6 +151,12 @@ class Schedule:
     placements: list[Placement] = field(default_factory=list)
     _index: _SlotIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    def add_column(self, ch: str, slot: int, col: SlotColumn) -> None:
+        """Store `col` at `slot` on `ch`, replacing any column there; the
+        next placement derives the slot index again."""
+        self.columns[ch][slot] = col
+        self._index = None
 
     def max_slot(self, channel: str) -> int:
         cols = self.columns[channel]
@@ -234,22 +231,6 @@ def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
     return tuple(fold), (1 << width) - 1, tuple(runs), allowed
 
 
-def _first_fit(mask: int, period: int, h: int, payload: int,
-               bases: tuple[int, ...]) -> tuple[int, int] | None:
-    """Lowest base, then lowest offset, where the signal fits the mask."""
-    fold, width_mask, runs, allowed = _fit_plan(period, h, payload, bases)
-    for shift in fold:
-        mask |= mask >> shift
-    free = ~mask & width_mask
-    for step in runs:
-        free &= free >> step
-    free &= allowed
-    if not free:
-        return None
-    base, offset = divmod((free & -free).bit_length() - 1, h)
-    return base + 1, offset
-
-
 def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
                       is_image: bool = False,
                       fixed_base_cycle: int | None = None) -> list[Placement]:
@@ -264,58 +245,71 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     mask.
     """
     h = sched.config.slot_payload_bytes
-    channels = CHANNELS if target == BOTH else (target,)
-    if sig.period_cycles not in ALLOWED_PERIOD_CYCLES:
-        raise ValueError(f"signal {sig.id}: period_cycles {sig.period_cycles} is not "
+    period = sig.period_cycles
+    if period not in ALLOWED_PERIOD_CYCLES:
+        raise ValueError(f"signal {sig.id}: period_cycles {period} is not "
                          f"a power of two in 1..{HYPERPERIOD_CYCLES}")
     if fixed_base_cycle is not None:
-        if not 1 <= fixed_base_cycle <= sig.period_cycles:
+        if not 1 <= fixed_base_cycle <= period:
             raise ValueError(f"signal {sig.id}: fixed base cycle {fixed_base_cycle} "
-                             f"outside 1..{sig.period_cycles}")
+                             f"outside 1..{period}")
         bases = (fixed_base_cycle,)
     else:
-        bases = base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
+        bases = base_cycle_window(period, sig.release_ms, sig.deadline_ms,
                                   sched.config.cycle_duration_ms)
         if not bases:
             raise InfeasibleWindowError(
                 f"signal {sig.id}: no feasible base cycle in its window")
 
     idx = sched._index
-    if idx is None or not idx.in_step(sched.columns):
+    if idx is None:
         idx = sched._index = _SlotIndex.derive(sched.columns)
-    limit = max(idx.top[ch] for ch in channels) + 1
-    chosen: tuple[int, int, int] | None = None
+    if target == BOTH:
+        channels = CHANNELS
+        limit = max(idx.top[CH_A], idx.top[CH_B]) + 1
+        second = sched.columns[CH_B]
+    else:
+        channels = (target,)
+        limit = idx.top[target] + 1
+        second = None
+    first = sched.columns[channels[0]]
+    fold, width_mask, runs, allowed = _fit_plan(period, h, sig.payload_bytes, bases)
+    # A candidate is empty on the first channel or an open column of
+    # `owner` there; only the second channel of BOTH needs the owner test.
     for slot in idx.candidates(channels[0], owner, is_image, limit):
-        mask = 0
-        for ch in channels:
-            col = sched.columns[ch].get(slot)
+        col = first.get(slot)
+        mask = 0 if col is None else col.mask
+        if second is not None:
+            col = second.get(slot)
             if col is not None:
                 if col.owner != owner or col.is_gateway != is_image:
-                    break
+                    continue
                 mask |= col.mask
-        else:
-            fit = _first_fit(mask, sig.period_cycles, h, sig.payload_bytes, bases)
-            if fit is not None:
-                chosen = (slot, *fit)
-                break
-    if chosen is None:
+        for shift in fold:
+            mask |= mask >> shift
+        free = ~mask & width_mask
+        for step in runs:
+            free &= free >> step
+        free &= allowed
+        if free:
+            base, offset = divmod((free & -free).bit_length() - 1, h)
+            base += 1
+            break
+    else:
         # A fresh slot always has room; use the earliest feasible cycle.
-        chosen = (limit, bases[0], 0)
+        slot, base, offset = limit, bases[0], 0
 
-    slot, base, offset = chosen
-    occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
-                    is_image=is_image, repetition=sig.period_cycles)
+    occ = Occupancy(sig.id, offset, sig.payload_bytes, is_image, period)
     for ch in channels:
-        col = sched.columns[ch].get(slot)
+        cols = sched.columns[ch]
+        col = cols.get(slot)
         if col is None:
-            col = SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h)
-            sched.columns[ch][slot] = col
+            col = cols[slot] = SlotColumn(owner, is_image, h)
             idx.opened(ch, slot, col)
         col.add(base, occ)
         if col.is_full():
             idx.filled(ch, slot, col)
-    placement = Placement(signal=sig.id, channel=target, base_cycle=base,
-                          slot=slot, offset_bytes=offset, is_image=is_image)
+    placement = Placement(sig.id, target, base, slot, offset, is_image)
     sched.placements.append(placement)
     return [placement]
 
@@ -401,9 +395,9 @@ def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
         while pending:
             eligible = [item for item in pending if item[1] < tick]
             if eligible:
-                t, _ = min(eligible)
-                new_ids[(ch, t)] = tick
-                pending.remove(min(eligible))
+                first = min(eligible)
+                new_ids[(ch, first[0])] = tick
+                pending.remove(first)
             tick += 1
     return new_ids
 
@@ -419,13 +413,11 @@ def reorder_slots(sched: Schedule) -> Schedule:
             new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()
         }
     out.ft_slots = tuple(range(1, len(sched.ft_slots) + 1))
-    for p in sched.placements:
-        ch = CH_A if p.channel == BOTH else p.channel
-        out.placements.append(Placement(
-            signal=p.signal, channel=p.channel, base_cycle=p.base_cycle,
-            slot=new_ids[(ch, p.slot)], offset_bytes=p.offset_bytes,
-            is_image=p.is_image,
-        ))
+    out.placements = [
+        Placement(p.signal, p.channel, p.base_cycle,
+                  new_ids[(CH_A if p.channel == BOTH else p.channel, p.slot)],
+                  p.offset_bytes, p.is_image)
+        for p in sched.placements]
     return out
 
 

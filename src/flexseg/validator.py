@@ -45,12 +45,13 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
     # Expand every stored signal instance to its cycles:
     # (signal, channel, slot, is_image) -> {cycle: offset}
     groups: dict[tuple[int, str, int, bool], dict[int, int]] = {}
+    ecu_ids = {e.id for e in inst.ecus}
     for ch in CHANNELS:
         for slot, col in sched.columns[ch].items():
             if slot < 1:
                 out.append(Violation("V3", f"({ch},{slot}): slot id below 1"))
             owner_kind = None
-            if col.owner not in {e.id for e in inst.ecus}:
+            if col.owner not in ecu_ids:
                 out.append(Violation("V3", f"({ch},{slot}): owner {col.owner} is not an ECU"))
             else:
                 owner_kind = inst.kind_of(col.owner)

@@ -96,14 +96,14 @@ def grids(sched: Schedule):
 
 
 def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies) -> None:
-    """Add occurrences through SlotColumn.add, opening the column if needed."""
+    """Add occurrences through SlotColumn.add, opening the column if needed,
+    and store the column through Schedule.add_column."""
     h = sched.config.slot_payload_bytes
-    col = sched.columns[ch].get(slot)
-    if col is None:
-        col = sched.columns[ch][slot] = SlotColumn(
-            owner=owner, is_gateway=owner == GATEWAY, slot_payload_bytes=h)
+    col = sched.columns[ch].get(slot) or SlotColumn(
+        owner=owner, is_gateway=owner == GATEWAY, slot_payload_bytes=h)
     for sid, period, base, offset, payload in occupancies:
         col.add(base, Occupancy(sid, offset, payload, col.is_gateway, period))
+    sched.add_column(ch, slot, col)
 
 
 @st.composite

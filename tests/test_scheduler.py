@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import flexseg.scheduler as scheduler
 from flexseg.assignment import CH_A, CH_B, CriterionParams, evaluate_criterion, solve_exact
+from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
 from flexseg.model import (
@@ -18,6 +20,7 @@ from flexseg.scheduler import (
     BOTH,
     InfeasibleWindowError,
     Schedule,
+    SlotColumn,
     determine_channel,
     lbsc,
     place_to_schedule,
@@ -193,7 +196,87 @@ def test_slot_exclusive_to_owner():
     assert placement.slot == 2  # slot 1 belongs to ECU 2
 
 
+def test_add_column_replacing_an_owner_is_seen_by_the_next_placement():
+    # the replacement keeps the number of columns, so only the column
+    # itself tells that slot 1 now belongs to ECU 3
+    sched = empty_schedule()
+    place_to_schedule(sched, make_signal(1, 2, payload=1, deadline=64.0), CH_A, owner=2)
+    sched.add_column(CH_A, 1, SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=8))
+    (p3,) = place_to_schedule(sched, make_signal(2, 3, payload=1, deadline=64.0),
+                              CH_A, owner=3)
+    assert p3.slot == 1
+    (p2,) = place_to_schedule(sched, make_signal(3, 2, payload=1, deadline=64.0),
+                              CH_A, owner=2)
+    assert p2.slot == 2
+
+
+def test_read_back_schedule_places_like_the_exported_one(tmp_path, example1):
+    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
+    sched = schedule_channels(example1, asg)
+    path = tmp_path / "example1.xml"
+    export_fibex(example1, asg, sched, path)
+    readback, _ = read_fibex(path)
+    # (signal, target, owner, is_image, fixed base cycle)
+    steps = [
+        (make_signal(101, 2, period=2, payload=4, deadline=2.0), CH_A, 2, False, None),
+        (make_signal(102, 2, period=4, payload=2, deadline=4.0), CH_B, 2, False, None),
+        (make_signal(103, 1, period=1, payload=3, deadline=1.0), BOTH, 1, False, None),
+        (make_signal(104, 4, period=2, payload=4, deadline=2.0), CH_B, 4, False, None),
+        (make_signal(105, 4, period=2, payload=4, deadline=2.0), CH_A, 0, True, 2),
+    ]
+    for sig, target, owner, is_image, base in steps:
+        kwargs = {"is_image": is_image, "fixed_base_cycle": base}
+        assert (place_to_schedule(sched, sig, target, owner, **kwargs)
+                == place_to_schedule(readback, sig, target, owner, **kwargs))
+    assert readback.columns == sched.columns
+
+
 # --- full channel scheduling ------------------------------------------------
+
+def test_schedule_channels_places_through_the_module_attribute(monkeypatch, example1):
+    # a tracer wraps place_to_schedule and reorder_slots from outside and
+    # reads the slot of each call's one placement before renumbering
+    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
+    calls, renumbered = [], []
+    place, reorder = scheduler.place_to_schedule, scheduler.reorder_slots
+
+    def record_place(sched, sig, target, owner, **kwargs):
+        placed = place(sched, sig, target, owner, **kwargs)
+        calls.append((sched, sig.id, target, kwargs.get("is_image", False), placed))
+        return placed
+
+    def record_reorder(sched):
+        renumbered.append(sched)
+        return reorder(sched)
+
+    monkeypatch.setattr(scheduler, "place_to_schedule", record_place)
+    monkeypatch.setattr(scheduler, "reorder_slots", record_reorder)
+    out = scheduler.schedule_channels(example1, asg)
+
+    (pre,) = renumbered
+    assert all(sched is pre and len(placed) == 1 for sched, *_, placed in calls)
+    assert [placed[0] for *_, placed in calls] == pre.placements
+    for _, sid, target, _, placed in calls:
+        frames = pre.columns[CH_A if target == BOTH else target][placed[0].slot].frames
+        assert sid in {occ.signal for entries in frames.values() for occ in entries}
+    # renumbering moves gateway slots, so the recorded slots are the old ids
+    assert [p.slot for p in pre.placements] != [p.slot for p in out.placements]
+
+    made = {}
+    for _, sid, target, is_image, _ in calls:
+        made.setdefault(sid, []).append((target, is_image))
+    assert made[1] == [(BOTH, False)]  # fault-tolerant
+    assert made[2] == [(CH_A, False), (CH_B, False)]  # common transmitter on both
+    images = {sid: kinds for sid, kinds in made.items()
+              if any(is_image for _, is_image in kinds)}
+    assert images.keys() == {5, 6, 7, 9}
+    home = {3: CH_B, 4: CH_B, 5: CH_A}
+    for sid, kinds in images.items():
+        ch = home[example1.signals[sid - 1].transmitter]
+        assert kinds == [(ch, False), (CH_A if ch == CH_B else CH_B, True)]
+    assert all(len(kinds) == 1 for sid, kinds in made.items() if sid not in {2, *images})
+    assert len(calls) == len(out.placements)
+
 
 def test_schedule_example1(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
