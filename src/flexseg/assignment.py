@@ -78,20 +78,68 @@ class _State:
     endpoints lies there.  `add_split` and `move_delta` score a candidate
     without changing any state; `criterion_at` and `bound_at` turn the
     resulting sums into the same floats `criterion` and `bound` give once
-    the candidate is applied.  `_TableState` keeps the sums by lookups in
-    the hypergraph's coverage table, `_WalkState` by walking the incident
-    edges of the ECU that changes; each has `reset` (unassign every ECU),
-    `load`, `assign`, `unassign`, `move`, `add_split` and `move_delta`.
+    the candidate is applied, and `assign` and `move` apply it from that
+    score.  `saved` and `restore` undo any run of changes.  Only the
+    scoring has two backings: `_TableState` reads the hypergraph's coverage
+    table, `_WalkState` walks the incident edges of the ECU that changes.
     """
 
-    __slots__ = ("bit", "full", "ft", "mask_a", "mask_b",
+    __slots__ = ("bit", "full", "ft", "total", "mask_a", "mask_b",
                  "sum_a", "sum_b", "sum_g", "sum_float")
 
     def __init__(self, hg: Hypergraph):
         self.bit = {u: 1 << i for i, u in enumerate(hg.free_ecus)}
         self.full = (1 << len(hg.free_ecus)) - 1
         self.ft = hg.ft_weight_bytes
+        self.total = sum(hg.edges.values())
         self.reset()
+
+    def reset(self) -> None:
+        """Unassign every ECU."""
+        self.mask_a = self.mask_b = 0
+        self.sum_a = self.sum_b = self.sum_g = 0
+        self.sum_float = self.total
+
+    def load(self, mask: int) -> None:
+        """Assign every ECU: bit set = channel A.  ECUs already on their
+        channel stay, so loading a map near the last one is cheap."""
+        for u, b in self.bit.items():
+            if not (self.mask_a | self.mask_b) & b:
+                self.assign(u, CH_A if mask & b else CH_B)
+            elif (self.mask_a ^ mask) & b:
+                self.move(u)
+
+    def assign(self, ecu: int, ch: str, split: tuple[int, int, int] | None = None) -> None:
+        """Put an unassigned ECU on `ch`, applying its `add_split` score,
+        which is worked out here when not given."""
+        floating, on_b, on_a = self.add_split(ecu) if split is None else split
+        self.sum_float -= floating
+        if ch == CH_A:
+            self.mask_a |= self.bit[ecu]
+            self.sum_a += floating + on_b
+            self.sum_g += on_b
+        else:
+            self.mask_b |= self.bit[ecu]
+            self.sum_b += floating + on_a
+            self.sum_g += on_a
+
+    def move(self, ecu: int, delta: tuple[int, int, int] | None = None) -> None:
+        """Flip an assigned ECU's channel, applying its `move_delta` score,
+        which is worked out here when not given."""
+        d_a, d_b, d_g = self.move_delta(ecu) if delta is None else delta
+        b = self.bit[ecu]
+        self.mask_a ^= b
+        self.mask_b ^= b
+        self.sum_a += d_a
+        self.sum_b += d_b
+        self.sum_g += d_g
+
+    def saved(self) -> tuple[int, ...]:
+        """The map and its sums, for `restore`."""
+        return self.mask_a, self.mask_b, self.sum_a, self.sum_b, self.sum_g, self.sum_float
+
+    def restore(self, saved: tuple[int, ...]) -> None:
+        self.mask_a, self.mask_b, self.sum_a, self.sum_b, self.sum_g, self.sum_float = saved
 
     @property
     def assigned(self) -> dict[int, str]:
@@ -136,46 +184,25 @@ class _State:
 
 
 class _TableState(_State):
-    """Sums read from the coverage table `hg.uncovered`: with u the table
+    """Scores read from the coverage table `hg.uncovered`: with u the table
     and T = u[0] the edge payload, P_A = T - u[A], P_B = T - u[B], the
     floating pool is u[A|B] and P_G = P_A + P_B - (T - u[A|B]).  Every
-    change and every candidate costs two or three lookups."""
+    candidate costs two or three lookups, and so does loading a map."""
 
-    __slots__ = ("uncovered", "total")
+    __slots__ = ("uncovered",)
 
     def __init__(self, hg: Hypergraph):
         self.uncovered = hg.uncovered
-        self.total = self.uncovered[0]
         super().__init__(hg)
-
-    def _set(self, mask_a: int, mask_b: int) -> None:
-        u, total = self.uncovered, self.total
-        self.mask_a, self.mask_b = mask_a, mask_b
-        self.sum_a = total - u[mask_a]
-        self.sum_b = total - u[mask_b]
-        self.sum_float = u[mask_a | mask_b]
-        self.sum_g = self.sum_a + self.sum_b - total + self.sum_float
-
-    def reset(self) -> None:
-        self._set(0, 0)
 
     def load(self, mask: int) -> None:
         """Assign every ECU: bit set = channel A."""
-        self._set(mask, self.full ^ mask)
-
-    def assign(self, ecu: int, ch: str) -> None:
-        if ch == CH_A:
-            self._set(self.mask_a | self.bit[ecu], self.mask_b)
-        else:
-            self._set(self.mask_a, self.mask_b | self.bit[ecu])
-
-    def unassign(self, ecu: int) -> None:
-        keep = self.full ^ self.bit[ecu]
-        self._set(self.mask_a & keep, self.mask_b & keep)
-
-    def move(self, ecu: int) -> None:
-        b = self.bit[ecu]
-        self._set(self.mask_a ^ b, self.mask_b ^ b)
+        u, total = self.uncovered, self.total
+        self.mask_a, self.mask_b = mask, self.full ^ mask
+        self.sum_a = total - u[mask]
+        self.sum_b = total - u[self.mask_b]
+        self.sum_float = u[self.full]
+        self.sum_g = self.sum_a + self.sum_b - total + self.sum_float
 
     def add_split(self, ecu: int) -> tuple[int, int, int]:
         """Incident weight of an unassigned ECU that is (floating, on B
@@ -198,104 +225,37 @@ class _TableState(_State):
 
 
 class _WalkState(_State):
-    """Sums kept by walking the moved ECU's incident edges, with a count
-    per edge of its assigned endpoints on each channel.  The evaluator of
-    hypergraphs above `TABLE_MAX_ECUS`, of single maps and the reference
-    the table is tested against."""
+    """Scores worked out by walking the ECU's incident edges, each held as
+    (endpoint mask, weight) and tested against `mask_a` and `mask_b`.  The
+    evaluator of hypergraphs above `TABLE_MAX_ECUS`, of single maps and the
+    reference the table is tested against."""
 
-    __slots__ = ("weights", "incident", "cnt_a", "cnt_b")
+    __slots__ = ("incident",)
 
     def __init__(self, hg: Hypergraph):
-        self.weights = list(hg.edges.values())
-        self.incident: dict[int, list[int]] = {u: [] for u in hg.free_ecus}
-        for k, ends in enumerate(hg.edges):
-            for u in ends:
-                self.incident[u].append(k)
         super().__init__(hg)
-
-    def reset(self) -> None:
-        self.cnt_a = [0] * len(self.weights)
-        self.cnt_b = [0] * len(self.weights)
-        self.mask_a = self.mask_b = 0
-        self.sum_a = 0
-        self.sum_b = 0
-        self.sum_g = 0
-        self.sum_float = sum(self.weights)
-
-    def load(self, mask: int) -> None:
-        """Assign every ECU: bit set = channel A.  ECUs already on their
-        channel stay, so loading a map near the last one is cheap."""
-        for u, b in self.bit.items():
-            if not (self.mask_a | self.mask_b) & b:
-                self.assign(u, CH_A if mask & b else CH_B)
-            elif (self.mask_a ^ mask) & b:
-                self.move(u)
-
-    def assign(self, ecu: int, ch: str) -> None:
-        if ch == CH_A:
-            self.mask_a |= self.bit[ecu]
-            cnt_on, cnt_off = self.cnt_a, self.cnt_b
-        else:
-            self.mask_b |= self.bit[ecu]
-            cnt_on, cnt_off = self.cnt_b, self.cnt_a
-        weights = self.weights
-        added = floating = 0
-        for k in self.incident[ecu]:
-            if cnt_on[k] == 0:
-                w = weights[k]
-                added += w
-                if cnt_off[k] == 0:
-                    floating += w
-            cnt_on[k] += 1
-        self._shift(ch, added, floating)
-
-    def unassign(self, ecu: int) -> None:
-        b = self.bit[ecu]
-        if self.mask_a & b:
-            ch, cnt_on, cnt_off = CH_A, self.cnt_a, self.cnt_b
-        else:
-            ch, cnt_on, cnt_off = CH_B, self.cnt_b, self.cnt_a
-        self.mask_a &= ~b
-        self.mask_b &= ~b
-        weights = self.weights
-        removed = floating = 0
-        for k in self.incident[ecu]:
-            cnt_on[k] -= 1
-            if cnt_on[k] == 0:
-                w = weights[k]
-                removed += w
-                if cnt_off[k] == 0:
-                    floating += w
-        self._shift(ch, -removed, -floating)
-
-    def _shift(self, ch: str, added: int, floating: int) -> None:
-        """Book `added` weight newly on `ch`, `floating` of it taken from the
-        pool of edges without an assigned endpoint and the rest onto both
-        channels (the gateway)."""
-        if ch == CH_A:
-            self.sum_a += added
-        else:
-            self.sum_b += added
-        self.sum_float -= floating
-        self.sum_g += added - floating
-
-    def move(self, ecu: int) -> None:
-        ch = CH_B if self.mask_a & self.bit[ecu] else CH_A
-        self.unassign(ecu)
-        self.assign(ecu, ch)
+        bit = self.bit
+        self.incident = incident = {u: [] for u in bit}
+        for ends, w in hg.edges.items():
+            mask = 0
+            for u in ends:
+                mask |= bit[u]
+            edge = (mask, w)
+            for u in ends:
+                incident[u].append(edge)
 
     def add_split(self, ecu: int) -> tuple[int, int, int]:
         """As `_TableState.add_split`, in one walk."""
-        weights, cnt_a, cnt_b = self.weights, self.cnt_a, self.cnt_b
+        mask_a, mask_b = self.mask_a, self.mask_b
         floating = on_b = on_a = 0
-        for k in self.incident[ecu]:
-            if cnt_a[k]:
-                if not cnt_b[k]:
-                    on_a += weights[k]
-            elif cnt_b[k]:
-                on_b += weights[k]
+        for m, w in self.incident[ecu]:
+            if m & mask_a:
+                if not m & mask_b:
+                    on_a += w
+            elif m & mask_b:
+                on_b += w
             else:
-                floating += weights[k]
+                floating += w
         return floating, on_b, on_a
 
     def move_delta(self, ecu: int) -> tuple[int, int, int]:
@@ -303,20 +263,19 @@ class _WalkState(_State):
         to the sums.  An edge leaves the old channel when the ECU is its
         only endpoint there, and reaches the new one when it has none
         there yet; the gateway carries it exactly while it is on both."""
-        on_a = bool(self.mask_a & self.bit[ecu])
-        cnt_from, cnt_to = (self.cnt_a, self.cnt_b) if on_a else (self.cnt_b, self.cnt_a)
-        weights = self.weights
+        b = self.bit[ecu]
+        on_a = self.mask_a & b
+        # the ECU's other endpoints on its channel, and the target channel
+        rest, to = (self.mask_a ^ b, self.mask_b) if on_a else (self.mask_b ^ b, self.mask_a)
         d_from = d_to = d_g = 0
-        for k in self.incident[ecu]:
-            if cnt_from[k] == 1:
-                w = weights[k]
+        for m, w in self.incident[ecu]:
+            if not m & rest:
                 d_from -= w
-                if cnt_to[k]:
+                if m & to:
                     d_g -= w
                 else:
                     d_to += w
-            elif not cnt_to[k]:
-                w = weights[k]
+            elif not m & to:
                 d_to += w
                 d_g += w
         return (d_from, d_to, d_g) if on_a else (d_to, d_from, d_g)
@@ -352,8 +311,7 @@ def evaluate_criterion(hg: Hypergraph, channel_of: dict[int, str],
         if u not in channel_of:
             raise ValueError(f"no channel assigned for ECU {u}")
     st = _WalkState(hg)
-    for u in hg.free_ecus:
-        st.assign(u, channel_of[u])
+    st.load(sum(b for u, b in st.bit.items() if channel_of[u] == CH_A))
     p_a, p_b, p_g = st.payloads()
     return p_a, p_b, p_g, st.criterion(params)
 
@@ -418,7 +376,7 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
         # Both child bounds from one add_split; a child is assigned only when
         # its bound survives the incumbent found so far.
         ecu = order[depth]
-        floating, on_b, on_a = st.add_split(ecu)
+        split = floating, on_b, on_a = st.add_split(ecu)
         pool = st.sum_float - floating
         bound_a = st.bound_at(params, st.sum_a + floating + on_b, st.sum_b,
                               st.sum_g + on_b, pool)
@@ -429,11 +387,12 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
                                   st.sum_g + on_a, pool)
             children = ((bound_b, CH_B), (bound_a, CH_A)) if bound_b < bound_a \
                 else ((bound_a, CH_A), (bound_b, CH_B))
+        before = st.saved()
         for bound, ch in children:
             if not bound > best_crit:
-                st.assign(ecu, ch)
+                st.assign(ecu, ch, split)
                 dfs(depth + 1)
-                st.unassign(ecu)
+                st.restore(before)
 
     if time.monotonic() > deadline:
         timed_out = True
@@ -451,14 +410,14 @@ def _greedy_assignment(st: _State, ordered: list[int], params: CriterionParams) 
     """List-style construction: place each ECU on the channel that yields
     the lower partial criterion, ties to the lighter channel, then A."""
     for ecu in ordered:
-        floating, on_b, on_a = st.add_split(ecu)
+        split = floating, on_b, on_a = st.add_split(ecu)
         load_a, load_b, load_g = st.sum_a, st.sum_b, st.sum_g
         crit_a = st.criterion_at(params, load_a + floating + on_b, load_b, load_g + on_b)
         crit_b = st.criterion_at(params, load_a, load_b + floating + on_a, load_g + on_a)
         if crit_a < crit_b or (crit_a == crit_b and load_a <= load_b):
-            st.assign(ecu, CH_A)
+            st.assign(ecu, CH_A, split)
         else:
-            st.assign(ecu, CH_B)
+            st.assign(ecu, CH_B, split)
 
 
 def _exchange(st: _State, ordered: list[int], params: CriterionParams) -> None:
@@ -468,31 +427,36 @@ def _exchange(st: _State, ordered: list[int], params: CriterionParams) -> None:
     while improved:
         improved = False
         for ecu in ordered:
-            d_a, d_b, d_g = st.move_delta(ecu)
+            delta = d_a, d_b, d_g = st.move_delta(ecu)
             moved = st.criterion_at(params, st.sum_a + d_a, st.sum_b + d_b, st.sum_g + d_g)
             if moved < crit:
-                st.move(ecu)
+                st.move(ecu, delta)
                 crit = moved
                 improved = True
 
 
 def _two_opt(st: _State, ecus: list[int], params: CriterionParams) -> None:
-    """Swap channel-A/channel-B pairs when the swap strictly improves."""
+    """Swap channel-A/channel-B pairs when the swap strictly improves:
+    each channel-A ECU is moved once, each channel-B partner scored with it
+    moved, and the map restored when no partner improves."""
     crit = st.criterion(params)
     for u in ecus:
         if not st.mask_a & st.bit[u]:
             continue
+        before = st.saved()
+        on_b = st.mask_b
+        st.move(u)
         for v in ecus:
-            if not st.mask_b & st.bit[v]:
+            if not on_b & st.bit[v]:
                 continue
-            st.move(u)
-            d_a, d_b, d_g = st.move_delta(v)
+            delta = d_a, d_b, d_g = st.move_delta(v)
             swapped = st.criterion_at(params, st.sum_a + d_a, st.sum_b + d_b, st.sum_g + d_g)
             if swapped < crit:
-                st.move(v)
+                st.move(v, delta)
                 crit = swapped
                 break
-            st.move(u)
+        else:
+            st.restore(before)
 
 
 def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
@@ -530,15 +494,19 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
     return _finish(st, params, optimal=False)
 
 
+GA_POPULATION = 100
+GA_STAGNATION_LIMIT = 20
+
+
 def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
-             population_size: int = 100, max_generations: int = 100,
-             stagnation_limit: int = 20) -> ChannelAssignment:
+             max_generations: int = 100) -> ChannelAssignment:
     """Binary genetic algorithm baseline.
 
     Individuals are channel bit-vectors over the one-port ECUs (set bit =
-    channel A).  Tournament selection of size 2, uniform crossover with
-    probability 0.9, per-bit mutation 1/|N|, elitism of 1; stops after the
-    generation budget or 20 generations without improvement.
+    channel A).  A population of `GA_POPULATION`, tournament selection of
+    size 2, uniform crossover with probability 0.9, per-bit mutation 1/|N|,
+    elitism of 1; stops after the generation budget or
+    `GA_STAGNATION_LIMIT` generations without improvement.
     """
     st = _new_state(hg)
     n = len(hg.free_ecus)
@@ -555,22 +523,22 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
         return val
 
     rng = random.Random(rng_seed)
-    population = [rng.getrandbits(n) for _ in range(population_size)]
+    population = [rng.getrandbits(n) for _ in range(GA_POPULATION)]
     best = min(population, key=fitness)
     stagnant = 0
     mut_p = 1.0 / n
 
     for _ in range(max_generations):
-        if stagnant >= stagnation_limit:
+        if stagnant >= GA_STAGNATION_LIMIT:
             break
 
         def pick() -> int:
-            a = population[rng.randrange(population_size)]
-            b = population[rng.randrange(population_size)]
+            a = population[rng.randrange(GA_POPULATION)]
+            b = population[rng.randrange(GA_POPULATION)]
             return a if fitness(a) <= fitness(b) else b
 
         children = [best]
-        while len(children) < population_size:
+        while len(children) < GA_POPULATION:
             p1, p2 = pick(), pick()
             if rng.random() < 0.9:
                 swap_mask = rng.getrandbits(n)
@@ -579,7 +547,7 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
             else:
                 c1, c2 = p1, p2
             for child in (c1, c2):
-                if len(children) >= population_size:
+                if len(children) >= GA_POPULATION:
                     break
                 for bit in range(n):
                     if rng.random() < mut_p:

@@ -195,6 +195,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     inst = load_instance(args.instance)
     sched, channel_of = read_fibex(args.schedule)
+    if sched.config != inst.config:
+        raise FormatError(f"schedule file cluster {sched.config} differs from the "
+                          f"instance's {inst.config}")
     hg = build_hypergraph(inst)
     missing = [u for u in hg.free_ecus if u not in channel_of]
     if missing:

@@ -32,7 +32,6 @@ class DriverConfig:
     assignment_solver: str = "CAH"
     cah_tries: int = 100
     rng_seed: int = 0
-    exact_time_limit_ms: int = 60_000
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -68,7 +67,7 @@ def _schedule_key(sched: Schedule) -> tuple[int, int, int]:
 def _solve(solver: str, hg, params: CriterionParams, cfg: DriverConfig,
            seed: int) -> ChannelAssignment:
     if solver == "EXACT":
-        return asg_mod.solve_exact(hg, params, time_limit_ms=cfg.exact_time_limit_ms)
+        return asg_mod.solve_exact(hg, params)
     if solver == "GA":
         return asg_mod.solve_ga(hg, params, rng_seed=seed)
     return asg_mod.solve_cah(hg, params, tries_count=cfg.cah_tries, rng_seed=seed)

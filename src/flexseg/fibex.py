@@ -18,6 +18,7 @@ from .model import (
     EcuKind,
     Instance,
     NetworkConfig,
+    validate_config,
 )
 from .scheduler import CHANNELS, Occupancy, Schedule, SlotColumn
 
@@ -34,7 +35,7 @@ def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
     ET.SubElement(root, "cluster", {
         "cycle-duration-ms": repr(inst.config.cycle_duration_ms),
         "slot-payload-bytes": str(inst.config.slot_payload_bytes),
-        "hyperperiod-cycles": str(inst.config.hyperperiod_cycles),
+        "hyperperiod-cycles": str(HYPERPERIOD_CYCLES),
     })
     ecus = ET.SubElement(root, "ecus")
     for e in inst.ecus:
@@ -82,13 +83,38 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
         raise ValueError(f"{path} is not a schedule file: {exc}") from exc
 
 
+def _occurrence(el: ET.Element) -> Occupancy:
+    """The signal instance `el` describes, or ValueError naming a value
+    its frame cannot hold."""
+    bit_offset = int(el.get("bit-offset"))
+    if bit_offset < 0:
+        raise ValueError(f"bit-offset {bit_offset} is negative")
+    if bit_offset % 8:
+        raise ValueError(f"bit-offset {bit_offset} is not a whole byte")
+    payload = int(el.get("payload-bytes"))
+    if payload < 1:
+        raise ValueError(f"payload-bytes {payload} is not positive")
+    rep = int(el.get("repetition"))
+    if rep not in ALLOWED_PERIOD_CYCLES:
+        raise ValueError(f"repetition {rep} is not a power of two in 1..{HYPERPERIOD_CYCLES}")
+    image = el.get("image")
+    if image not in ("true", "false"):
+        raise ValueError(f"image {image!r} is not true or false")
+    return Occupancy(signal=int(el.get("signal")), offset=bit_offset // 8, payload=payload,
+                     is_image=image == "true", repetition=rep)
+
+
 def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
     cluster = root.find("cluster")
+    hyperperiod = int(cluster.get("hyperperiod-cycles"))
+    if hyperperiod != HYPERPERIOD_CYCLES:
+        raise ValueError(f"cluster: hyperperiod-cycles {hyperperiod} is not "
+                         f"{HYPERPERIOD_CYCLES}")
     config = NetworkConfig(
         cycle_duration_ms=float(cluster.get("cycle-duration-ms")),
         slot_payload_bytes=int(cluster.get("slot-payload-bytes")),
-        hyperperiod_cycles=int(cluster.get("hyperperiod-cycles")),
     )
+    validate_config(config)
     channel_of: dict[int, str] = {}
     for ecu_el in root.find("ecus"):
         # An empty value is an ECU without a channel, which validate reports.
@@ -107,8 +133,11 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             slot = int(slot_el.get("id"))
             if slot in sched.columns[ch]:
                 raise ValueError(f"channel {ch}: slot id {slot} appears twice")
-            col = SlotColumn(owner=int(slot_el.get("owner")),
-                             is_gateway=slot_el.get("gateway") == "true",
+            gateway = slot_el.get("gateway")
+            if gateway not in ("true", "false"):
+                raise ValueError(f"slot {slot} on channel {ch}: gateway {gateway!r} "
+                                 f"is not true or false")
+            col = SlotColumn(owner=int(slot_el.get("owner")), is_gateway=gateway == "true",
                              slot_payload_bytes=config.slot_payload_bytes)
             sched.add_column(ch, slot, col)
             for frame_el in slot_el:
@@ -117,22 +146,9 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
                     raise ValueError(f"frame in slot {slot} on channel {ch}: base-cycle "
                                      f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
                 for inst_el in frame_el:
-                    bit_offset = int(inst_el.get("bit-offset"))
-                    if bit_offset % 8:
-                        raise ValueError(
-                            f"signal {inst_el.get('signal')} in slot {slot} on channel "
-                            f"{ch}: bit-offset {bit_offset} is not a whole byte")
-                    rep = int(inst_el.get("repetition"))
-                    if rep not in ALLOWED_PERIOD_CYCLES:
-                        raise ValueError(
-                            f"signal {inst_el.get('signal')} in slot {slot} on channel "
-                            f"{ch}: repetition {rep} is not a power of two in "
-                            f"1..{HYPERPERIOD_CYCLES}")
-                    col.add(base, Occupancy(
-                        signal=int(inst_el.get("signal")),
-                        offset=bit_offset // 8,
-                        payload=int(inst_el.get("payload-bytes")),
-                        is_image=inst_el.get("image") == "true",
-                        repetition=rep,
-                    ))
+                    try:
+                        col.add(base, _occurrence(inst_el))
+                    except ValueError as exc:
+                        raise ValueError(f"signal {inst_el.get('signal')} in slot {slot} on "
+                                         f"channel {ch}: {exc}") from None
     return sched, channel_of

@@ -19,9 +19,12 @@ from .model import (
     ALLOWED_PERIOD_CYCLES,
     Ecu,
     EcuKind,
+    FormatError,
     Instance,
     NetworkConfig,
     Signal,
+    _as_int,
+    _as_number,
     validate_instance,
 )
 
@@ -193,7 +196,19 @@ def reduce_partition(items: list[int]) -> Hypergraph:
 
 
 _PROFILE_FIELDS = {f.name for f in dataclasses.fields(GeneratorProfile)}
+_INT_FIELDS = {"ecu_count", "signal_count", "slot_payload_bytes"}
 _WEIGHT_FIELDS = {"period_weights", "payload_weights", "receiver_count_weights"}
+
+
+def _profile_value(key: str, value):
+    """A profile field read from JSON; FormatError names a mistyped one."""
+    if key in _WEIGHT_FIELDS:
+        if not isinstance(value, dict):
+            raise FormatError(f"{key} must be an object")
+        return {int(k): _as_number(w, f"{key}[{k}]") for k, w in value.items()}
+    if key in _INT_FIELDS:
+        return _as_int(value, key)
+    return value if key == "name" else _as_number(value, key)
 
 
 def load_profile(path: str | Path) -> GeneratorProfile:
@@ -203,11 +218,7 @@ def load_profile(path: str | Path) -> GeneratorProfile:
     unknown = set(data) - _PROFILE_FIELDS
     if unknown:
         raise ValueError(f"unknown profile field(s): {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _WEIGHT_FIELDS:
-            value = {int(k): float(v) for k, v in value.items()}
-        kwargs[key] = value
-    profile = GeneratorProfile(**kwargs)
+    profile = GeneratorProfile(**{key: _profile_value(key, value)
+                                  for key, value in data.items()})
     validate_profile(profile)
     return profile

@@ -36,7 +36,6 @@ class EcuKind(str, Enum):
 class NetworkConfig:
     cycle_duration_ms: float
     slot_payload_bytes: int
-    hyperperiod_cycles: int = HYPERPERIOD_CYCLES
 
 
 @dataclass(frozen=True)
@@ -116,15 +115,18 @@ def base_cycle_window(period_cycles: int, release_ms: float, deadline_ms: float,
                  if (y - 1) * m >= release_ms - _EPS_MS and y * m <= deadline_ms + _EPS_MS)
 
 
+def validate_config(cfg: NetworkConfig) -> None:
+    """Raise ValidationError naming the first invalid cluster setting."""
+    if cfg.slot_payload_bytes < 1:
+        raise ValidationError("slot_payload_bytes must be >= 1")
+    if not 0 < cfg.cycle_duration_ms < float("inf"):
+        raise ValidationError("cycle_duration_ms must be positive and finite")
+
+
 def validate_instance(inst: Instance) -> None:
     """Raise ValidationError naming the first violated invariant."""
     cfg = inst.config
-    if cfg.slot_payload_bytes < 1:
-        raise ValidationError("slot_payload_bytes must be >= 1")
-    if cfg.cycle_duration_ms <= 0:
-        raise ValidationError("cycle_duration_ms must be positive")
-    if cfg.hyperperiod_cycles != HYPERPERIOD_CYCLES:
-        raise ValidationError("hyperperiod_cycles is fixed at 64")
+    validate_config(cfg)
 
     seen_ids: set[int] = set()
     for e in inst.ecus:

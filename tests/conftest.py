@@ -45,11 +45,12 @@ def brute_force_assignments(hg: Hypergraph):
 
 def oracle_payloads(hg: Hypergraph, channel_of: dict[int, str]) -> tuple[int, int, int]:
     """Straightforward re-statement of the payload rules, written
-    independently of the package evaluator."""
+    independently of the package evaluator.  An ECU missing from
+    `channel_of` is unassigned and loads neither channel."""
     p_a = p_b = p_g = 0
     for ends, weight in hg.edges.items():
-        on_a = any(channel_of[u] == "A" for u in ends)
-        on_b = any(channel_of[u] == "B" for u in ends)
+        on_a = any(channel_of.get(u) == "A" for u in ends)
+        on_b = any(channel_of.get(u) == "B" for u in ends)
         if on_a and on_b:
             p_a += weight
             p_b += weight

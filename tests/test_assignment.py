@@ -325,39 +325,47 @@ def test_split_and_move_delta_match_applied_moves(seed, alpha, beta):
     hg = random_hypergraph(rng, max_free=8, max_edges=20)
     params = CriterionParams(alpha=alpha, beta=beta)
     partial = {u: rng.choice("AB") for u in hg.free_ecus if rng.random() < 0.5}
-    seen = [check_split_and_move_delta(make(hg), partial, params) for make in STATES]
+    seen = [check_split_and_move_delta(make(hg), hg, partial, params) for make in STATES]
     assert seen == [seen[-1]] * len(STATES)
 
 
-def check_split_and_move_delta(state, partial, params) -> list[tuple[int, ...]]:
-    """Check each candidate's sums against the move applied; return the
-    sums and every candidate's split or delta, for comparing paths."""
+def check_split_and_move_delta(state, hg, partial, params) -> list[tuple[int, ...]]:
+    """Apply each candidate from its score and check the resulting map
+    against the oracle, then undo it; return the sums and every
+    candidate's split or delta, for comparing paths."""
+    def check(channel_of):
+        assert state.assigned == channel_of
+        assert state.payloads() == oracle_payloads(hg, channel_of)
+        assert state.sum_float == sum(w for ends, w in hg.edges.items()
+                                      if not any(u in channel_of for u in ends))
+
     for u, ch in partial.items():
         state.assign(u, ch)
+    check(partial)
     sums = (state.sum_a, state.sum_b, state.sum_g, state.sum_float)
+    before = state.saved()
     seen = [sums]
     for u in state.bit:
-        if u in state.assigned:
-            d_a, d_b, d_g = state.move_delta(u)
-            seen.append((d_a, d_b, d_g))
-            state.move(u)
-            assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == \
-                (sums[0] + d_a, sums[1] + d_b, sums[2] + d_g, sums[3])
+        if u in partial:
+            delta = d_a, d_b, d_g = state.move_delta(u)
+            seen.append(delta)
+            state.move(u, delta)
+            check({**partial, u: "B" if partial[u] == "A" else "A"})
             assert state.criterion(params) == state.criterion_at(
                 params, sums[0] + d_a, sums[1] + d_b, sums[2] + d_g)
             state.move(u)
         else:
-            floating, on_b, on_a = state.add_split(u)
-            seen.append((floating, on_b, on_a))
+            split = floating, on_b, on_a = state.add_split(u)
+            seen.append(split)
             for ch, child in (("A", (sums[0] + floating + on_b, sums[1], sums[2] + on_b)),
                               ("B", (sums[0], sums[1] + floating + on_a, sums[2] + on_a))):
-                state.assign(u, ch)
-                assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == \
-                    (*child, sums[3] - floating)
+                state.assign(u, ch, split)
+                check({**partial, u: ch})
                 assert state.bound(params) == state.bound_at(params, *child, sums[3] - floating)
                 assert state.criterion(params) == state.criterion_at(params, *child)
-                state.unassign(u)
+                state.restore(before)
         assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == sums
+        check(partial)
     return seen
 
 

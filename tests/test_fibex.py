@@ -194,12 +194,44 @@ def test_reader_rejects_repeated_slot_id(tmp_path, example1, capsys):
      "repetition -2 is not a power of two in 1..64"),
     (FRAME + "/signal-instance", "repetition", "3",
      "repetition 3 is not a power of two in 1..64"),
+    ("cluster", "hyperperiod-cycles", "32", "cluster: hyperperiod-cycles 32 is not 64"),
+    ("cluster", "slot-payload-bytes", "0", "slot_payload_bytes must be >= 1"),
+    ("cluster", "slot-payload-bytes", "-3", "slot_payload_bytes must be >= 1"),
+    ("cluster", "cycle-duration-ms", "nan",
+     "cycle_duration_ms must be positive and finite"),
+    (FRAME + "/signal-instance", "bit-offset", "-8", "bit-offset -8 is negative"),
+    (FRAME + "/signal-instance", "payload-bytes", "-1", "payload-bytes -1 is not positive"),
+    (FRAME + "/signal-instance", "payload-bytes", "0", "payload-bytes 0 is not positive"),
+    (FRAME + "/signal-instance", "image", "yes", "image 'yes' is not true or false"),
+    ("channels/channel/slot", "gateway", "1",
+     "slot 1 on channel A: gateway '1' is not true or false"),
 ])
 def test_reader_rejects_out_of_range_cycles(tmp_path, example1, capsys,
                                             element, attr, value, message):
-    # a base cycle or repetition the stored frames cannot hold is an error,
-    # not dropped occurrences or a finding
+    # a cluster, base cycle, repetition, offset, payload or flag the stored
+    # frames cannot hold is an error naming its element, not dropped
+    # occurrences, a failed shift, a silent false or a finding
     assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, message)
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("slot-payload-bytes", "4"),
+    ("cycle-duration-ms", "2.0"),
+])
+def test_validate_rejects_cluster_other_than_instance(tmp_path, example1, capsys,
+                                                      attr, value):
+    # the file reads, but its frames were laid out for another cluster
+    asg, sched = solved_example1(example1)
+    path = tmp_path / "example1.xml"
+    export_fibex(example1, asg, sched, path)
+    tree = ET.parse(path)
+    tree.getroot().find("cluster").set(attr, value)
+    tree.write(path)
+    assert read_fibex(path)[0].config != example1.config
+    inst_file = tmp_path / "example1.json"
+    save_instance(example1, inst_file)
+    assert main(["validate", str(inst_file), str(path)]) == 2
+    assert "schedule file cluster" in capsys.readouterr().err
 
 
 def test_base_cycle_above_repetition_is_v4(tmp_path, example1, capsys):

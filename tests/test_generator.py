@@ -4,6 +4,7 @@ import pytest
 
 from conftest import subset_sum_half
 from flexseg.assignment import CriterionParams, solve_exact
+from flexseg.cli import main
 from flexseg.generator import (
     GeneratorProfile,
     generate,
@@ -167,3 +168,18 @@ def test_profile_json_unknown_key(tmp_path):
     path.write_text('{"bogus": 1}')
     with pytest.raises(ValueError, match="bogus"):
         load_profile(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"ecu_count": "12"}', "ecu_count must be an integer"),
+    ('{"ecu_count": 12.7}', "ecu_count must be an integer"),
+    ('{"signal_count": true}', "signal_count must be an integer"),
+    ('{"payload_weights": [0.5, 0.5]}', "payload_weights must be an object"),
+])
+def test_generate_rejects_mistyped_profile(tmp_path, capsys, text, message):
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--profile", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

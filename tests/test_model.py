@@ -118,6 +118,10 @@ def test_unknown_field_rejected(tmp_path):
     (lambda d: d["ecus"].append({"id": 6, "class": "GATEWAY"}), "GATEWAY"),
     (lambda d: d["ecus"][1].update(**{"class": "ONE_PORT"}), "COMMON"),
     (lambda d: d["config"].update(slot_payload_bytes=0), "slot_payload_bytes"),
+    (lambda d: d["config"].update(cycle_duration_ms=float("nan")),
+     "cycle_duration_ms must be positive and finite"),
+    (lambda d: d["config"].update(cycle_duration_ms=float("inf")),
+     "cycle_duration_ms must be positive and finite"),
 ])
 def test_invariant_violations(tmp_path, mutate, message):
     data = json.loads(json.dumps(EXAMPLE1_JSON))
