@@ -4,7 +4,9 @@ A documented simplified subset, not a conformant FIBEX database: channels,
 ECUs with their channel connections, static slots with owners, one frame
 element per occupied (channel, slot, base-cycle) triple, and signal
 instances with bit offsets and cycle repetitions.  Element order is
-deterministic so identical inputs yield byte-identical files.
+deterministic so identical inputs yield byte-identical files.  The writer
+emits the text directly, one line per element, in the layout of an
+indented ElementTree document; the reader parses it with ElementTree.
 """
 from __future__ import annotations
 
@@ -29,48 +31,57 @@ def _ecu_channels(inst: Instance, asg: ChannelAssignment, ecu_id: int) -> str:
     return "AB"
 
 
+def _element(out: list[str], depth: int, tag: str, attrs: str, body: list[str]) -> None:
+    """Append the lines of a `tag` element with `attrs` (each preceded by a
+    space) at `depth` two-space indents; self-closing when `body`, the lines
+    of its children, is empty."""
+    pad = "  " * depth
+    if body:
+        out.append(f"{pad}<{tag}{attrs}>")
+        out.extend(body)
+        out.append(f"{pad}</{tag}>")
+    else:
+        out.append(f"{pad}<{tag}{attrs} />")
+
+
+def _by_offset(occ: Occupancy) -> tuple[int, int]:
+    return occ.offset, occ.signal
+
+
 def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
                  path: str | Path) -> None:
-    root = ET.Element("flexray-schedule", {"format": "simplified-1"})
-    ET.SubElement(root, "cluster", {
-        "cycle-duration-ms": repr(inst.config.cycle_duration_ms),
-        "slot-payload-bytes": str(inst.config.slot_payload_bytes),
-        "hyperperiod-cycles": str(HYPERPERIOD_CYCLES),
-    })
-    ecus = ET.SubElement(root, "ecus")
-    for e in inst.ecus:
-        ET.SubElement(ecus, "ecu", {
-            "id": str(e.id),
-            "class": e.kind.value,
-            "channels": _ecu_channels(inst, asg, e.id),
-        })
-
-    channels = ET.SubElement(root, "channels")
+    # Every attribute value is an int, a fixed word or the repr of a finite
+    # float, so none needs escaping.
+    config = inst.config
+    ecus = [f'    <ecu id="{e.id}" class="{e.kind.value}" '
+            f'channels="{_ecu_channels(inst, asg, e.id)}" />' for e in inst.ecus]
+    channels: list[str] = []
     for ch in CHANNELS:
-        ch_el = ET.SubElement(channels, "channel", {
-            "name": ch, "max-slot": str(sched.max_slot(ch)),
-        })
-        for slot in sorted(sched.columns[ch]):
-            col = sched.columns[ch][slot]
-            slot_el = ET.SubElement(ch_el, "slot", {
-                "id": str(slot),
-                "owner": str(col.owner),
-                "gateway": "true" if col.is_gateway else "false",
-            })
+        columns = sched.columns[ch]
+        slots: list[str] = []
+        for slot in sorted(columns):
+            col = columns[slot]
+            frames: list[str] = []
             for base in sorted(col.frames):
-                frame_el = ET.SubElement(slot_el, "frame", {"base-cycle": str(base)})
-                for occ in sorted(col.frames[base], key=lambda o: (o.offset, o.signal)):
-                    ET.SubElement(frame_el, "signal-instance", {
-                        "signal": str(occ.signal),
-                        "bit-offset": str(occ.offset * 8),
-                        "payload-bytes": str(occ.payload),
-                        "repetition": str(occ.repetition),
-                        "image": "true" if occ.is_image else "false",
-                    })
-
-    ET.indent(root)
-    text = ET.tostring(root, encoding="unicode", xml_declaration=True)
-    Path(path).write_text(text + "\n")
+                _element(frames, 4, "frame", f' base-cycle="{base}"', [
+                    f'          <signal-instance signal="{occ.signal}" '
+                    f'bit-offset="{occ.offset * 8}" payload-bytes="{occ.payload}" '
+                    f'repetition="{occ.repetition}" '
+                    f'image="{"true" if occ.is_image else "false"}" />'
+                    for occ in sorted(col.frames[base], key=_by_offset)])
+            _element(slots, 3, "slot", f' id="{slot}" owner="{col.owner}" '
+                     f'gateway="{"true" if col.is_gateway else "false"}"', frames)
+        _element(channels, 2, "channel", f' name="{ch}" max-slot="{sched.max_slot(ch)}"',
+                 slots)
+    body = [f'  <cluster cycle-duration-ms="{config.cycle_duration_ms!r}" '
+            f'slot-payload-bytes="{config.slot_payload_bytes}" '
+            f'hyperperiod-cycles="{HYPERPERIOD_CYCLES}" />']
+    _element(body, 1, "ecus", "", ecus)
+    _element(body, 1, "channels", "", channels)
+    lines = ["<?xml version='1.0' encoding='utf-8'?>"]
+    _element(lines, 0, "flexray-schedule", ' format="simplified-1"', body)
+    lines.append("")
+    Path(path).write_text("\n".join(lines))
 
 
 def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
@@ -83,46 +94,70 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
         raise ValueError(f"{path} is not a schedule file: {exc}") from exc
 
 
-def _occurrence(el: ET.Element) -> Occupancy:
-    """The signal instance `el` describes, or ValueError naming a value
-    its frame cannot hold."""
-    bit_offset = int(el.get("bit-offset"))
+_PARSED_AS = {int: "an integer", float: "a number"}
+
+
+def _field(attrib: dict[str, str], name: str, where: str, parse=int):
+    """`attrib[name]` read by `parse`, or ValueError naming the element,
+    `where` (with its trailing ': '), and the attribute."""
+    value = attrib.get(name)
+    if value is None:
+        raise ValueError(f"{where}{name} is missing")
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"{where}{name} {value!r} is not {_PARSED_AS[parse]}") from None
+
+
+_INSTANCE_INTS = ("bit-offset", "payload-bytes", "repetition", "signal")
+
+
+def _occurrence(a: dict[str, str]) -> Occupancy:
+    """The signal instance with attributes `a`, or ValueError naming a
+    value its frame cannot hold."""
+    try:
+        bit_offset, payload = int(a["bit-offset"]), int(a["payload-bytes"])
+        rep, signal = int(a["repetition"]), int(a["signal"])
+    except (KeyError, ValueError):
+        for name in _INSTANCE_INTS:
+            _field(a, name, "")
+        raise
     if bit_offset < 0:
         raise ValueError(f"bit-offset {bit_offset} is negative")
     if bit_offset % 8:
         raise ValueError(f"bit-offset {bit_offset} is not a whole byte")
-    payload = int(el.get("payload-bytes"))
     if payload < 1:
         raise ValueError(f"payload-bytes {payload} is not positive")
-    rep = int(el.get("repetition"))
     if rep not in ALLOWED_PERIOD_CYCLES:
         raise ValueError(f"repetition {rep} is not a power of two in 1..{HYPERPERIOD_CYCLES}")
-    image = el.get("image")
+    image = a.get("image")
     if image not in ("true", "false"):
         raise ValueError(f"image {image!r} is not true or false")
-    return Occupancy(signal=int(el.get("signal")), offset=bit_offset // 8, payload=payload,
-                     is_image=image == "true", repetition=rep)
+    return Occupancy(signal, bit_offset // 8, payload, image == "true", rep)
 
 
 def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
-    cluster = root.find("cluster")
-    hyperperiod = int(cluster.get("hyperperiod-cycles"))
+    cluster = root.find("cluster").attrib
+    hyperperiod = _field(cluster, "hyperperiod-cycles", "cluster: ")
     if hyperperiod != HYPERPERIOD_CYCLES:
         raise ValueError(f"cluster: hyperperiod-cycles {hyperperiod} is not "
                          f"{HYPERPERIOD_CYCLES}")
     config = NetworkConfig(
-        cycle_duration_ms=float(cluster.get("cycle-duration-ms")),
-        slot_payload_bytes=int(cluster.get("slot-payload-bytes")),
+        cycle_duration_ms=_field(cluster, "cycle-duration-ms", "cluster: ", float),
+        slot_payload_bytes=_field(cluster, "slot-payload-bytes", "cluster: "),
     )
     validate_config(config)
     channel_of: dict[int, str] = {}
     for ecu_el in root.find("ecus"):
+        a = ecu_el.attrib
+        ecu = _field(a, "id", "ecu element: ")
+        kind = _field(a, "class", f"ecu {ecu}: ", str)
         # An empty value is an ECU without a channel, which validate reports.
-        ch = ecu_el.get("channels")
-        if ecu_el.get("class") == EcuKind.ONE_PORT.value and ch:
+        ch = _field(a, "channels", f"ecu {ecu}: ", str)
+        if kind == EcuKind.ONE_PORT.value and ch:
             if ch not in CHANNELS:
-                raise ValueError(f"ecu {ecu_el.get('id')}: channels {ch!r} is not A or B")
-            channel_of[int(ecu_el.get("id"))] = ch
+                raise ValueError(f"ecu {ecu}: channels {ch!r} is not A or B")
+            channel_of[ecu] = ch
 
     sched = Schedule(config=config)
     for ch_el in root.find("channels"):
@@ -130,25 +165,28 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
         if ch not in CHANNELS:
             raise ValueError(f"channel element: name {ch!r} is not A or B")
         for slot_el in ch_el:
-            slot = int(slot_el.get("id"))
+            a = slot_el.attrib
+            slot = _field(a, "id", f"slot element on channel {ch}: ")
             if slot in sched.columns[ch]:
                 raise ValueError(f"channel {ch}: slot id {slot} appears twice")
-            gateway = slot_el.get("gateway")
+            where = f"slot {slot} on channel {ch}"
+            gateway = a.get("gateway")
             if gateway not in ("true", "false"):
-                raise ValueError(f"slot {slot} on channel {ch}: gateway {gateway!r} "
-                                 f"is not true or false")
-            col = SlotColumn(owner=int(slot_el.get("owner")), is_gateway=gateway == "true",
+                raise ValueError(f"{where}: gateway {gateway!r} is not true or false")
+            col = SlotColumn(owner=_field(a, "owner", f"{where}: "),
+                             is_gateway=gateway == "true",
                              slot_payload_bytes=config.slot_payload_bytes)
             sched.add_column(ch, slot, col)
             for frame_el in slot_el:
-                base = int(frame_el.get("base-cycle"))
+                base = _field(frame_el.attrib, "base-cycle", f"frame in {where}: ")
                 if not 1 <= base <= HYPERPERIOD_CYCLES:
-                    raise ValueError(f"frame in slot {slot} on channel {ch}: base-cycle "
+                    raise ValueError(f"frame in {where}: base-cycle "
                                      f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
                 for inst_el in frame_el:
+                    a = inst_el.attrib
                     try:
-                        col.add(base, _occurrence(inst_el))
+                        col.add(base, _occurrence(a))
                     except ValueError as exc:
-                        raise ValueError(f"signal {inst_el.get('signal')} in slot {slot} on "
-                                         f"channel {ch}: {exc}") from None
+                        who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
+                        raise ValueError(f"{who} in {where}: {exc}") from None
     return sched, channel_of

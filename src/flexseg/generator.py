@@ -200,12 +200,20 @@ _INT_FIELDS = {"ecu_count", "signal_count", "slot_payload_bytes"}
 _WEIGHT_FIELDS = {"period_weights", "payload_weights", "receiver_count_weights"}
 
 
+def _weight_key(text: str, field: str) -> int:
+    """A weight-table key, written as an integer string in JSON."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{field} key {text!r} is not an integer") from None
+
+
 def _profile_value(key: str, value):
     """A profile field read from JSON; FormatError names a mistyped one."""
     if key in _WEIGHT_FIELDS:
         if not isinstance(value, dict):
             raise FormatError(f"{key} must be an object")
-        return {int(k): _as_number(w, f"{key}[{k}]") for k, w in value.items()}
+        return {_weight_key(k, key): _as_number(w, f"{key}[{k}]") for k, w in value.items()}
     if key in _INT_FIELDS:
         return _as_int(value, key)
     return value if key == "name" else _as_number(value, key)

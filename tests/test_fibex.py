@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexseg.assignment import CriterionParams, default_alpha, solve_cah, solve_exact
+from flexseg.assignment import (
+    ChannelAssignment,
+    CriterionParams,
+    default_alpha,
+    solve_cah,
+    solve_exact,
+)
 from flexseg.cli import main
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import sae_profile, generate
 from flexseg.hypergraph import build_hypergraph
-from flexseg.model import Instance, save_instance
-from flexseg.scheduler import schedule_channels
+from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, save_instance
+from flexseg.scheduler import Occupancy, Schedule, SlotColumn, schedule_channels
 from flexseg.validator import validate
 
 
@@ -67,8 +73,6 @@ def test_frame_elements_match_occupied_triples(tmp_path, example1):
 
 def test_empty_schedule_skeleton(tmp_path, example1):
     inst = Instance(example1.config, example1.ecus, ())
-    from flexseg.scheduler import Schedule
-    from flexseg.assignment import ChannelAssignment
     asg = ChannelAssignment(channel_of={3: "A", 4: "A", 5: "B"}, payload_a=0,
                             payload_b=0, payload_gw=0, criterion=0.0)
     path = tmp_path / "empty.xml"
@@ -76,6 +80,68 @@ def test_empty_schedule_skeleton(tmp_path, example1):
     root = ET.parse(path).getroot()
     assert len(root.find("ecus")) == len(inst.ecus)
     assert sum(len(ch) for ch in root.find("channels")) == 0
+
+
+def elementtree_document(inst, asg, sched) -> bytes:
+    """Reference serialization of a schedule: the document built as an
+    ElementTree, indented, with its XML declaration and a final newline."""
+    root = ET.Element("flexray-schedule", {"format": "simplified-1"})
+    ET.SubElement(root, "cluster", {
+        "cycle-duration-ms": repr(inst.config.cycle_duration_ms),
+        "slot-payload-bytes": str(inst.config.slot_payload_bytes),
+        "hyperperiod-cycles": "64",
+    })
+    ecus = ET.SubElement(root, "ecus")
+    for e in inst.ecus:
+        channels = asg.channel_of.get(e.id, "") if e.kind == EcuKind.ONE_PORT else "AB"
+        ET.SubElement(ecus, "ecu", {"id": str(e.id), "class": e.kind.value,
+                                    "channels": channels})
+    channels = ET.SubElement(root, "channels")
+    for ch in ("A", "B"):
+        ch_el = ET.SubElement(channels, "channel", {"name": ch,
+                                                     "max-slot": str(sched.max_slot(ch))})
+        for slot, col in sorted(sched.columns[ch].items()):
+            slot_el = ET.SubElement(ch_el, "slot", {
+                "id": str(slot), "owner": str(col.owner),
+                "gateway": "true" if col.is_gateway else "false"})
+            for base, entries in sorted(col.frames.items()):
+                frame_el = ET.SubElement(slot_el, "frame", {"base-cycle": str(base)})
+                for occ in sorted(entries, key=lambda o: (o.offset, o.signal)):
+                    ET.SubElement(frame_el, "signal-instance", {
+                        "signal": str(occ.signal), "bit-offset": str(occ.offset * 8),
+                        "payload-bytes": str(occ.payload),
+                        "repetition": str(occ.repetition),
+                        "image": "true" if occ.is_image else "false"})
+    ET.indent(root)
+    return (ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n").encode()
+
+
+def test_export_matches_elementtree_serialization(tmp_path):
+    # cases ElementTree writes specially: channel B with no slot and an empty
+    # slot on A (self-closing), one-port ECU 4 with no channel (channels=""),
+    # 16-byte slots with offsets past bit 64, and a fractional cycle length
+    ecus = (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON),
+            Ecu(3, EcuKind.ONE_PORT), Ecu(4, EcuKind.ONE_PORT))
+    inst = Instance(NetworkConfig(0.625, 16), ecus, ())
+    asg = ChannelAssignment(channel_of={3: "A"}, payload_a=0, payload_b=0, payload_gw=0,
+                            criterion=0.0)
+    sched = Schedule(config=inst.config)
+    col = SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=16)
+    for base, occ in ((2, Occupancy(7, 12, 4, False, 2)), (1, Occupancy(5, 0, 16, False, 4)),
+                      (2, Occupancy(6, 3, 9, False, 2)), (2, Occupancy(8, 0, 3, True, 4))):
+        col.add(base, occ)
+    sched.add_column("A", 3, col)
+    sched.add_column("A", 1, SlotColumn(owner=0, is_gateway=True, slot_payload_bytes=16))
+    path = tmp_path / "edge.xml"
+    export_fibex(inst, asg, sched, path)
+    assert path.read_bytes() == elementtree_document(inst, asg, sched)
+    assert b'<channel name="B" max-slot="0" />' in path.read_bytes()
+    assert b'<ecu id="4" class="ONE_PORT" channels="" />' in path.read_bytes()
+
+    # and the empty file of an instance without ECUs: <ecus />
+    bare = Instance(inst.config, (), ())
+    export_fibex(bare, asg, Schedule(config=inst.config), path)
+    assert path.read_bytes() == elementtree_document(bare, asg, Schedule(config=inst.config))
 
 
 def test_roundtrip_recovers_every_placement(tmp_path, example1):
@@ -159,13 +225,17 @@ def test_reader_rejects_unknown_channel_names(tmp_path, example1, capsys,
 
 
 def assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, message):
-    """Setting `attr` of the first `element` of an exported file to `value`
-    makes read_fibex raise `message` and `flexseg validate` exit 2."""
+    """Setting `attr` of the first `element` of an exported file to `value`,
+    or removing it when `value` is None, makes read_fibex raise `message`
+    and `flexseg validate` exit 2."""
     asg, sched = solved_example1(example1)
     path = tmp_path / "example1.xml"
     export_fibex(example1, asg, sched, path)
     tree = ET.parse(path)
-    tree.getroot().find(element).set(attr, value)
+    if value is None:
+        del tree.getroot().find(element).attrib[attr]
+    else:
+        tree.getroot().find(element).set(attr, value)
     broken = tmp_path / "broken.xml"
     tree.write(broken)
     with pytest.raises(ValueError, match=message):
@@ -211,6 +281,34 @@ def test_reader_rejects_out_of_range_cycles(tmp_path, example1, capsys,
     # a cluster, base cycle, repetition, offset, payload or flag the stored
     # frames cannot hold is an error naming its element, not dropped
     # occurrences, a failed shift, a silent false or a finding
+    assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, message)
+
+
+@pytest.mark.parametrize("element, attr, value, message", [
+    ("cluster", "hyperperiod-cycles", None, "cluster: hyperperiod-cycles is missing"),
+    ("cluster", "slot-payload-bytes", "eight",
+     "cluster: slot-payload-bytes 'eight' is not an integer"),
+    ("cluster", "cycle-duration-ms", None, "cluster: cycle-duration-ms is missing"),
+    ("cluster", "cycle-duration-ms", "fast", "cluster: cycle-duration-ms 'fast' is not a number"),
+    ("ecus/ecu[@id='1']", "id", "four", "ecu element: id 'four' is not an integer"),
+    ("ecus/ecu[@id='3']", "class", None, "ecu 3: class is missing"),
+    ("ecus/ecu[@id='3']", "channels", None, "ecu 3: channels is missing"),
+    ("channels/channel/slot", "id", "x", "slot element on channel A: id 'x' is not an integer"),
+    ("channels/channel/slot", "owner", None, "slot 1 on channel A: owner is missing"),
+    ("channels/channel/slot", "owner", "1.5", "slot 1 on channel A: owner '1.5' is not an integer"),
+    (FRAME, "base-cycle", "one",
+     "frame in slot 1 on channel A: base-cycle 'one' is not an integer"),
+    (FRAME, "base-cycle", None, "frame in slot 1 on channel A: base-cycle is missing"),
+    (FRAME + "/signal-instance", "bit-offset", None, "bit-offset is missing"),
+    (FRAME + "/signal-instance", "payload-bytes", "x", "payload-bytes 'x' is not an integer"),
+    (FRAME + "/signal-instance", "repetition", "", "repetition '' is not an integer"),
+    (FRAME + "/signal-instance", "signal", None,
+     "signal-instance in slot 1 on channel A: signal is missing"),
+])
+def test_reader_rejects_missing_or_non_integer_attributes(tmp_path, example1, capsys,
+                                                          element, attr, value, message):
+    # an error naming the element and the attribute, not Python's bare
+    # int() message or an ECU id that is never read
     assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, message)
 
 

@@ -175,6 +175,7 @@ def test_profile_json_unknown_key(tmp_path):
     ('{"ecu_count": 12.7}', "ecu_count must be an integer"),
     ('{"signal_count": true}', "signal_count must be an integer"),
     ('{"payload_weights": [0.5, 0.5]}', "payload_weights must be an object"),
+    ('{"payload_weights": {"x": 1}}', "payload_weights key 'x' is not an integer"),
 ])
 def test_generate_rejects_mistyped_profile(tmp_path, capsys, text, message):
     path = tmp_path / "profile.json"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flexseg.assignment import CH_A, CH_B, ChannelAssignment, CriterionParams, solve_cah
 from flexseg.generator import generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
-from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, Signal
-from flexseg.scheduler import Occupancy, Schedule, SlotColumn, schedule_channels
+from flexseg.model import ALLOWED_PERIOD_CYCLES, Ecu, EcuKind, Instance, NetworkConfig, Signal
+from flexseg.scheduler import CHANNELS, Occupancy, Schedule, SlotColumn, schedule_channels
 from flexseg.validator import validate
 from flexseg.driver import DriverConfig, run
 
@@ -136,6 +139,24 @@ def test_wrong_channel_flagged_v9(example1):
     assert "V9" in result or "V7" in result
 
 
+def test_base_cycle_outside_hyperperiod_flagged_v4():
+    # a hand-built instance no cycle of 1..64 can hold is a finding, not a
+    # failed shift or an empty cycle set
+    ecus = (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON))
+    signals = (Signal(1, 1, 4, 4, 0.0, 64.0, False, frozenset({2})),)
+    inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
+    for base in (0, -3, 65):
+        sched = Schedule(config=inst.config)
+        col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+        col.frames[base] = [Occupancy(1, 0, 4, False, 4)]
+        sched.columns[CH_A][1] = col
+        violations = validate(inst, plain_assignment({}), sched)
+        assert [(v.code, v.message) for v in violations] == [
+            ("V4", f"signal 1 at (A,1,{base}): base cycle {base} or repetition 4 is out of "
+                   f"range"),
+            ("V1", "signal 1 is not placed")]
+
+
 def test_image_preceding_original_flagged_v8():
     ecus = (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON),
             Ecu(3, EcuKind.ONE_PORT), Ecu(4, EcuKind.ONE_PORT))
@@ -216,3 +237,110 @@ def test_slot_id_below_one_flagged_v3():
         violations = validate(inst, plain_assignment({}), sched)
         assert [v.code for v in violations] == ["V3"]
         assert "below 1" in violations[0].message
+
+
+def expanded_frame_findings(inst, sched):
+    """Reference for the frame checks: the (code, message) of every V2, V4
+    and V5 finding, in validate's order, from expanding each stored
+    instance to a list entry per cycle and summing and sorting each cycle."""
+    out = []
+    signals = {s.id: s for s in inst.signals}
+    h = inst.config.slot_payload_bytes
+    m = inst.config.cycle_duration_ms
+    groups = {}
+    for ch in CHANNELS:
+        for slot, col in sched.columns[ch].items():
+            cells = {}
+            for base, entries in col.frames.items():
+                for occ in entries:
+                    sig = signals.get(occ.signal)
+                    if sig is None:
+                        continue
+                    if occ.payload != sig.payload_bytes:
+                        out.append(("V2", f"signal {sig.id} at ({ch},{slot},{base}): stored "
+                                          f"payload {occ.payload} != {sig.payload_bytes}"))
+                    if occ.repetition != sig.period_cycles:
+                        out.append(("V4", f"signal {sig.id} at ({ch},{slot},{base}): "
+                                          f"repetition {occ.repetition} != period "
+                                          f"{sig.period_cycles}"))
+                    span = (occ.offset, occ.offset + sig.payload_bytes, sig.id)
+                    if span[0] < 0 or span[1] > h:
+                        out.append(("V2", f"signal {sig.id} outside frame bounds in "
+                                          f"({ch},{slot},{base})"))
+                    cyc_map = groups.setdefault((sig.id, ch, slot, occ.is_image), {})
+                    for cycle in range(base, 65, occ.repetition):
+                        cells.setdefault(cycle, []).append(span)
+                        if cycle in cyc_map:
+                            out.append(("V2", f"signal {sig.id} twice in frame "
+                                              f"({ch},{slot},{cycle})"))
+                        cyc_map[cycle] = occ.offset
+            for cycle, spans in cells.items():
+                total = sum(hi - lo for lo, hi, _ in spans)
+                if total > h:
+                    out.append(("V2", f"frame ({ch},{slot},{cycle}) payload {total} "
+                                      f"exceeds {h}"))
+                spans.sort()
+                for (_, a_hi, a_id), (b_lo, _, b_id) in zip(spans, spans[1:]):
+                    if b_lo < a_hi:
+                        out.append(("V2", f"signals {a_id} and {b_id} overlap in frame "
+                                          f"({ch},{slot},{cycle})"))
+    for (sig_id, ch, slot, _), cyc_map in groups.items():
+        sig = signals[sig_id]
+        if len(set(cyc_map.values())) > 1:
+            out.append(("V4", f"signal {sig_id} on ({ch},{slot}): occurrences at "
+                              f"differing offsets"))
+        base = min(cyc_map)
+        if base > sig.period_cycles or \
+                sorted(cyc_map) != list(range(base, 65, sig.period_cycles)):
+            out.append(("V4", f"signal {sig_id} on ({ch},{slot}): cycles {sorted(cyc_map)} "
+                              f"are not every {sig.period_cycles} cycles from a base in "
+                              f"1..{sig.period_cycles}"))
+        if not ((base - 1) * m >= sig.release_ms - 1e-9
+                and base * m <= sig.deadline_ms + 1e-9):
+            out.append(("V5", f"signal {sig_id} base cycle {base} violates window "
+                              f"[{sig.release_ms}, {sig.deadline_ms}] ms"))
+    return out
+
+
+@st.composite
+def hand_built_columns(draw):
+    """An instance of up to four signals from common ECU 1 and a schedule of
+    hand-built columns on both channels: any repetition, bases in 1..64
+    (above the repetition too), offsets past either end of the frame,
+    stored payloads off the signal's, a signal stored twice in one slot
+    and an unknown signal id."""
+    h = draw(st.sampled_from((2, 8, 16)))
+    signals = []
+    for sig_id in range(1, draw(st.integers(1, 4)) + 1):
+        period = draw(st.sampled_from(ALLOWED_PERIOD_CYCLES))
+        signals.append(Signal(sig_id, 1, period, draw(st.integers(1, h)),
+                              draw(st.sampled_from((0.0, 2.0))),
+                              draw(st.sampled_from((period * 1.0, 64.0))), False,
+                              frozenset({2})))
+    inst = Instance(NetworkConfig(1.0, h),
+                    (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON)),
+                    tuple(signals))
+    sched = Schedule(config=inst.config)
+    for ch in CHANNELS:
+        for slot in range(1, draw(st.integers(0, 2)) + 1):
+            col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=h)
+            for _ in range(draw(st.integers(1, 5))):
+                sig_id = draw(st.integers(1, len(signals) + 1))
+                payload = signals[sig_id - 1].payload_bytes if sig_id <= len(signals) else 1
+                # stored as read_fibex would, without the scheduler's byte mask,
+                # which has no bit for a byte out of the frame
+                col.frames.setdefault(draw(st.integers(1, 64)), []).append(Occupancy(
+                    sig_id, draw(st.integers(-2, h)),
+                    draw(st.sampled_from((payload, payload + 1))), draw(st.booleans()),
+                    draw(st.sampled_from(ALLOWED_PERIOD_CYCLES))))
+            sched.columns[ch][slot] = col
+    return inst, sched
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(hand_built_columns())
+def test_frame_checks_match_per_cycle_expansion(case):
+    inst, sched = case
+    found = [(v.code, v.message) for v in validate(inst, plain_assignment({}), sched)
+             if v.code in ("V2", "V4", "V5")]
+    assert found == expanded_frame_findings(inst, sched)
