@@ -227,8 +227,8 @@ class _TableState(_State):
 class _WalkState(_State):
     """Scores worked out by walking the ECU's incident edges, each held as
     (endpoint mask, weight) and tested against `mask_a` and `mask_b`.  The
-    evaluator of hypergraphs above `TABLE_MAX_ECUS`, of single maps and the
-    reference the table is tested against."""
+    evaluator of hypergraphs above `TABLE_MAX_ECUS` and the reference the
+    table is tested against."""
 
     __slots__ = ("incident",)
 
@@ -310,10 +310,18 @@ def evaluate_criterion(hg: Hypergraph, channel_of: dict[int, str],
     for u in hg.free_ecus:
         if u not in channel_of:
             raise ValueError(f"no channel assigned for ECU {u}")
-    st = _WalkState(hg)
-    st.load(sum(b for u, b in st.bit.items() if channel_of[u] == CH_A))
-    p_a, p_b, p_g = st.payloads()
-    return p_a, p_b, p_g, st.criterion(params)
+    on_a = frozenset(u for u in hg.free_ecus if channel_of[u] == CH_A)
+    only_a = only_b = both = 0
+    for ends, w in hg.edges.items():
+        if ends.isdisjoint(on_a):
+            only_b += w
+        elif ends <= on_a:
+            only_a += w
+        else:
+            both += w
+    ft = hg.ft_weight_bytes
+    p_a, p_b = only_a + both + ft, only_b + both + ft
+    return p_a, p_b, both, max(params.beta * p_a, p_b) + params.alpha * both
 
 
 def pinned_ecu(hg: Hypergraph) -> int | None:

@@ -20,6 +20,7 @@ from .model import (
     EcuKind,
     Instance,
     NetworkConfig,
+    parse_int,
     validate_config,
 )
 from .scheduler import CHANNELS, Occupancy, Schedule, SlotColumn
@@ -94,10 +95,10 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
         raise ValueError(f"{path} is not a schedule file: {exc}") from exc
 
 
-_PARSED_AS = {int: "an integer", float: "a number"}
+_PARSED_AS = {parse_int: "an integer", float: "a number"}
 
 
-def _field(attrib: dict[str, str], name: str, where: str, parse=int):
+def _field(attrib: dict[str, str], name: str, where: str, parse=parse_int):
     """`attrib[name]` read by `parse`, or ValueError naming the element,
     `where` (with its trailing ': '), and the attribute."""
     value = attrib.get(name)
@@ -116,8 +117,8 @@ def _occurrence(a: dict[str, str]) -> Occupancy:
     """The signal instance with attributes `a`, or ValueError naming a
     value its frame cannot hold."""
     try:
-        bit_offset, payload = int(a["bit-offset"]), int(a["payload-bytes"])
-        rep, signal = int(a["repetition"]), int(a["signal"])
+        bit_offset, payload = parse_int(a["bit-offset"]), parse_int(a["payload-bytes"])
+        rep, signal = parse_int(a["repetition"]), parse_int(a["signal"])
     except (KeyError, ValueError):
         for name in _INSTANCE_INTS:
             _field(a, name, "")

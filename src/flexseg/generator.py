@@ -25,6 +25,7 @@ from .model import (
     Signal,
     _as_int,
     _as_number,
+    parse_int,
     validate_instance,
 )
 
@@ -203,7 +204,7 @@ _WEIGHT_FIELDS = {"period_weights", "payload_weights", "receiver_count_weights"}
 def _weight_key(text: str, field: str) -> int:
     """A weight-table key, written as an integer string in JSON."""
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise FormatError(f"{field} key {text!r} is not an integer") from None
 

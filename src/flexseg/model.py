@@ -13,6 +13,8 @@ from pathlib import Path
 
 HYPERPERIOD_CYCLES = 64
 ALLOWED_PERIOD_CYCLES = (1, 2, 4, 8, 16, 32, 64)
+# A FlexRay frame carries at most 127 two-byte words of payload.
+MAX_SLOT_PAYLOAD_BYTES = 254
 
 # Slack for float comparisons on millisecond quantities.
 _EPS_MS = 1e-9
@@ -119,6 +121,8 @@ def validate_config(cfg: NetworkConfig) -> None:
     """Raise ValidationError naming the first invalid cluster setting."""
     if cfg.slot_payload_bytes < 1:
         raise ValidationError("slot_payload_bytes must be >= 1")
+    if cfg.slot_payload_bytes > MAX_SLOT_PAYLOAD_BYTES:
+        raise ValidationError(f"slot_payload_bytes must be <= {MAX_SLOT_PAYLOAD_BYTES}")
     if not 0 < cfg.cycle_duration_ms < float("inf"):
         raise ValidationError("cycle_duration_ms must be positive and finite")
 
@@ -128,30 +132,31 @@ def validate_instance(inst: Instance) -> None:
     cfg = inst.config
     validate_config(cfg)
 
-    seen_ids: set[int] = set()
+    kind_of: dict[int, EcuKind] = {}
     for e in inst.ecus:
         if e.id < 0:
             raise ValidationError(f"ECU id {e.id} is negative")
-        if e.id in seen_ids:
+        if e.id in kind_of:
             raise ValidationError(f"duplicate ECU id {e.id}")
-        seen_ids.add(e.id)
+        kind_of[e.id] = e.kind
     gateways = [e for e in inst.ecus if e.kind == EcuKind.GATEWAY]
     if len(gateways) != 1:
         raise ValidationError(f"exactly one GATEWAY ECU required, found {len(gateways)}")
     if len(inst.common_ecus) < 2:
         raise ValidationError("at least two COMMON ECUs required for synchronization")
 
+    ecu_ids = frozenset(kind_of)
     sig_ids: set[int] = set()
     for s in inst.signals:
         if s.id in sig_ids:
             raise ValidationError(f"duplicate signal id {s.id}")
         sig_ids.add(s.id)
-        if s.transmitter not in seen_ids:
+        tx_kind = kind_of.get(s.transmitter)
+        if tx_kind is None:
             raise ValidationError(f"signal {s.id}: transmitter {s.transmitter} not an ECU")
-        tx_kind = inst.kind_of(s.transmitter)
-        if tx_kind == EcuKind.GATEWAY:
+        if tx_kind is EcuKind.GATEWAY:
             raise ValidationError(f"signal {s.id}: gateway ECU cannot transmit signals")
-        if s.fault_tolerant and tx_kind != EcuKind.COMMON:
+        if s.fault_tolerant and tx_kind is not EcuKind.COMMON:
             raise ValidationError(
                 f"signal {s.id}: fault-tolerant signal requires a COMMON transmitter"
             )
@@ -171,10 +176,11 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError(f"signal {s.id}: receiver set is empty")
         if s.transmitter in s.receivers:
             raise ValidationError(f"signal {s.id}: transmitter listed as receiver")
-        for r in s.receivers:
-            if r not in seen_ids:
-                raise ValidationError(f"signal {s.id}: receiver {r} not an ECU")
-        if not feasible_base_cycles(s, cfg.cycle_duration_ms):
+        if not s.receivers <= ecu_ids:
+            r = next(r for r in s.receivers if r not in ecu_ids)
+            raise ValidationError(f"signal {s.id}: receiver {r} not an ECU")
+        if not base_cycle_window(s.period_cycles, s.release_ms, s.deadline_ms,
+                                 cfg.cycle_duration_ms):
             raise ValidationError(
                 f"signal {s.id}: release/deadline window admits no occurrence cycle"
             )
@@ -188,7 +194,17 @@ def is_valid(inst: Instance) -> bool:
     return True
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+# The exact key set of each JSON object of an instance file.
+_TOP_FIELDS = frozenset({"config", "ecus", "signals"})
+_CONFIG_FIELDS = frozenset({"cycle_duration_ms", "slot_payload_bytes"})
+_ECU_FIELDS = frozenset({"id", "class"})
+_SIGNAL_FIELDS = frozenset({
+    "id", "transmitter", "period_cycles", "payload_bytes",
+    "release_ms", "deadline_ms", "fault_tolerant", "receivers",
+})
+
+
+def _require_keys(obj: dict, allowed: frozenset[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise FormatError(f"unknown field(s) {sorted(unknown)} in {where}")
@@ -198,72 +214,105 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise FormatError(f"{where} must be an integer")
     return value
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is not float and type(value) is not int:
         raise FormatError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where} is too large for a float") from None
+
+
+def parse_int(text: str) -> int:
+    """The integer `text` spells as -?[0-9]+ in ASCII, the one spelling the
+    writers produce; ValueError for any other, such as " 4", "+4", "0_4"
+    or non-ASCII digits, all of which int() accepts."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"{text!r} is not an integer")
+
+
+def _check_signal_types(raw: dict, where: str) -> None:
+    """Raise FormatError for the first mistyped field of signal object
+    `raw`, or a number too large for a float, leaving out the elements of
+    its receivers."""
+    if type(raw["fault_tolerant"]) is not bool:
+        raise FormatError(f"{where}.fault_tolerant must be a boolean")
+    if type(raw["receivers"]) is not list:
+        raise FormatError(f"{where}.receivers must be a list")
+    for name in ("id", "transmitter", "period_cycles", "payload_bytes"):
+        _as_int(raw[name], f"{where}.{name}")
+    for name in ("release_ms", "deadline_ms"):
+        _as_number(raw[name], f"{where}.{name}")
 
 
 def instance_from_dict(data: dict, name: str = "") -> Instance:
-    """Build a validated Instance from the JSON schema dict."""
-    if not isinstance(data, dict):
+    """Build a validated Instance from the JSON schema dict.  Each value
+    must have its JSON type exactly: an integer field refuses bools and
+    floats, a number field bools."""
+    if type(data) is not dict:
         raise FormatError("top-level value must be an object")
-    _require_keys(data, {"config", "ecus", "signals"}, "top-level object")
+    if data.keys() != _TOP_FIELDS:
+        _require_keys(data, _TOP_FIELDS, "top-level object")
 
     raw_cfg = data["config"]
-    if not isinstance(raw_cfg, dict):
+    if type(raw_cfg) is not dict:
         raise FormatError("config must be an object")
-    _require_keys(raw_cfg, {"cycle_duration_ms", "slot_payload_bytes"}, "config")
+    if raw_cfg.keys() != _CONFIG_FIELDS:
+        _require_keys(raw_cfg, _CONFIG_FIELDS, "config")
     cfg = NetworkConfig(
-        cycle_duration_ms=_as_number(raw_cfg["cycle_duration_ms"], "cycle_duration_ms"),
-        slot_payload_bytes=_as_int(raw_cfg["slot_payload_bytes"], "slot_payload_bytes"),
+        cycle_duration_ms=_as_number(raw_cfg["cycle_duration_ms"], "config.cycle_duration_ms"),
+        slot_payload_bytes=_as_int(raw_cfg["slot_payload_bytes"], "config.slot_payload_bytes"),
     )
 
-    if not isinstance(data["ecus"], list):
+    if type(data["ecus"]) is not list:
         raise FormatError("ecus must be a list")
     ecus = []
     for i, raw in enumerate(data["ecus"]):
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise FormatError(f"ecus[{i}] must be an object")
-        _require_keys(raw, {"id", "class"}, f"ecus[{i}]")
+        if raw.keys() != _ECU_FIELDS:
+            _require_keys(raw, _ECU_FIELDS, f"ecus[{i}]")
         try:
             kind = EcuKind(raw["class"])
         except ValueError:
-            raise FormatError(f"ecus[{i}]: unknown class {raw['class']!r}") from None
-        ecus.append(Ecu(id=_as_int(raw["id"], f"ecus[{i}].id"), kind=kind))
+            raise FormatError(f"ecus[{i}].class: unknown class {raw['class']!r}") from None
+        ecu_id = raw["id"]
+        if type(ecu_id) is not int:
+            raise FormatError(f"ecus[{i}].id must be an integer")
+        ecus.append(Ecu(ecu_id, kind))
 
-    if not isinstance(data["signals"], list):
+    if type(data["signals"]) is not list:
         raise FormatError("signals must be a list")
-    signal_fields = {
-        "id", "transmitter", "period_cycles", "payload_bytes",
-        "release_ms", "deadline_ms", "fault_tolerant", "receivers",
-    }
     signals = []
     for i, raw in enumerate(data["signals"]):
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise FormatError(f"signals[{i}] must be an object")
-        _require_keys(raw, signal_fields, f"signals[{i}]")
-        if not isinstance(raw["fault_tolerant"], bool):
-            raise FormatError(f"signals[{i}].fault_tolerant must be a boolean")
-        if not isinstance(raw["receivers"], list):
-            raise FormatError(f"signals[{i}].receivers must be a list")
-        signals.append(Signal(
-            id=_as_int(raw["id"], f"signals[{i}].id"),
-            transmitter=_as_int(raw["transmitter"], f"signals[{i}].transmitter"),
-            period_cycles=_as_int(raw["period_cycles"], f"signals[{i}].period_cycles"),
-            payload_bytes=_as_int(raw["payload_bytes"], f"signals[{i}].payload_bytes"),
-            release_ms=_as_number(raw["release_ms"], f"signals[{i}].release_ms"),
-            deadline_ms=_as_number(raw["deadline_ms"], f"signals[{i}].deadline_ms"),
-            fault_tolerant=raw["fault_tolerant"],
-            receivers=frozenset(
-                _as_int(r, f"signals[{i}].receivers") for r in raw["receivers"]
-            ),
-        ))
+        if raw.keys() != _SIGNAL_FIELDS:
+            _require_keys(raw, _SIGNAL_FIELDS, f"signals[{i}]")
+        sid, tx, period = raw["id"], raw["transmitter"], raw["period_cycles"]
+        payload, release, deadline = raw["payload_bytes"], raw["release_ms"], raw["deadline_ms"]
+        ft, receivers = raw["fault_tolerant"], raw["receivers"]
+        if not (type(ft) is bool and type(receivers) is list
+                and type(sid) is int and type(tx) is int
+                and type(period) is int and type(payload) is int
+                and (type(release) is float or type(release) is int)
+                and (type(deadline) is float or type(deadline) is int)):
+            _check_signal_types(raw, f"signals[{i}]")
+        for r in receivers:
+            if type(r) is not int:
+                raise FormatError(f"signals[{i}].receivers must be an integer")
+        try:
+            release, deadline = float(release), float(deadline)
+        except OverflowError:
+            _check_signal_types(raw, f"signals[{i}]")
+        signals.append(Signal(sid, tx, period, payload, release, deadline,
+                              ft, frozenset(receivers)))
 
     inst = Instance(config=cfg, ecus=tuple(ecus), signals=tuple(signals), name=name)
     validate_instance(inst)

@@ -66,8 +66,11 @@ class SlotColumn:
     def add(self, base: int, occ: Occupancy) -> None:
         self.frames.setdefault(base, []).append(occ)
         h = self.slot_payload_bytes
-        # the bytes of one h-byte frame that `occ` covers
-        frame = (((1 << occ.payload) - 1) << occ.offset) & ((1 << h) - 1)
+        # the bytes of one h-byte frame that `occ` covers, none past its end
+        if occ.offset + occ.payload <= h:
+            frame = ((1 << occ.payload) - 1) << occ.offset
+        else:
+            frame = ((1 << h) - 1) >> occ.offset << occ.offset
         bits = _cycle_pattern(occ.repetition, h) * frame << (base - 1) * h
         # a base above the repetition runs past the hyperperiod
         self.mask |= bits & ((1 << HYPERPERIOD_CYCLES * h) - 1)

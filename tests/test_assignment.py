@@ -114,6 +114,22 @@ def test_channel_relabel_symmetry(seed, alpha, beta):
     assert table.criterion(CriterionParams(alpha, beta)) == mirrored
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), st.floats(1 / 8, 8))
+def test_evaluate_matches_loaded_state(seed, alpha, beta):
+    # the one-shot per-edge sum gives the payloads and the very criterion
+    # float of the solvers' evaluator loaded with the same map
+    rng = random.Random(seed)
+    hg = random_hypergraph(rng)
+    channel_of = {u: rng.choice("AB") for u in hg.free_ecus}
+    params = CriterionParams(alpha, beta)
+    for make in STATES:
+        state = make(hg)
+        state.load(sum(b for u, b in state.bit.items() if channel_of[u] == "A"))
+        assert evaluate_criterion(hg, channel_of, params) == (
+            *state.payloads(), state.criterion(params))
+
+
 def test_all_common_edges_do_not_count(example1):
     # a signal with no one-port endpoint loads neither channel here, but its
     # payload still sets the default alpha

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -20,6 +21,7 @@ from flexseg.cli import main
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import sae_profile, generate
 from flexseg.hypergraph import build_hypergraph
+from conftest import example1_instance
 from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, save_instance
 from flexseg.scheduler import Occupancy, Schedule, SlotColumn, schedule_channels
 from flexseg.validator import validate
@@ -275,6 +277,7 @@ def test_reader_rejects_repeated_slot_id(tmp_path, example1, capsys):
     (FRAME + "/signal-instance", "image", "yes", "image 'yes' is not true or false"),
     ("channels/channel/slot", "gateway", "1",
      "slot 1 on channel A: gateway '1' is not true or false"),
+    ("cluster", "slot-payload-bytes", "255", "slot_payload_bytes must be <= 254"),
 ])
 def test_reader_rejects_out_of_range_cycles(tmp_path, example1, capsys,
                                             element, attr, value, message):
@@ -332,6 +335,26 @@ def test_validate_rejects_cluster_other_than_instance(tmp_path, example1, capsys
     assert "schedule file cluster" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attr, value", [
+    ("payload-bytes", "9" * 30),
+    ("bit-offset", "8" * 30),
+])
+def test_bytes_past_the_frame_are_v2(tmp_path, example1, capsys, attr, value):
+    # a payload or offset far beyond the slot is stored as read and found by
+    # validate, without a column mask of that many bytes
+    asg, sched = solved_example1(example1)
+    path = tmp_path / "example1.xml"
+    export_fibex(example1, asg, sched, path)
+    tree = ET.parse(path)
+    tree.getroot().find(FRAME + "/signal-instance").set(attr, value)
+    tree.write(path)
+    assert read_fibex(path)[0].columns["A"][1].frames
+    inst_file = tmp_path / "example1.json"
+    save_instance(example1, inst_file)
+    assert main(["validate", str(inst_file), str(path)]) == 1
+    assert '"V2"' in capsys.readouterr().out
+
+
 def test_base_cycle_above_repetition_is_v4(tmp_path, example1, capsys):
     asg, sched = solved_example1(example1)
     path = tmp_path / "example1.xml"
@@ -387,3 +410,83 @@ def test_restricted_windows_validate_and_round_trip(inst):
         assert validate(inst, asg, again) == []
         export_fibex(inst, asg, again, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# The integer attributes read_fibex reads, by element.
+INTEGER_ATTRIBUTES = {
+    "cluster": ("hyperperiod-cycles", "slot-payload-bytes"),
+    "ecu": ("id",),
+    "slot": ("id", "owner"),
+    "frame": ("base-cycle",),
+    "signal-instance": ("signal", "bit-offset", "payload-bytes", "repetition"),
+}
+DIGITS = "0123456789"
+# Respellings of an attribute's integer text t: whitespace, a sign, an
+# underscore, a float, empty, non-ASCII digits and huge values, plus
+# spellings the grammar -?[0-9]+ accepts.
+RESPELLINGS = (
+    lambda t: f" {t} ", lambda t: f"{t}\n", lambda t: f"\t{t}",
+    lambda t: f"+{t}", lambda t: f"{t[:1]}_{t[1:]}", lambda t: f"0_{t}",
+    lambda t: f"{t}.0", lambda t: f"{t}e0", lambda t: "",
+    lambda t: t.translate(str.maketrans(DIGITS, "٠١٢٣٤٥٦٧٨٩")),
+    lambda t: t.translate(str.maketrans(DIGITS, "０１２３４５６７８９")),
+    lambda t: "9" * 30, lambda t: "-" + "9" * 30, lambda t: "1" * 5000,
+    lambda t: f"00{t}", lambda t: f"-{t}",
+)
+
+
+def exported_example1() -> bytes:
+    inst = example1_instance()
+    asg, sched = solved_example1(inst)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "example1.xml")
+        export_fibex(inst, asg, sched, path)
+        return path.read_bytes()
+
+
+EXPORTED = exported_example1()
+INTEGER_FIELDS = [(i, attr) for i, el in enumerate(ET.fromstring(EXPORTED).iter())
+                  for attr in INTEGER_ATTRIBUTES.get(el.tag, ())]
+
+
+def reading(tree: ET.ElementTree, path: Path):
+    """What read_fibex makes of `tree` written to `path`: its error message,
+    or the cluster, the channel map and every column's stored frames."""
+    tree.write(path)
+    try:
+        sched, channel_of = read_fibex(path)
+    except ValueError as exc:
+        return str(exc)
+    return sched.config, channel_of, {
+        (ch, slot): (col.owner, col.is_gateway, {
+            base: sorted((o.signal, o.offset, o.payload, o.is_image, o.repetition)
+                         for o in occs)
+            for base, occs in col.frames.items()})
+        for ch in ("A", "B") for slot, col in sched.columns[ch].items()}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, len(INTEGER_FIELDS) - 1),
+       st.one_of(st.sampled_from(RESPELLINGS),
+                 st.text("0123456789-+_ .e٤", max_size=5).map(lambda s: lambda t: s)))
+def test_reader_takes_only_the_integer_grammar(index, respelling):
+    # an integer attribute spelled any other way than -?[0-9]+ in ASCII is
+    # an error naming it; one spelled that way reads as the same integer
+    # written plainly
+    element_index, attr = INTEGER_FIELDS[index]
+    tree = ET.ElementTree(ET.fromstring(EXPORTED))
+    element = list(tree.iter())[element_index]
+    text = respelling(element.get(attr))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "mutated.xml")
+        element.set(attr, text)
+        got = reading(tree, path)
+        try:
+            value = int(text) if re.fullmatch("-?[0-9]+", text) else None
+        except ValueError:  # more digits than int() converts
+            value = None
+        if value is None:
+            assert f"{attr} {text!r} is not an integer" in got
+        else:
+            element.set(attr, str(value))
+            assert got == reading(tree, path)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import example1_instance
 from flexseg.generator import GeneratorProfile, generate
@@ -122,6 +125,7 @@ def test_unknown_field_rejected(tmp_path):
      "cycle_duration_ms must be positive and finite"),
     (lambda d: d["config"].update(cycle_duration_ms=float("inf")),
      "cycle_duration_ms must be positive and finite"),
+    (lambda d: d["config"].update(slot_payload_bytes=255), "slot_payload_bytes must be <= 254"),
 ])
 def test_invariant_violations(tmp_path, mutate, message):
     data = json.loads(json.dumps(EXAMPLE1_JSON))
@@ -196,3 +200,57 @@ def test_gateway_cannot_be_only_sync():
     inst = Instance(NetworkConfig(1.0, 8), ecus, ())
     with pytest.raises(ValidationError, match="COMMON"):
         validate_instance(inst)
+
+
+# A JSON value of each type; every field refuses the ones not of its type.
+WRONG_VALUES = (True, 1.0, "1", None, [], {})
+GENERATED = instance_to_dict(generate(
+    GeneratorProfile(ecu_count=6, signal_count=4, fault_tolerant_fraction=0.5), seed=3))
+
+
+def instance_fields(data: dict):
+    """(path, object, key) of every field of the config, an ECU or a
+    signal, and of each receiver id, which the loader names by its list."""
+    yield from ((f"config.{key}", data["config"], key) for key in data["config"])
+    for i, ecu in enumerate(data["ecus"]):
+        yield from ((f"ecus[{i}].{key}", ecu, key) for key in ecu)
+    for i, sig in enumerate(data["signals"]):
+        yield from ((f"signals[{i}].{key}", sig, key) for key in sig)
+        yield from ((f"signals[{i}].receivers", sig["receivers"], j)
+                    for j in range(len(sig["receivers"])))
+
+
+FIELD_COUNT = sum(1 for _ in instance_fields(GENERATED))
+
+
+def test_generated_dict_round_trips():
+    assert instance_to_dict(instance_from_dict(GENERATED)) == GENERATED
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, FIELD_COUNT - 1), st.sampled_from(WRONG_VALUES))
+def test_mistyped_field_is_named(index, value):
+    data = json.loads(json.dumps(GENERATED))
+    path, obj, key = list(instance_fields(data))[index]
+    old = obj[key]
+    # a value of the field's own type is no type error; an ECU class is a
+    # string, but never "1"
+    if type(value) is type(old) and key != "class":
+        return
+    obj[key] = value
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(data)
+    assert str(exc.value).split(" ")[0].rstrip(":") == path
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["signals"][2].update(deadline_ms=10**400),
+     "signals[2].deadline_ms is too large for a float"),
+    (lambda d: d["config"].update(cycle_duration_ms=-10**400),
+     "config.cycle_duration_ms is too large for a float"),
+])
+def test_number_beyond_float_range(mutate, message):
+    data = json.loads(json.dumps(EXAMPLE1_JSON))
+    mutate(data)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        instance_from_dict(data)

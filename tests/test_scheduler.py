@@ -19,6 +19,7 @@ from flexseg.model import (
 from flexseg.scheduler import (
     BOTH,
     InfeasibleWindowError,
+    Occupancy,
     Schedule,
     SlotColumn,
     determine_channel,
@@ -470,3 +471,12 @@ def test_adding_a_signal_never_frees_slots():
         grown = Instance(inst.config, inst.ecus, inst.signals + (extra,))
         bigger = schedule_channels(grown, asg)
         assert bigger.allocated_slots() >= base.allocated_slots()
+
+
+def test_column_mask_keeps_only_the_bytes_inside_the_frame():
+    # instances running past an 8-byte frame, as a schedule file may hold
+    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+    col.add(1, Occupancy(7, 6, 4, False, 64))
+    col.add(2, Occupancy(8, 9, 2, False, 64))
+    col.add(3, Occupancy(9, 0, 10**30, False, 64))
+    assert col.mask == 0b11000000 | 0xFF << 16
