@@ -23,7 +23,7 @@ from .model import (
     parse_int,
     validate_config,
 )
-from .scheduler import CHANNELS, Occupancy, Schedule, SlotColumn
+from .scheduler import CHANNELS, Occupancy, Schedule, SlotColumn, by_offset
 
 
 def _ecu_channels(inst: Instance, asg: ChannelAssignment, ecu_id: int) -> str:
@@ -43,10 +43,6 @@ def _element(out: list[str], depth: int, tag: str, attrs: str, body: list[str]) 
         out.append(f"{pad}</{tag}>")
     else:
         out.append(f"{pad}<{tag}{attrs} />")
-
-
-def _by_offset(occ: Occupancy) -> tuple[int, int]:
-    return occ.offset, occ.signal
 
 
 def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
@@ -69,7 +65,7 @@ def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
                     f'bit-offset="{occ.offset * 8}" payload-bytes="{occ.payload}" '
                     f'repetition="{occ.repetition}" '
                     f'image="{"true" if occ.is_image else "false"}" />'
-                    for occ in sorted(col.frames[base], key=_by_offset)])
+                    for occ in sorted(col.frames[base], key=by_offset)])
             _element(slots, 3, "slot", f' id="{slot}" owner="{col.owner}" '
                      f'gateway="{"true" if col.is_gateway else "false"}"', frames)
         _element(channels, 2, "channel", f' name="{ch}" max-slot="{sched.max_slot(ch)}"',
@@ -143,8 +139,13 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
     if hyperperiod != HYPERPERIOD_CYCLES:
         raise ValueError(f"cluster: hyperperiod-cycles {hyperperiod} is not "
                          f"{HYPERPERIOD_CYCLES}")
+    duration = _field(cluster, "cycle-duration-ms", "cluster: ", float)
+    # the writer spells a float only as its repr
+    if repr(duration) != cluster["cycle-duration-ms"]:
+        raise ValueError(f"cluster: cycle-duration-ms {cluster['cycle-duration-ms']!r} "
+                         f"is not spelled as {duration!r}")
     config = NetworkConfig(
-        cycle_duration_ms=_field(cluster, "cycle-duration-ms", "cluster: ", float),
+        cycle_duration_ms=duration,
         slot_payload_bytes=_field(cluster, "slot-payload-bytes", "cluster: "),
     )
     validate_config(config)
@@ -165,6 +166,7 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
         ch = ch_el.get("name")
         if ch not in CHANNELS:
             raise ValueError(f"channel element: name {ch!r} is not A or B")
+        max_slot = _field(ch_el.attrib, "max-slot", f"channel {ch}: ")
         for slot_el in ch_el:
             a = slot_el.attrib
             slot = _field(a, "id", f"slot element on channel {ch}: ")
@@ -190,4 +192,7 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
                     except ValueError as exc:
                         who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
                         raise ValueError(f"{who} in {where}: {exc}") from None
+        if max_slot != sched.max_slot(ch):
+            raise ValueError(f"channel {ch}: max-slot {max_slot} is not the highest "
+                             f"slot id {sched.max_slot(ch)}")
     return sched, channel_of

@@ -68,9 +68,6 @@ class Instance:
     signals: tuple[Signal, ...]
     name: str = field(default="", compare=False)
 
-    def ecu(self, ecu_id: int) -> Ecu:
-        return self._by_id[ecu_id]
-
     def kind_of(self, ecu_id: int) -> EcuKind:
         return self._by_id[ecu_id].kind
 

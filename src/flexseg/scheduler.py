@@ -34,7 +34,7 @@ class InfeasibleWindowError(ValueError):
 @dataclass(slots=True)
 class Placement:
     signal: int
-    channel: str  # CH_A, CH_B or BOTH
+    channel: str  # CH_A or CH_B; BOTH only as returned by place_to_schedule
     base_cycle: int
     slot: int
     offset_bytes: int
@@ -77,6 +77,11 @@ class SlotColumn:
 
     def is_full(self) -> bool:
         return self.mask == (1 << HYPERPERIOD_CYCLES * self.slot_payload_bytes) - 1
+
+
+def by_offset(occ: Occupancy) -> tuple[int, int]:
+    """The order of the signal instances of one frame in the FIBEX file."""
+    return occ.offset, occ.signal
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +156,6 @@ class Schedule:
     columns: dict[str, dict[int, SlotColumn]] = field(
         default_factory=lambda: {CH_A: {}, CH_B: {}})
     ft_slots: tuple[int, ...] = ()
-    placements: list[Placement] = field(default_factory=list)
     _index: _SlotIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -160,6 +164,16 @@ class Schedule:
         next placement derives the slot index again."""
         self.columns[ch][slot] = col
         self._index = None
+
+    @property
+    def placements(self) -> list[Placement]:
+        """The columns' signal instances in FIBEX file order; a signal on
+        both channels is an A and a B record."""
+        return [Placement(occ.signal, ch, base, slot, occ.offset, occ.is_image)
+                for ch in CHANNELS
+                for slot, col in sorted(self.columns[ch].items())
+                for base, entries in sorted(col.frames.items())
+                for occ in sorted(entries, key=by_offset)]
 
     def max_slot(self, channel: str) -> int:
         cols = self.columns[channel]
@@ -312,9 +326,7 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         col.add(base, occ)
         if col.is_full():
             idx.filled(ch, slot, col)
-    placement = Placement(sig.id, target, base, slot, offset, is_image)
-    sched.placements.append(placement)
-    return [placement]
+    return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
 def schedule_channels(inst: Instance, asg: ChannelAssignment) -> Schedule:
@@ -368,8 +380,10 @@ def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
     non-gateway slots next in original order, gateway slots as soon as
     every original they retransmit has a smaller id."""
     ft = set(sched.ft_slots)
-    original_slot = {p.signal: (p.channel, p.slot)
-                     for p in sched.placements if not p.is_image and p.channel != BOTH}
+    # an imaged original is on its one-port transmitter's channel only
+    original_slot = {occ.signal: (ch, t) for ch in CHANNELS
+                     for t, col in sched.columns[ch].items() if not col.is_gateway
+                     for entries in col.frames.values() for occ in entries}
 
     new_ids: dict[tuple[str, int], int] = {}
     for i, slot in enumerate(sorted(ft), start=1):
@@ -410,17 +424,9 @@ def reorder_slots(sched: Schedule) -> Schedule:
     comes strictly after the slot of the latest original it retransmits.
     Frame contents are unchanged."""
     new_ids = _renumber(sched)
-    out = Schedule(config=sched.config)
+    out = Schedule(config=sched.config, ft_slots=tuple(range(1, len(sched.ft_slots) + 1)))
     for ch in CHANNELS:
-        out.columns[ch] = {
-            new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()
-        }
-    out.ft_slots = tuple(range(1, len(sched.ft_slots) + 1))
-    out.placements = [
-        Placement(p.signal, p.channel, p.base_cycle,
-                  new_ids[(CH_A if p.channel == BOTH else p.channel, p.slot)],
-                  p.offset_bytes, p.is_image)
-        for p in sched.placements]
+        out.columns[ch] = {new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()}
     return out
 
 

@@ -18,6 +18,7 @@ from flexseg.assignment import (
     solve_exact,
 )
 from flexseg.cli import main
+from flexseg.driver import DriverConfig, run
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import sae_profile, generate
 from flexseg.hypergraph import build_hypergraph
@@ -65,12 +66,7 @@ def test_frame_elements_match_occupied_triples(tmp_path, example1):
     ]
     assert len(frames) == len(set(frames))
 
-    expected = set()
-    for p in sched.placements:
-        channels = ("A", "B") if p.channel == "BOTH" else (p.channel,)
-        for ch in channels:
-            expected.add((ch, p.slot, p.base_cycle))
-    assert set(frames) == expected
+    assert set(frames) == {(p.channel, p.slot, p.base_cycle) for p in sched.placements}
 
 
 def test_empty_schedule_skeleton(tmp_path, example1):
@@ -151,13 +147,7 @@ def test_roundtrip_recovers_every_placement(tmp_path, example1):
     path = tmp_path / "example1.xml"
     export_fibex(example1, asg, sched, path)
 
-    expected = set()
-    for p in sched.placements:
-        channels = ("A", "B") if p.channel == "BOTH" else (p.channel,)
-        for ch in channels:
-            expected.add((p.signal, ch, p.base_cycle, p.slot, p.offset_bytes,
-                          p.is_image))
-    assert independent_placements(path) == expected
+    assert independent_placements(path) == set(map(dataclasses.astuple, sched.placements))
 
 
 def test_package_reader_reconstructs_grid(tmp_path, example1):
@@ -178,6 +168,28 @@ def test_package_reader_reconstructs_grid(tmp_path, example1):
                    {c: sorted((o.signal, o.offset, o.is_image, o.repetition) for o in v)
                     for c, v in col.frames.items()}
             assert got.mask == col.mask
+
+
+@pytest.mark.parametrize("make_instance", [
+    example1_instance,
+    lambda: generate(sae_profile(3, ecu_count=10, signal_count=120,
+                                 fault_tolerant_fraction=0.2), seed=4),
+], ids=["example1", "sae3-ft0.2"])
+def test_read_back_schedule_lists_the_placements_of_the_run(tmp_path, make_instance):
+    # placements are a view of the columns, so a schedule read from its file
+    # lists them as the one the run built, fault-tolerant, common-transmitter
+    # and imaged signals included
+    inst = make_instance()
+    result = run(inst, DriverConfig(cah_tries=10, rng_seed=0))
+    path = tmp_path / "run.xml"
+    export_fibex(inst, result.assignment, result.schedule, path)
+    placements = result.schedule.placements
+    assert any(p.is_image for p in placements)
+    fault_tolerant = {s.id for s in inst.signals if s.fault_tolerant}
+    assert fault_tolerant and {(p.signal, p.channel) for p in placements
+                               if p.signal in fault_tolerant} == \
+        {(sid, ch) for sid in fault_tolerant for ch in ("A", "B")}
+    assert read_fibex(path)[0].placements == placements
 
 
 def test_ecu_channel_attributes(tmp_path, example1):
@@ -208,13 +220,7 @@ def test_roundtrip_on_generated_instance(tmp_path):
     sched = schedule_channels(inst, asg)
     path = tmp_path / "gen.xml"
     export_fibex(inst, asg, sched, path)
-    expected = set()
-    for p in sched.placements:
-        channels = ("A", "B") if p.channel == "BOTH" else (p.channel,)
-        for ch in channels:
-            expected.add((p.signal, ch, p.base_cycle, p.slot, p.offset_bytes,
-                          p.is_image))
-    assert independent_placements(path) == expected
+    assert independent_placements(path) == set(map(dataclasses.astuple, sched.placements))
 
 
 @pytest.mark.parametrize("element, attr, value, message", [
@@ -240,7 +246,7 @@ def assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, mess
         tree.getroot().find(element).set(attr, value)
     broken = tmp_path / "broken.xml"
     tree.write(broken)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_fibex(broken)
     inst_file = tmp_path / "example1.json"
     save_instance(example1, inst_file)
@@ -278,6 +284,14 @@ def test_reader_rejects_repeated_slot_id(tmp_path, example1, capsys):
     ("channels/channel/slot", "gateway", "1",
      "slot 1 on channel A: gateway '1' is not true or false"),
     ("cluster", "slot-payload-bytes", "255", "slot_payload_bytes must be <= 254"),
+    ("cluster", "cycle-duration-ms", "inf",
+     "cycle_duration_ms must be positive and finite"),
+    ("channels/channel[@name='A']", "max-slot", "1",
+     "channel A: max-slot 1 is not the highest slot id 5"),
+    ("channels/channel[@name='B']", "max-slot", "7",
+     "channel B: max-slot 7 is not the highest slot id 5"),
+    ("channels/channel[@name='A']", "max-slot", "0",
+     "channel A: max-slot 0 is not the highest slot id 5"),
 ])
 def test_reader_rejects_out_of_range_cycles(tmp_path, example1, capsys,
                                             element, attr, value, message):
@@ -293,6 +307,15 @@ def test_reader_rejects_out_of_range_cycles(tmp_path, example1, capsys,
      "cluster: slot-payload-bytes 'eight' is not an integer"),
     ("cluster", "cycle-duration-ms", None, "cluster: cycle-duration-ms is missing"),
     ("cluster", "cycle-duration-ms", "fast", "cluster: cycle-duration-ms 'fast' is not a number"),
+    # the writer spells the cycle duration only as the repr of a float
+    ("cluster", "cycle-duration-ms", " 5_0e-1 ",
+     "cluster: cycle-duration-ms ' 5_0e-1 ' is not spelled as 5.0"),
+    ("cluster", "cycle-duration-ms", "+5.0", "cluster: cycle-duration-ms '+5.0' is not spelled as 5.0"),
+    ("cluster", "cycle-duration-ms", "5", "cluster: cycle-duration-ms '5' is not spelled as 5.0"),
+    ("cluster", "cycle-duration-ms", "NaN", "cluster: cycle-duration-ms 'NaN' is not spelled as nan"),
+    ("channels/channel[@name='A']", "max-slot", None, "channel A: max-slot is missing"),
+    ("channels/channel[@name='B']", "max-slot", "six",
+     "channel B: max-slot 'six' is not an integer"),
     ("ecus/ecu[@id='1']", "id", "four", "ecu element: id 'four' is not an integer"),
     ("ecus/ecu[@id='3']", "class", None, "ecu 3: class is missing"),
     ("ecus/ecu[@id='3']", "channels", None, "ecu 3: channels is missing"),
@@ -415,6 +438,7 @@ def test_restricted_windows_validate_and_round_trip(inst):
 # The integer attributes read_fibex reads, by element.
 INTEGER_ATTRIBUTES = {
     "cluster": ("hyperperiod-cycles", "slot-payload-bytes"),
+    "channel": ("max-slot",),
     "ecu": ("id",),
     "slot": ("id", "owner"),
     "frame": ("base-cycle",),

@@ -83,10 +83,8 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
         sched.columns[ch].setdefault(
             slot, SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h)
         ).add(base, occ)
-    placement = Placement(signal=sig.id, channel=target, base_cycle=base,
-                          slot=slot, offset_bytes=offset, is_image=is_image)
-    sched.placements.append(placement)
-    return [placement]
+    return [Placement(signal=sig.id, channel=target, base_cycle=base,
+                      slot=slot, offset_bytes=offset, is_image=is_image)]
 
 
 def grids(sched: Schedule):
