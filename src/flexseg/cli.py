@@ -106,8 +106,10 @@ def run_benchmark(instance_dir: str | Path, out_csv: str | Path, *,
 
     if numeric:
         means = [sum(col) / len(col) for col in zip(*numeric)]
-        timing_cells = ([_fmt(t) for t in means[13:]] if include_timings else [""] * 5)
-        rows.append(["average"] + [_fmt(v) for v in means[:13]] + timing_cells + [""])
+        # every numeric row holds its values first, then its timings
+        timing_cells = ([_fmt(t) for t in means[len(values):]] if include_timings
+                        else [""] * 5)
+        rows.append(["average"] + [_fmt(v) for v in means[:len(values)]] + timing_cells + [""])
     _write_csv(out_csv, rows)
     return failures
 

@@ -103,8 +103,9 @@ def run(inst: Instance, cfg: DriverConfig) -> DriverResult:
             slots_a=slots_a, slots_b=slots_b, gw_slots=sched.gateway_slot_count(),
         )
         log.append(rec)
-        if best is None or _schedule_key(sched) < _schedule_key(best.schedule):
-            best = DriverResult(schedule=sched, assignment=asg)
+        rank = _schedule_key(sched)
+        if best is None or rank < best_rank:
+            best, best_rank = DriverResult(schedule=sched, assignment=asg), rank
 
         if slots_a == 0 and slots_b == 0:
             break

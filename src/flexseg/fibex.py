@@ -177,8 +177,7 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             if gateway not in ("true", "false"):
                 raise ValueError(f"{where}: gateway {gateway!r} is not true or false")
             col = SlotColumn(owner=_field(a, "owner", f"{where}: "),
-                             is_gateway=gateway == "true",
-                             slot_payload_bytes=config.slot_payload_bytes)
+                             is_gateway=gateway == "true")
             sched.add_column(ch, slot, col)
             for frame_el in slot_el:
                 base = _field(frame_el.attrib, "base-cycle", f"frame in {where}: ")
@@ -188,10 +187,11 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
                 for inst_el in frame_el:
                     a = inst_el.attrib
                     try:
-                        col.add(base, _occurrence(a))
+                        occ = _occurrence(a)
                     except ValueError as exc:
                         who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
                         raise ValueError(f"{who} in {where}: {exc}") from None
+                    col.add(base, occ)
         if max_slot != sched.max_slot(ch):
             raise ValueError(f"channel {ch}: max-slot {max_slot} is not the highest "
                              f"slot id {sched.max_slot(ch)}")

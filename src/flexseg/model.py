@@ -94,21 +94,15 @@ class Instance:
         return {e.id: e for e in self.ecus}
 
 
-def feasible_base_cycles(sig: Signal, cycle_duration_ms: float) -> list[int]:
-    """Cycles in 1..period that satisfy the release/deadline window.
-
-    The first occurrence in cycle y is feasible when (y-1)*m >= release and
-    y*m <= deadline; timing is resolved at cycle granularity only.
-    """
-    return list(base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
-                                  cycle_duration_ms))
-
-
 @lru_cache(maxsize=4096)
 def base_cycle_window(period_cycles: int, release_ms: float, deadline_ms: float,
                       cycle_duration_ms: float) -> tuple[int, ...]:
-    """`feasible_base_cycles` of a signal with these fields.  Cached: the
-    scheduler asks once per placement, and signals share a few windows."""
+    """Cycles in 1..period that satisfy the release/deadline window.
+
+    The first occurrence in cycle y is feasible when (y-1)*m >= release and
+    y*m <= deadline; timing is resolved at cycle granularity only.  Cached:
+    the scheduler asks once per placement, and signals share a few windows.
+    """
     m = cycle_duration_ms
     return tuple(y for y in range(1, period_cycles + 1)
                  if (y - 1) * m >= release_ms - _EPS_MS and y * m <= deadline_ms + _EPS_MS)
@@ -181,14 +175,6 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError(
                 f"signal {s.id}: release/deadline window admits no occurrence cycle"
             )
-
-
-def is_valid(inst: Instance) -> bool:
-    try:
-        validate_instance(inst)
-    except ValidationError:
-        return False
-    return True
 
 
 # The exact key set of each JSON object of an instance file.

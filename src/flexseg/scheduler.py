@@ -55,28 +55,13 @@ class Occupancy:
 @dataclass
 class SlotColumn:
     """The frames of one slot on one channel, keyed by base cycle as in
-    the FIBEX file, and `mask`, the occupied bytes of all cycles as one
-    int: bit (cycle - 1) * slot_payload_bytes + byte."""
+    the FIBEX file."""
     owner: int
     is_gateway: bool
-    slot_payload_bytes: int
     frames: dict[int, list[Occupancy]] = field(default_factory=dict, init=False)
-    mask: int = field(default=0, init=False, repr=False)
 
     def add(self, base: int, occ: Occupancy) -> None:
         self.frames.setdefault(base, []).append(occ)
-        h = self.slot_payload_bytes
-        # the bytes of one h-byte frame that `occ` covers, none past its end
-        if occ.offset + occ.payload <= h:
-            frame = ((1 << occ.payload) - 1) << occ.offset
-        else:
-            frame = ((1 << h) - 1) >> occ.offset << occ.offset
-        bits = _cycle_pattern(occ.repetition, h) * frame << (base - 1) * h
-        # a base above the repetition runs past the hyperperiod
-        self.mask |= bits & ((1 << HYPERPERIOD_CYCLES * h) - 1)
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << HYPERPERIOD_CYCLES * self.slot_payload_bytes) - 1
 
 
 def by_offset(occ: Occupancy) -> tuple[int, int]:
@@ -90,39 +75,60 @@ def _cycle_pattern(period: int, h: int) -> int:
     return sum(1 << k * period * h for k in range(HYPERPERIOD_CYCLES // period))
 
 
-def _occupied_cycles(mask: int, h: int) -> int:
-    """The number of cycles with an occupied byte in a column mask."""
-    length = 1
-    while length < h:
-        step = min(length, h - length)
-        mask |= mask >> step
-        length += step
-    return (mask & _cycle_pattern(1, h)).bit_count()
+# An instance recurs in the cycles of `_EVERY[repetition] << base`, bit c
+# for cycle c; the bits of cycles 1..64 are `_IN_HYPERPERIOD`.
+_EVERY = {period: _cycle_pattern(period, 1) for period in ALLOWED_PERIOD_CYCLES}
+_IN_HYPERPERIOD = ((1 << HYPERPERIOD_CYCLES) - 1) << 1
+
+
+def _occupancy_mask(base: int, occ: Occupancy, h: int) -> int:
+    """The bytes that `occ` at `base` covers in a column mask: bit
+    (cycle - 1) * h + byte, none past the frame's end or the hyperperiod."""
+    if occ.offset + occ.payload <= h:
+        frame = ((1 << occ.payload) - 1) << occ.offset
+    else:
+        frame = ((1 << h) - 1) >> occ.offset << occ.offset
+    bits = _cycle_pattern(occ.repetition, h) * frame << (base - 1) * h
+    # a base above the repetition runs past the hyperperiod
+    return bits & ((1 << HYPERPERIOD_CYCLES * h) - 1)
 
 
 @dataclass
 class _SlotIndex:
-    """Where first-fit looks on each channel, derived from the columns once
-    and then kept in step by each placement; `Schedule.add_column` drops it.
+    """Where first fit looks on each channel and what it finds there,
+    derived from the columns once and then kept in step by `add`;
+    `Schedule.add_column` drops it.
 
+    `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
+    one int (see `_occupancy_mask`); `full` is the mask of a full column.
     Only slots in `open` (ascending ids of the columns that are not full,
     per channel, owner and gateway flag), in `holes` (ascending ids in
     1..top with no column) or above `top` can take a placement."""
+    h: int
+    full: int
     top: dict[str, int]
     holes: dict[str, list[int]]
     open: dict[tuple[str, int, bool], list[int]]
+    masks: dict[str, dict[int, int]]
 
     @classmethod
-    def derive(cls, columns: dict[str, dict[int, SlotColumn]]) -> _SlotIndex:
-        idx = cls(top={}, holes={}, open={})
+    def derive(cls, columns: dict[str, dict[int, SlotColumn]], h: int) -> _SlotIndex:
+        idx = cls(h, (1 << HYPERPERIOD_CYCLES * h) - 1, top={}, holes={}, open={},
+                  masks={})
         for ch in CHANNELS:
             cols = columns[ch]
             # slot ids below 1 are invalid and never take a placement
             idx.top[ch] = top = max(max(cols, default=0), 0)
             idx.holes[ch] = [t for t in range(1, top + 1) if t not in cols]
+            masks = idx.masks[ch] = {}
             for t in sorted(cols):
                 col = cols[t]
-                if t >= 1 and not col.is_full():
+                mask = 0
+                for base, entries in col.frames.items():
+                    for occ in entries:
+                        mask |= _occupancy_mask(base, occ, h)
+                masks[t] = mask
+                if t >= 1 and mask != idx.full:
                     idx.open.setdefault((ch, col.owner, col.is_gateway), []).append(t)
         return idx
 
@@ -136,18 +142,24 @@ class _SlotIndex:
             own = sorted(own + holes)
         return [*own, *range(top + 1, limit)] if top + 1 < limit else own
 
-    def opened(self, ch: str, slot: int, col: SlotColumn) -> None:
-        if slot > self.top[ch]:
-            self.holes[ch].extend(range(self.top[ch] + 1, slot))
-            self.top[ch] = slot
-        else:
-            holes = self.holes[ch]
-            del holes[bisect_left(holes, slot)]
-        insort(self.open.setdefault((ch, col.owner, col.is_gateway), []), slot)
-
-    def filled(self, ch: str, slot: int, col: SlotColumn) -> None:
-        own = self.open[(ch, col.owner, col.is_gateway)]
-        del own[bisect_left(own, slot)]
+    def add(self, ch: str, slot: int, col: SlotColumn, base: int, occ: Occupancy) -> None:
+        """Record `occ`, just added at `base` to `col`, the column at `slot`
+        on `ch`; a slot with no mask yet holds a new column."""
+        masks = self.masks[ch]
+        mask = masks.get(slot)
+        if mask is None:
+            if slot > self.top[ch]:
+                self.holes[ch].extend(range(self.top[ch] + 1, slot))
+                self.top[ch] = slot
+            else:
+                holes = self.holes[ch]
+                del holes[bisect_left(holes, slot)]
+            insort(self.open.setdefault((ch, col.owner, col.is_gateway), []), slot)
+            mask = 0
+        masks[slot] = mask = mask | _occupancy_mask(base, occ, self.h)
+        if mask == self.full:
+            own = self.open[(ch, col.owner, col.is_gateway)]
+            del own[bisect_left(own, slot)]
 
 
 @dataclass
@@ -155,7 +167,6 @@ class Schedule:
     config: NetworkConfig
     columns: dict[str, dict[int, SlotColumn]] = field(
         default_factory=lambda: {CH_A: {}, CH_B: {}})
-    ft_slots: tuple[int, ...] = ()
     _index: _SlotIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -189,8 +200,16 @@ class Schedule:
 
     def frame_count(self) -> int:
         """Occupied (channel, slot, cycle) frames."""
-        return sum(_occupied_cycles(col.mask, col.slot_payload_bytes)
-                   for ch in CHANNELS for col in self.columns[ch].values())
+        count = 0
+        for ch in CHANNELS:
+            for col in self.columns[ch].values():
+                # the cycles in which the column holds an instance
+                cycles = 0
+                for base, entries in col.frames.items():
+                    for occ in entries:
+                        cycles |= _EVERY[occ.repetition] << base
+                count += (cycles & _IN_HYPERPERIOD).bit_count()
+        return count
 
 
 def sort_signals(signals) -> list[Signal]:
@@ -280,7 +299,7 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
 
     idx = sched._index
     if idx is None:
-        idx = sched._index = _SlotIndex.derive(sched.columns)
+        idx = sched._index = _SlotIndex.derive(sched.columns, h)
     if target == BOTH:
         channels = CHANNELS
         limit = max(idx.top[CH_A], idx.top[CH_B]) + 1
@@ -289,19 +308,18 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         channels = (target,)
         limit = idx.top[target] + 1
         second = None
-    first = sched.columns[channels[0]]
+    first = idx.masks[channels[0]]
     fold, width_mask, runs, allowed = _fit_plan(period, h, sig.payload_bytes, bases)
     # A candidate is empty on the first channel or an open column of
     # `owner` there; only the second channel of BOTH needs the owner test.
     for slot in idx.candidates(channels[0], owner, is_image, limit):
-        col = first.get(slot)
-        mask = 0 if col is None else col.mask
+        mask = first.get(slot, 0)
         if second is not None:
             col = second.get(slot)
             if col is not None:
                 if col.owner != owner or col.is_gateway != is_image:
                     continue
-                mask |= col.mask
+                mask |= idx.masks[CH_B][slot]
         for shift in fold:
             mask |= mask >> shift
         free = ~mask & width_mask
@@ -321,85 +339,70 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         cols = sched.columns[ch]
         col = cols.get(slot)
         if col is None:
-            col = cols[slot] = SlotColumn(owner, is_image, h)
-            idx.opened(ch, slot, col)
+            col = cols[slot] = SlotColumn(owner, is_image)
         col.add(base, occ)
-        if col.is_full():
-            idx.filled(ch, slot, col)
+        idx.add(ch, slot, col, base, occ)
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
 def schedule_channels(inst: Instance, asg: ChannelAssignment) -> Schedule:
     """Build both channel schedules for an instance under an assignment.
 
-    Fault-tolerant signals are packed first into a common prefix shared by
-    both channels.  Each remaining signal is routed by determine_channel;
-    a one-port transmitter whose receivers span the channels additionally
-    gets a gateway image on the opposite channel, while a common
-    transmitter simply transmits on both channels itself.
+    Fault-tolerant signals sort first, so they open the same slots 1..k on
+    both channels, a common prefix that renumbering keeps.  Each other
+    signal is routed by determine_channel; a one-port transmitter whose
+    receivers span the channels additionally gets a gateway image on the
+    opposite channel, while a common transmitter simply transmits on both
+    channels itself.
     """
     sched = Schedule(config=inst.config)
-    ordered = sort_signals(inst.signals)
     loads = {CH_A: 0.0, CH_B: 0.0}
     gw = inst.gateway.id
-
-    i = 0
-    while i < len(ordered) and ordered[i].fault_tolerant:
-        sig = ordered[i]
-        place_to_schedule(sched, sig, BOTH, owner=sig.transmitter)
+    one_port = inst.one_port_ids
+    for sig in sort_signals(inst.signals):
+        tx = sig.transmitter
+        if sig.fault_tolerant:
+            ch = BOTH
+        else:
+            ch = determine_channel(sig, one_port, asg.channel_of, loads)
+        if ch != BOTH:
+            place_to_schedule(sched, sig, ch, owner=tx)
+            loads[ch] += signal_volume(sig)
+            continue
+        if sig.fault_tolerant:
+            place_to_schedule(sched, sig, BOTH, owner=tx)
+        elif tx not in one_port:
+            place_to_schedule(sched, sig, CH_A, owner=tx)
+            place_to_schedule(sched, sig, CH_B, owner=tx)
+        else:
+            home = asg.channel_of[tx]
+            original = place_to_schedule(sched, sig, home, owner=tx)[0]
+            place_to_schedule(sched, sig, CH_B if home == CH_A else CH_A, owner=gw,
+                              is_image=True, fixed_base_cycle=original.base_cycle)
         loads[CH_A] += signal_volume(sig)
         loads[CH_B] += signal_volume(sig)
-        i += 1
-    sched.ft_slots = tuple(sorted(sched.columns[CH_A]))
-
-    one_port = inst.one_port_ids
-    for sig in ordered[i:]:
-        ch = determine_channel(sig, one_port, asg.channel_of, loads)
-        if ch != BOTH:
-            place_to_schedule(sched, sig, ch, owner=sig.transmitter)
-            loads[ch] += signal_volume(sig)
-        elif sig.transmitter not in one_port:
-            place_to_schedule(sched, sig, CH_A, owner=sig.transmitter)
-            place_to_schedule(sched, sig, CH_B, owner=sig.transmitter)
-            loads[CH_A] += signal_volume(sig)
-            loads[CH_B] += signal_volume(sig)
-        else:
-            home = asg.channel_of[sig.transmitter]
-            other = CH_B if home == CH_A else CH_A
-            original = place_to_schedule(sched, sig, home, owner=sig.transmitter)[0]
-            place_to_schedule(sched, sig, other, owner=gw, is_image=True,
-                              fixed_base_cycle=original.base_cycle)
-            loads[home] += signal_volume(sig)
-            loads[other] += signal_volume(sig)
 
     return reorder_slots(sched)
 
 
 def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
-    """New slot ids: shared fault-tolerant prefix first, per-channel
-    non-gateway slots next in original order, gateway slots as soon as
-    every original they retransmit has a smaller id."""
-    ft = set(sched.ft_slots)
+    """New slot ids: per-channel non-gateway slots first in original order,
+    which keeps a fault-tolerant prefix shared by both channels, gateway
+    slots as soon as every original they retransmit has a smaller id."""
     # an imaged original is on its one-port transmitter's channel only
     original_slot = {occ.signal: (ch, t) for ch in CHANNELS
                      for t, col in sched.columns[ch].items() if not col.is_gateway
                      for entries in col.frames.values() for occ in entries}
 
     new_ids: dict[tuple[str, int], int] = {}
-    for i, slot in enumerate(sorted(ft), start=1):
-        new_ids[(CH_A, slot)] = i
-        new_ids[(CH_B, slot)] = i
-
     chains: dict[str, list[int]] = {}
     gateways: dict[str, list[int]] = {}
     for ch in CHANNELS:
         pre = sorted(sched.columns[ch])
-        chains[ch] = [t for t in pre if t not in ft and not sched.columns[ch][t].is_gateway]
-        gateways[ch] = [t for t in pre if t not in ft and sched.columns[ch][t].is_gateway]
-        next_id = len(ft) + 1
-        for t in chains[ch]:
-            new_ids[(ch, t)] = next_id
-            next_id += 1
+        chains[ch] = [t for t in pre if not sched.columns[ch][t].is_gateway]
+        gateways[ch] = [t for t in pre if sched.columns[ch][t].is_gateway]
+        for new_id, t in enumerate(chains[ch], start=1):
+            new_ids[(ch, t)] = new_id
 
     for ch in CHANNELS:
         pending = []
@@ -408,7 +411,7 @@ def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
             latest = max((new_ids[original_slot[occ.signal]]
                           for entries in frames.values() for occ in entries), default=0)
             pending.append((t, latest))
-        tick = len(ft) + len(chains[ch]) + 1
+        tick = len(chains[ch]) + 1
         while pending:
             eligible = [item for item in pending if item[1] < tick]
             if eligible:
@@ -424,7 +427,7 @@ def reorder_slots(sched: Schedule) -> Schedule:
     comes strictly after the slot of the latest original it retransmits.
     Frame contents are unchanged."""
     new_ids = _renumber(sched)
-    out = Schedule(config=sched.config, ft_slots=tuple(range(1, len(sched.ft_slots) + 1)))
+    out = Schedule(config=sched.config)
     for ch in CHANNELS:
         out.columns[ch] = {new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()}
     return out

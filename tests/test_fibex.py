@@ -24,7 +24,13 @@ from flexseg.generator import sae_profile, generate
 from flexseg.hypergraph import build_hypergraph
 from conftest import example1_instance
 from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, save_instance
-from flexseg.scheduler import Occupancy, Schedule, SlotColumn, schedule_channels
+from flexseg.scheduler import (
+    Occupancy,
+    Schedule,
+    SlotColumn,
+    reorder_slots,
+    schedule_channels,
+)
 from flexseg.validator import validate
 
 
@@ -124,12 +130,12 @@ def test_export_matches_elementtree_serialization(tmp_path):
     asg = ChannelAssignment(channel_of={3: "A"}, payload_a=0, payload_b=0, payload_gw=0,
                             criterion=0.0)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=16)
+    col = SlotColumn(owner=3, is_gateway=False)
     for base, occ in ((2, Occupancy(7, 12, 4, False, 2)), (1, Occupancy(5, 0, 16, False, 4)),
                       (2, Occupancy(6, 3, 9, False, 2)), (2, Occupancy(8, 0, 3, True, 4))):
         col.add(base, occ)
     sched.add_column("A", 3, col)
-    sched.add_column("A", 1, SlotColumn(owner=0, is_gateway=True, slot_payload_bytes=16))
+    sched.add_column("A", 1, SlotColumn(owner=0, is_gateway=True))
     path = tmp_path / "edge.xml"
     export_fibex(inst, asg, sched, path)
     assert path.read_bytes() == elementtree_document(inst, asg, sched)
@@ -167,7 +173,6 @@ def test_package_reader_reconstructs_grid(tmp_path, example1):
                     for c, v in got.frames.items()} == \
                    {c: sorted((o.signal, o.offset, o.is_image, o.repetition) for o in v)
                     for c, v in col.frames.items()}
-            assert got.mask == col.mask
 
 
 @pytest.mark.parametrize("make_instance", [
@@ -189,7 +194,11 @@ def test_read_back_schedule_lists_the_placements_of_the_run(tmp_path, make_insta
     assert fault_tolerant and {(p.signal, p.channel) for p in placements
                                if p.signal in fault_tolerant} == \
         {(sid, ch) for sid in fault_tolerant for ch in ("A", "B")}
-    assert read_fibex(path)[0].placements == placements
+    read_back = read_fibex(path)[0]
+    assert read_back.placements == placements
+    assert read_back.frame_count() == result.schedule.frame_count()
+    # the file keeps no fault-tolerant prefix, and renumbering needs none
+    assert reorder_slots(read_back).columns == read_back.columns
 
 
 def test_ecu_channel_attributes(tmp_path, example1):

@@ -16,7 +16,7 @@ from flexseg.generator import (
     sweep_profiles,
     validate_profile,
 )
-from flexseg.model import EcuKind, is_valid
+from flexseg.model import EcuKind, validate_instance
 
 
 def test_realcase_counts():
@@ -25,13 +25,13 @@ def test_realcase_counts():
     assert len(inst.signals) == 5043
     assert all(len(s.receivers) <= 2 for s in inst.signals)
     assert all(s.payload_bytes <= 4 for s in inst.signals)
-    assert is_valid(inst)
+    validate_instance(inst)
 
 
 def test_zero_signals():
     inst = generate(GeneratorProfile(signal_count=0), seed=1)
     assert inst.signals == ()
-    assert is_valid(inst)
+    validate_instance(inst)
 
 
 def test_deterministic_in_profile_and_seed():
@@ -95,7 +95,7 @@ def test_generated_instances_always_valid():
         for seed in range(3):
             inst = generate(sae_profile(level, signal_count=80,
                                         fault_tolerant_fraction=0.2), seed=seed)
-            assert is_valid(inst)
+            validate_instance(inst)
 
 
 def test_profile_validation_errors():
@@ -123,7 +123,7 @@ def test_sweep_grid_default_and_coarse():
 def test_sweep_profiles_generate_valid_instances():
     base = GeneratorProfile(signal_count=30, ecu_count=8)
     for profile in sweep_profiles(base, step=0.25):
-        assert is_valid(generate(profile, seed=1))
+        validate_instance(generate(profile, seed=1))
 
 
 def test_reduce_partition_shapes():
@@ -160,7 +160,7 @@ def test_profile_json_roundtrip(tmp_path):
     profile = load_profile(path)
     assert profile.name == "tiny"
     assert profile.receiver_count_weights == {1: 0.5, 2: 0.5}
-    assert is_valid(generate(profile, seed=0))
+    validate_instance(generate(profile, seed=0))
 
 
 def test_profile_json_unknown_key(tmp_path):

@@ -17,10 +17,9 @@ from flexseg.model import (
     NetworkConfig,
     Signal,
     ValidationError,
-    feasible_base_cycles,
+    base_cycle_window,
     instance_from_dict,
     instance_to_dict,
-    is_valid,
     load_instance,
     save_instance,
     validate_instance,
@@ -73,7 +72,7 @@ def test_load_zero_signals(tmp_path):
     path.write_text(json.dumps(data))
     inst = load_instance(path)
     assert inst.signals == ()
-    assert is_valid(inst)
+    validate_instance(inst)
 
 
 def test_fault_tolerant_on_one_port_rejected(tmp_path):
@@ -139,10 +138,8 @@ def test_invariant_violations(tmp_path, mutate, message):
 def test_window_needs_full_cycle():
     # (y-1)*m >= r and y*m <= d: release 1.9 ms leaves no feasible cycle
     # for a 2-cycle period at m=1, while release 1.0 admits cycle 2
-    sig = Signal(1, 2, 2, 4, 1.0, 2.0, False, frozenset({4}))
-    assert feasible_base_cycles(sig, 1.0) == [2]
-    sig = Signal(1, 2, 2, 4, 1.9, 2.0, False, frozenset({4}))
-    assert feasible_base_cycles(sig, 1.0) == []
+    assert base_cycle_window(2, 1.0, 2.0, 1.0) == (2,)
+    assert base_cycle_window(2, 1.9, 2.0, 1.0) == ()
 
 
 def test_roundtrip_example1(tmp_path, example1):

@@ -5,7 +5,8 @@ every offset, and expands the stored instances of each column (base cycle
 plus repetition) to their cycles itself, so it shares neither the owner
 index nor the packed column masks of the scheduler.  Random sequences of
 placements, with hand-built columns before and between them, must yield
-the same placements and frames.
+the same placements and frames, and the masks the index keeps placement
+by placement must equal those it derives from the frames.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from flexseg.model import (
     ALLOWED_PERIOD_CYCLES,
     NetworkConfig,
     Signal,
-    feasible_base_cycles,
+    base_cycle_window,
 )
 from flexseg.scheduler import (
     BOTH,
@@ -28,6 +29,7 @@ from flexseg.scheduler import (
     Placement,
     Schedule,
     SlotColumn,
+    _SlotIndex,
     place_to_schedule,
 )
 
@@ -45,7 +47,8 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
     if fixed_base_cycle is not None:
         bases = [fixed_base_cycle]
     else:
-        bases = feasible_base_cycles(sig, sched.config.cycle_duration_ms)
+        bases = base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
+                                  sched.config.cycle_duration_ms)
         if not bases:
             raise InfeasibleWindowError(f"signal {sig.id}")
     probe = (1 << sig.payload_bytes) - 1
@@ -80,9 +83,8 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
     occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
                     is_image=is_image, repetition=sig.period_cycles)
     for ch in channels:
-        sched.columns[ch].setdefault(
-            slot, SlotColumn(owner=owner, is_gateway=is_image, slot_payload_bytes=h)
-        ).add(base, occ)
+        sched.columns[ch].setdefault(slot, SlotColumn(owner=owner, is_gateway=is_image)).add(
+            base, occ)
     return [Placement(signal=sig.id, channel=target, base_cycle=base,
                       slot=slot, offset_bytes=offset, is_image=is_image)]
 
@@ -96,9 +98,7 @@ def grids(sched: Schedule):
 def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies) -> None:
     """Add occurrences through SlotColumn.add, opening the column if needed,
     and store the column through Schedule.add_column."""
-    h = sched.config.slot_payload_bytes
-    col = sched.columns[ch].get(slot) or SlotColumn(
-        owner=owner, is_gateway=owner == GATEWAY, slot_payload_bytes=h)
+    col = sched.columns[ch].get(slot) or SlotColumn(owner=owner, is_gateway=owner == GATEWAY)
     for sid, period, base, offset, payload in occupancies:
         col.add(base, Occupancy(sid, offset, payload, col.is_gateway, period))
     sched.add_column(ch, slot, col)
@@ -175,6 +175,9 @@ def play(h: int, steps) -> None:
                 outcome.append("infeasible")
         assert outcome[0] == outcome[1], step
         assert grids(fast) == grids(slow), step
+        # the masks kept placement by placement are those of the frames
+        if fast._index is not None:
+            assert fast._index.masks == _SlotIndex.derive(fast.columns, h).masks, step
     assert fast.placements == slow.placements
 
 

@@ -204,7 +204,7 @@ def test_add_column_replacing_an_owner_is_seen_by_the_next_placement():
     # itself tells that slot 1 now belongs to ECU 3
     sched = empty_schedule()
     place_to_schedule(sched, make_signal(1, 2, payload=1, deadline=64.0), CH_A, owner=2)
-    sched.add_column(CH_A, 1, SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=8))
+    sched.add_column(CH_A, 1, SlotColumn(owner=3, is_gateway=False))
     (p3,) = place_to_schedule(sched, make_signal(2, 3, payload=1, deadline=64.0),
                               CH_A, owner=3)
     assert p3.slot == 1
@@ -408,9 +408,24 @@ def test_fault_tolerant_prefix_shares_ids_after_reorder():
     hg = build_hypergraph(inst)
     asg = solve_exact(hg, CriterionParams(alpha=0.01, beta=1.0))
     sched = schedule_channels(inst, asg)
-    for slot in sched.ft_slots:
-        assert slot in sched.columns[CH_A] and slot in sched.columns[CH_B]
+    # each fault-tolerant signal sits at one (slot, base, offset) on both
+    # channels, and those slots are the first ids, none a gateway slot
+    fault_tolerant = {s.id for s in inst.signals if s.fault_tolerant}
+    where = {}
+    for p in sched.placements:
+        if p.signal in fault_tolerant:
+            where.setdefault(p.signal, {})[p.channel] = (p.slot, p.base_cycle, p.offset_bytes)
+    assert where and all(at.keys() == {CH_A, CH_B} and at[CH_A] == at[CH_B]
+                         for at in where.values())
+    prefix = {at[CH_A][0] for at in where.values()}
+    assert prefix == set(range(1, len(prefix) + 1))
+    assert not any(sched.columns[ch][slot].is_gateway for ch in (CH_A, CH_B) for slot in prefix)
     assert validate(inst, asg, sched) == []
+
+    # frame_count counts each occupied (channel, slot, cycle) once
+    period = {s.id: s.period_cycles for s in inst.signals}
+    assert sched.frame_count() == len({(p.channel, p.slot, cycle) for p in sched.placements
+                                       for cycle in range(p.base_cycle, 65, period[p.signal])})
 
 
 # --- single channel and lower bound ----------------------------------------
@@ -485,8 +500,9 @@ def test_adding_a_signal_never_frees_slots():
 
 def test_column_mask_keeps_only_the_bytes_inside_the_frame():
     # instances running past an 8-byte frame, as a schedule file may hold
-    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+    col = SlotColumn(owner=1, is_gateway=False)
     col.add(1, Occupancy(7, 6, 4, False, 64))
     col.add(2, Occupancy(8, 9, 2, False, 64))
     col.add(3, Occupancy(9, 0, 10**30, False, 64))
-    assert col.mask == 0b11000000 | 0xFF << 16
+    masks = scheduler._SlotIndex.derive({CH_A: {1: col}, CH_B: {}}, 8).masks
+    assert masks == {CH_A: {1: 0b11000000 | 0xFF << 16}, CH_B: {}}

@@ -41,12 +41,12 @@ def test_reference_fragment_has_no_packing_violations():
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
 
-    col_a3 = SlotColumn(owner=5, is_gateway=False, slot_payload_bytes=8)
+    col_a3 = SlotColumn(owner=5, is_gateway=False)
     add_occurrences(col_a3, signal=8, base=1, period=1, offset=0, payload=4)
     add_occurrences(col_a3, signal=9, base=1, period=2, offset=4, payload=4)
     sched.columns[CH_A][3] = col_a3
 
-    col_b2 = SlotColumn(owner=2, is_gateway=False, slot_payload_bytes=8)
+    col_b2 = SlotColumn(owner=2, is_gateway=False)
     add_occurrences(col_b2, signal=3, base=2, period=2, offset=0, payload=8)
     sched.columns[CH_B][2] = col_b2
 
@@ -63,7 +63,7 @@ def test_overlapping_frames_flagged_v2():
     )
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+    col = SlotColumn(owner=1, is_gateway=False)
     add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=8)
     add_occurrences(col, signal=2, base=1, period=1, offset=0, payload=8)
     sched.columns[CH_A][1] = col
@@ -95,7 +95,7 @@ def test_jitter_flagged_v4():
         signals = (Signal(1, 1, period, 4, 0.0, 64.0, False, frozenset({2})),)
         inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
         sched = Schedule(config=inst.config)
-        col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+        col = SlotColumn(owner=1, is_gateway=False)
         for base, repetition, offset in stored:
             col.add(base, Occupancy(1, offset, 4, False, repetition))
         sched.columns[CH_A][1] = col
@@ -107,7 +107,7 @@ def test_window_violation_flagged_v5():
     signals = (Signal(1, 1, 4, 4, 2.0, 4.0, False, frozenset({2})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+    col = SlotColumn(owner=1, is_gateway=False)
     add_occurrences(col, signal=1, base=1, period=4, offset=0, payload=4)  # too early
     sched.columns[CH_A][1] = col
     assert "V5" in codes(validate(inst, plain_assignment({}), sched))
@@ -119,7 +119,9 @@ def test_fault_tolerant_misalignment_flagged_v6(example1):
     sched = schedule_channels(example1, asg)
     assert validate(example1, asg, sched) == []
     # displace the fault-tolerant signal on channel B by one slot
-    ft_slot = sched.ft_slots[0]
+    fault_tolerant = {s.id for s in example1.signals if s.fault_tolerant}
+    ft_slot = next(p.slot for p in sched.placements
+                   if p.channel == CH_B and p.signal in fault_tolerant)
     col = sched.columns[CH_B].pop(ft_slot)
     fresh = sched.max_slot(CH_B) + 1
     sched.columns[CH_B][fresh] = col
@@ -147,7 +149,7 @@ def test_base_cycle_outside_hyperperiod_flagged_v4():
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     for base in (0, -3, 65):
         sched = Schedule(config=inst.config)
-        col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+        col = SlotColumn(owner=1, is_gateway=False)
         col.frames[base] = [Occupancy(1, 0, 4, False, 4)]
         sched.columns[CH_A][1] = col
         violations = validate(inst, plain_assignment({}), sched)
@@ -163,10 +165,10 @@ def test_image_preceding_original_flagged_v8():
     signals = (Signal(1, 3, 1, 4, 0.0, 64.0, False, frozenset({4})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col_b = SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=8)
+    col_b = SlotColumn(owner=3, is_gateway=False)
     add_occurrences(col_b, signal=1, base=1, period=1, offset=0, payload=4)
     sched.columns[CH_B][2] = col_b
-    col_gw = SlotColumn(owner=0, is_gateway=True, slot_payload_bytes=8)
+    col_gw = SlotColumn(owner=0, is_gateway=True)
     add_occurrences(col_gw, signal=1, base=1, period=1, offset=0, payload=4,
                     is_image=True)
     sched.columns[CH_A][1] = col_gw  # image slot id below the original's
@@ -179,7 +181,7 @@ def test_gateway_slot_with_original_flagged_v3():
     signals = (Signal(1, 1, 1, 4, 0.0, 64.0, False, frozenset({2})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=0, is_gateway=True, slot_payload_bytes=8)
+    col = SlotColumn(owner=0, is_gateway=True)
     add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=4)
     sched.columns[CH_A][1] = col
     assert "V3" in codes(validate(inst, plain_assignment({}), sched))
@@ -191,7 +193,7 @@ def test_receiver_cannot_hear_flagged_v7():
     signals = (Signal(1, 3, 1, 4, 0.0, 64.0, False, frozenset({4})),)
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     sched = Schedule(config=inst.config)
-    col = SlotColumn(owner=3, is_gateway=False, slot_payload_bytes=8)
+    col = SlotColumn(owner=3, is_gateway=False)
     add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=4)
     sched.columns[CH_B][1] = col
     # receiver 4 sits on channel A and no image exists
@@ -231,7 +233,7 @@ def test_slot_id_below_one_flagged_v3():
     inst = Instance(NetworkConfig(1.0, 8), ecus, signals)
     for slot in (0, -3):
         sched = Schedule(config=inst.config)
-        col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=8)
+        col = SlotColumn(owner=1, is_gateway=False)
         add_occurrences(col, signal=1, base=1, period=1, offset=0, payload=4)
         sched.columns[CH_A][slot] = col
         violations = validate(inst, plain_assignment({}), sched)
@@ -323,13 +325,11 @@ def hand_built_columns(draw):
     sched = Schedule(config=inst.config)
     for ch in CHANNELS:
         for slot in range(1, draw(st.integers(0, 2)) + 1):
-            col = SlotColumn(owner=1, is_gateway=False, slot_payload_bytes=h)
+            col = SlotColumn(owner=1, is_gateway=False)
             for _ in range(draw(st.integers(1, 5))):
                 sig_id = draw(st.integers(1, len(signals) + 1))
                 payload = signals[sig_id - 1].payload_bytes if sig_id <= len(signals) else 1
-                # stored as read_fibex would, without the scheduler's byte mask,
-                # which has no bit for a byte out of the frame
-                col.frames.setdefault(draw(st.integers(1, 64)), []).append(Occupancy(
+                col.add(draw(st.integers(1, 64)), Occupancy(
                     sig_id, draw(st.integers(-2, h)),
                     draw(st.sampled_from((payload, payload + 1))), draw(st.booleans()),
                     draw(st.sampled_from(ALLOWED_PERIOD_CYCLES))))
