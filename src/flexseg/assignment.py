@@ -8,6 +8,7 @@ format so any external MILP solver can cross-check the exact solver.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -26,10 +27,10 @@ class CriterionParams:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, not {self.alpha}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, not {self.beta}")
 
 
 @dataclass

@@ -36,6 +36,8 @@ class DriverConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.cah_tries < 1:
+            raise ValueError("cah_tries must be >= 1")
         if self.assignment_solver not in SOLVERS:
             raise ValueError(f"assignment_solver must be one of {SOLVERS}")
 

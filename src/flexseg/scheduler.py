@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from .assignment import CH_A, CH_B, ChannelAssignment
 from .model import (
@@ -103,18 +104,24 @@ class _SlotIndex:
     one int (see `_occupancy_mask`); `full` is the mask of a full column.
     Only slots in `open` (ascending ids of the columns that are not full,
     per channel, owner and gateway flag), in `holes` (ascending ids in
-    1..top with no column) or above `top` can take a placement."""
+    1..top with no column) or above `top` can take a placement.
+
+    `taken` maps a request (target, owner, image flag, period, payload,
+    base cycles) to the slot the last such request took.  Every candidate
+    below that slot refused it, and masks only grow until the index is
+    dropped, so an identical request starts its scan there."""
     h: int
     full: int
     top: dict[str, int]
     holes: dict[str, list[int]]
     open: dict[tuple[str, int, bool], list[int]]
     masks: dict[str, dict[int, int]]
+    taken: dict[tuple, int]
 
     @classmethod
     def derive(cls, columns: dict[str, dict[int, SlotColumn]], h: int) -> _SlotIndex:
         idx = cls(h, (1 << HYPERPERIOD_CYCLES * h) - 1, top={}, holes={}, open={},
-                  masks={})
+                  masks={}, taken={})
         for ch in CHANNELS:
             cols = columns[ch]
             # slot ids below 1 are invalid and never take a placement
@@ -142,9 +149,9 @@ class _SlotIndex:
             own = sorted(own + holes)
         return [*own, *range(top + 1, limit)] if top + 1 < limit else own
 
-    def add(self, ch: str, slot: int, col: SlotColumn, base: int, occ: Occupancy) -> None:
-        """Record `occ`, just added at `base` to `col`, the column at `slot`
-        on `ch`; a slot with no mask yet holds a new column."""
+    def add(self, ch: str, slot: int, col: SlotColumn, bits: int) -> None:
+        """Record the bytes `bits` of an instance just added to `col`, the
+        column at `slot` on `ch`; a slot with no mask yet holds a new column."""
         masks = self.masks[ch]
         mask = masks.get(slot)
         if mask is None:
@@ -156,7 +163,7 @@ class _SlotIndex:
                 del holes[bisect_left(holes, slot)]
             insort(self.open.setdefault((ch, col.owner, col.is_gateway), []), slot)
             mask = 0
-        masks[slot] = mask = mask | _occupancy_mask(base, occ, self.h)
+        masks[slot] = mask = mask | bits
         if mask == self.full:
             own = self.open[(ch, col.owner, col.is_gateway)]
             del own[bisect_left(own, slot)]
@@ -252,7 +259,8 @@ def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
 
     Folding the mask onto `period` cycles ORs the occurrences of every base
     together; bit (base - 1) * h + offset of the free-run mask is set when
-    bytes offset..offset+payload-1 are free in all of them."""
+    bytes offset..offset+payload-1 are free in all of them.  `pattern`
+    shifted to that bit is the bytes the signal covers in a column mask."""
     fold, width = [], HYPERPERIOD_CYCLES * h
     while width > period * h:
         width //= 2
@@ -264,7 +272,8 @@ def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
         length += step
     starts = (1 << max(h - payload + 1, 0)) - 1
     allowed = sum(starts << (b - 1) * h for b in bases)
-    return tuple(fold), (1 << width) - 1, tuple(runs), allowed
+    pattern = _cycle_pattern(period, h) * ((1 << payload) - 1)
+    return tuple(fold), (1 << width) - 1, tuple(runs), allowed, pattern
 
 
 def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
@@ -277,14 +286,17 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     `owner` on every target channel and all period-induced occurrences fit
     at a common offset.  Falls back to a fresh slot at max_slot+1, and
     never below 1.  Only the open slots of `owner` and empty slot ids are
-    visited, and each is tested with a few operations on its packed column
-    mask.
+    visited, from the slot an identical request last took, and each is
+    tested with a few operations on its packed column mask.
     """
     h = sched.config.slot_payload_bytes
     period = sig.period_cycles
     if period not in ALLOWED_PERIOD_CYCLES:
         raise ValueError(f"signal {sig.id}: period_cycles {period} is not "
                          f"a power of two in 1..{HYPERPERIOD_CYCLES}")
+    if not 1 <= sig.payload_bytes <= h:
+        raise ValueError(f"signal {sig.id}: payload_bytes {sig.payload_bytes} "
+                         f"outside 1..{h}")
     if fixed_base_cycle is not None:
         if not 1 <= fixed_base_cycle <= period:
             raise ValueError(f"signal {sig.id}: fixed base cycle {fixed_base_cycle} "
@@ -309,10 +321,14 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         limit = idx.top[target] + 1
         second = None
     first = idx.masks[channels[0]]
-    fold, width_mask, runs, allowed = _fit_plan(period, h, sig.payload_bytes, bases)
+    fold, width_mask, runs, allowed, pattern = _fit_plan(period, h, sig.payload_bytes,
+                                                         bases)
     # A candidate is empty on the first channel or an open column of
     # `owner` there; only the second channel of BOTH needs the owner test.
-    for slot in idx.candidates(channels[0], owner, is_image, limit):
+    request = (target, owner, is_image, period, sig.payload_bytes, bases)
+    candidates = idx.candidates(channels[0], owner, is_image, limit)
+    start = bisect_left(candidates, idx.taken.get(request, 0))
+    for slot in islice(candidates, start, None):
         mask = first.get(slot, 0)
         if second is not None:
             col = second.get(slot)
@@ -334,14 +350,16 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         # A fresh slot always has room; use the earliest feasible cycle.
         slot, base, offset = limit, bases[0], 0
 
+    idx.taken[request] = slot
     occ = Occupancy(sig.id, offset, sig.payload_bytes, is_image, period)
+    bits = (pattern << (base - 1) * h + offset) & idx.full
     for ch in channels:
         cols = sched.columns[ch]
         col = cols.get(slot)
         if col is None:
             col = cols[slot] = SlotColumn(owner, is_image)
         col.add(base, occ)
-        idx.add(ch, slot, col, base, occ)
+        idx.add(ch, slot, col, bits)
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -48,6 +49,14 @@ def test_params_validation():
         CriterionParams(alpha=-0.1)
     with pytest.raises(ValueError):
         CriterionParams(alpha=0.0, beta=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_weights(value):
+    with pytest.raises(ValueError, match="alpha"):
+        CriterionParams(alpha=value)
+    with pytest.raises(ValueError, match="beta"):
+        CriterionParams(alpha=0.0, beta=value)
 
 
 def test_default_alpha_is_inverse_total_payload(example1):

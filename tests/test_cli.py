@@ -89,6 +89,18 @@ def test_missing_file_is_hard_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_solve_rejects_non_finite_alpha(example1_file, capsys, alpha):
+    assert main(["solve", str(example1_file), "--alpha", alpha]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["exact", "cah", "ga"])
+def test_solve_rejects_tries_below_one_with_any_solver(example1_file, capsys, solver):
+    assert main(["solve", str(example1_file), "--solver", solver, "--tries", "0"]) == 2
+    assert "cah_tries" in capsys.readouterr().err
+
+
 def test_bench_csv_shape(tmp_path, example1_file):
     bench_dir = tmp_path / "set"
     bench_dir.mkdir()

@@ -4,9 +4,10 @@ The oracle visits every slot id from 1, every feasible base cycle and
 every offset, and expands the stored instances of each column (base cycle
 plus repetition) to their cycles itself, so it shares neither the owner
 index nor the packed column masks of the scheduler.  Random sequences of
-placements, with hand-built columns before and between them, must yield
-the same placements and frames, and the masks the index keeps placement
-by placement must equal those it derives from the frames.
+placements, with hand-built columns before and between them and
+requests repeated with a new signal id, must yield the same placements
+and frames, and the masks the index keeps placement by placement must
+equal those it derives from the frames.
 """
 from __future__ import annotations
 
@@ -95,10 +96,13 @@ def grids(sched: Schedule):
             for ch in CHANNELS}
 
 
-def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies) -> None:
-    """Add occurrences through SlotColumn.add, opening the column if needed,
-    and store the column through Schedule.add_column."""
-    col = sched.columns[ch].get(slot) or SlotColumn(owner=owner, is_gateway=owner == GATEWAY)
+def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies,
+                replace: bool = False) -> None:
+    """Add occurrences through SlotColumn.add to the column at `slot`, or to
+    a new one if there is none or `replace` is set, and store the column
+    through Schedule.add_column."""
+    col = None if replace else sched.columns[ch].get(slot)
+    col = col or SlotColumn(owner=owner, is_gateway=owner == GATEWAY)
     for sid, period, base, offset, payload in occupancies:
         col.add(base, Occupancy(sid, offset, payload, col.is_gateway, period))
     sched.add_column(ch, slot, col)
@@ -106,9 +110,9 @@ def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies) ->
 
 @st.composite
 def hand_columns(draw, h: int):
-    """(channel, slot, owner, occupancies) of a column built by hand; the
-    slot id may be below 1 and an occupancy may run past the end of the
-    frame."""
+    """(channel, slot, owner, occupancies, replace) of a column built by
+    hand; the slot id may be below 1, an occupancy may run past the end of
+    the frame, and a replacing column can free bytes or change the owner."""
     ch = draw(st.sampled_from(CHANNELS))
     slot = draw(st.integers(-1, 12))
     owner = draw(st.integers(0, 3))
@@ -119,7 +123,7 @@ def hand_columns(draw, h: int):
         occupancies.append((draw(st.integers(1000, 1999)), period,
                             draw(st.integers(1, period)),
                             draw(st.integers(0, h - 1)), payload))
-    return ("hand", ch, slot, owner, occupancies)
+    return ("hand", ch, slot, owner, occupancies, draw(st.booleans()))
 
 
 @st.composite
@@ -148,7 +152,8 @@ def placements(draw, h: int):
 def scenarios(draw):
     h = draw(st.integers(1, 16))
     steps = draw(st.lists(hand_columns(h), max_size=5))
-    steps += draw(st.lists(st.one_of(placements(h), placements(h), hand_columns(h)),
+    steps += draw(st.lists(st.one_of(placements(h), placements(h), hand_columns(h),
+                                     st.tuples(st.just("repeat"), st.booleans())),
                            min_size=1, max_size=25))
     return h, steps
 
@@ -158,11 +163,25 @@ def play(h: int, steps) -> None:
     one placed by the oracle; they must agree after every step."""
     fast = Schedule(config=NetworkConfig(1.0, h))
     slow = Schedule(config=NetworkConfig(1.0, h))
+    request = taken = None
     for sid, step in enumerate(steps, start=1):
         if step[0] == "hand":
             for sched in (fast, slow):
                 add_by_hand(sched, *step[1:])
             continue
+        if step[0] == "repeat":
+            # the previous request again, with a new id; with step[1] set,
+            # first empty the lowest column below the slot it took, so
+            # that the slot could take it; none after an infeasible request
+            if taken is None:
+                continue
+            ch, owner = CH_A if request[5] == BOTH else request[5], request[6]
+            below = [t for t in sorted(fast.columns[ch]) if 1 <= t < taken]
+            if step[1] and below:
+                for sched in (fast, slow):
+                    add_by_hand(sched, ch, below[0], owner, [], replace=True)
+            step = request
+        request = step
         _, period, payload, release, deadline, target, owner, is_image, base = step
         sig = Signal(sid, owner or 1, period, payload, release, deadline, False,
                      frozenset({9}))
@@ -174,6 +193,7 @@ def play(h: int, steps) -> None:
             except InfeasibleWindowError:
                 outcome.append("infeasible")
         assert outcome[0] == outcome[1], step
+        taken = None if outcome[0] == "infeasible" else outcome[0][0].slot
         assert grids(fast) == grids(slow), step
         # the masks kept placement by placement are those of the frames
         if fast._index is not None:
@@ -211,12 +231,16 @@ def test_holes_on_one_channel_match_linear_scan():
 
 
 def test_unpackable_arguments_rejected():
-    # the packed masks hold periods that divide the 64-cycle hyperperiod
-    # and base cycles within the period
+    # the packed masks hold periods that divide the 64-cycle hyperperiod,
+    # payloads within the frame and base cycles within the period
     sched = Schedule(config=NetworkConfig(1.0, 8))
     with pytest.raises(ValueError, match="period_cycles 3"):
         place_to_schedule(sched, Signal(1, 3, 3, 4, 0.0, 3.0, False, frozenset({4})),
                           CH_A, owner=3)
+    for payload in (0, 9):
+        with pytest.raises(ValueError, match=f"payload_bytes {payload} outside 1..8"):
+            place_to_schedule(sched, Signal(1, 3, 4, payload, 0.0, 4.0, False,
+                                            frozenset({4})), CH_A, owner=3)
     sig = Signal(2, 3, 4, 4, 0.0, 4.0, False, frozenset({4}))
     for base in (0, 5):
         with pytest.raises(ValueError, match="fixed base cycle"):

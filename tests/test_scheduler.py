@@ -213,6 +213,18 @@ def test_add_column_replacing_an_owner_is_seen_by_the_next_placement():
     assert p2.slot == 2
 
 
+def test_add_column_clears_where_a_repeated_request_starts():
+    # two identical full-width period-1 requests fill slots 1 and 2; once
+    # slot 1 is emptied, the same request must find it again
+    sched = empty_schedule()
+    for sid, slot in ((1, 1), (2, 2)):
+        (p,) = place_to_schedule(sched, make_signal(sid, 2, payload=8), CH_A, owner=2)
+        assert p.slot == slot
+    sched.add_column(CH_A, 1, SlotColumn(owner=2, is_gateway=False))
+    (p,) = place_to_schedule(sched, make_signal(3, 2, payload=8), CH_A, owner=2)
+    assert p.slot == 1
+
+
 def test_read_back_schedule_places_like_the_exported_one(tmp_path, example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
     sched = schedule_channels(example1, asg)
