@@ -7,19 +7,18 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import assignment as asg_mod
 from . import generator as gen_mod
 from .assignment import CH_A, CH_B, CriterionParams
-from .driver import DriverConfig, log_to_csv_rows, run
+from .driver import SOLVERS, DriverConfig, log_to_csv_rows, run
 from .fibex import export_fibex, read_fibex
 from .hypergraph import build_hypergraph
-from .model import FormatError, ValidationError, load_instance, save_instance
+from .model import FormatError, load_instance, save_instance
 from .scheduler import lbsc, schedule_single_channel
 from .validator import validate
-
-_SOLVER_NAMES = {"exact": "EXACT", "cah": "CAH", "ga": "GA"}
 
 
 def _write_csv(path: str | Path, rows: list[list[str]]) -> None:
@@ -39,111 +38,112 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_VALUE_COLUMNS = (
+    "signals", "free_ecus", "exact_criterion", "cah_criterion", "cah_gap_permille",
+    "ga_criterion", "ga_gap_permille", "lbsc", "single_slots",
+    "first_iter_slots", "first_iter_gw_slots", "best_slots", "best_gw_slots",
+)
+_TIMING_COLUMNS = ("exact_ms", "cah_ms", "ga_ms", "single_ms", "driver_ms")
+
+
+def _bench_row(name: str, numbers: dict, shown: tuple, error: str = "") -> list[str]:
+    """One CSV row: the `shown` columns of `numbers`, the others blank."""
+    return ([name] + [_fmt(numbers[c]) if c in shown else ""
+                      for c in _VALUE_COLUMNS + _TIMING_COLUMNS] + [error])
+
+
+def _bench_instance(path: Path, cfg: DriverConfig) -> dict:
+    """Every value and timing column of one instance, by column name."""
+    inst = load_instance(path)
+    hg = build_hypergraph(inst)
+    params = CriterionParams(alpha=asg_mod.default_alpha(hg), beta=1.0)
+    numbers: dict = {}
+
+    def timed(column, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        numbers[column] = (time.perf_counter() - t0) * 1000
+        return out
+
+    exact = timed("exact_ms", asg_mod.solve_exact, hg, params)
+    cah = timed("cah_ms", asg_mod.solve_cah, hg, params,
+                tries_count=cfg.cah_tries, rng_seed=cfg.rng_seed)
+    ga = timed("ga_ms", asg_mod.solve_ga, hg, params, rng_seed=cfg.rng_seed)
+    single = timed("single_ms", schedule_single_channel, inst)
+    result = timed("driver_ms", run, inst, cfg)
+
+    first, sched = result.log[0], result.schedule
+    numbers.update(
+        signals=len(inst.signals), free_ecus=len(hg.free_ecus),
+        exact_criterion=exact.criterion, cah_criterion=cah.criterion,
+        cah_gap_permille=_gap_permille(cah.criterion, exact.criterion),
+        ga_criterion=ga.criterion,
+        ga_gap_permille=_gap_permille(ga.criterion, exact.criterion),
+        lbsc=lbsc(inst.signals, inst.config.slot_payload_bytes),
+        single_slots=single.max_slot(CH_A),
+        first_iter_slots=max(first.slots_a, first.slots_b),
+        first_iter_gw_slots=first.gw_slots,
+        best_slots=sched.allocated_slots(),
+        best_gw_slots=sched.gateway_slot_count())
+    return numbers
+
+
 def run_benchmark(instance_dir: str | Path, out_csv: str | Path, *,
                   seed: int = 0, cah_tries: int = 1000, max_iterations: int = 10,
-                  exact_time_limit_ms: int = 60_000,
                   include_timings: bool = True) -> int:
     """Per-instance solver comparison rows plus an average row.
 
+    A bad setting or a missing directory raises before any instance runs.
     Returns the number of instances that failed (recorded in the error
     column; failures never abort the batch).
     """
+    cfg = DriverConfig(cah_tries=cah_tries, rng_seed=seed, max_iterations=max_iterations)
+    if not Path(instance_dir).is_dir():
+        raise NotADirectoryError(f"{instance_dir} is not a directory")
+    shown = _VALUE_COLUMNS + (_TIMING_COLUMNS if include_timings else ())
+    rows = [["instance", *_VALUE_COLUMNS, *_TIMING_COLUMNS, "error"]]
     paths = sorted(Path(instance_dir).glob("*.json"))
-    header = [
-        "instance", "signals", "free_ecus",
-        "exact_criterion", "cah_criterion", "cah_gap_permille",
-        "ga_criterion", "ga_gap_permille",
-        "lbsc", "single_slots",
-        "first_iter_slots", "first_iter_gw_slots", "best_slots", "best_gw_slots",
-        "exact_ms", "cah_ms", "ga_ms", "single_ms", "driver_ms",
-        "error",
-    ]
-    rows = [header]
-    numeric: list[list[float]] = []
-    failures = 0
+    measured: list[dict] = []
     for path in paths:
         try:
-            inst = load_instance(path)
-            hg = build_hypergraph(inst)
-            params = CriterionParams(alpha=asg_mod.default_alpha(hg), beta=1.0)
-
-            t0 = time.perf_counter()
-            exact = asg_mod.solve_exact(hg, params, time_limit_ms=exact_time_limit_ms)
-            t1 = time.perf_counter()
-            cah = asg_mod.solve_cah(hg, params, tries_count=cah_tries, rng_seed=seed)
-            t2 = time.perf_counter()
-            ga = asg_mod.solve_ga(hg, params, rng_seed=seed)
-            t3 = time.perf_counter()
-            single = schedule_single_channel(inst)
-            t4 = time.perf_counter()
-            result = run(inst, DriverConfig(
-                assignment_solver="CAH", cah_tries=cah_tries, rng_seed=seed,
-                max_iterations=max_iterations))
-            t5 = time.perf_counter()
-
-            first = result.log[0]
-            bound = lbsc(inst.signals, inst.config.slot_payload_bytes)
-            values = [
-                len(inst.signals), len(hg.free_ecus),
-                exact.criterion, cah.criterion,
-                _gap_permille(cah.criterion, exact.criterion),
-                ga.criterion, _gap_permille(ga.criterion, exact.criterion),
-                bound, single.max_slot(CH_A),
-                max(first.slots_a, first.slots_b), first.gw_slots,
-                result.schedule.allocated_slots(),
-                result.schedule.gateway_slot_count(),
-            ]
-            timings = [
-                (t1 - t0) * 1000, (t2 - t1) * 1000, (t3 - t2) * 1000,
-                (t4 - t3) * 1000, (t5 - t4) * 1000,
-            ]
-            numeric.append(values + timings)
-            timing_cells = [_fmt(t) for t in timings] if include_timings else [""] * 5
-            rows.append([path.stem] + [_fmt(v) for v in values] + timing_cells + [""])
+            measured.append(_bench_instance(path, cfg))
+            rows.append(_bench_row(path.stem, measured[-1], shown))
         except Exception as exc:  # soft failure: record and continue
-            failures += 1
-            rows.append([path.stem] + [""] * (len(header) - 2) + [str(exc)])
+            rows.append(_bench_row(path.stem, {}, (), str(exc)))
 
-    if numeric:
-        means = [sum(col) / len(col) for col in zip(*numeric)]
-        # every numeric row holds its values first, then its timings
-        timing_cells = ([_fmt(t) for t in means[len(values):]] if include_timings
-                        else [""] * 5)
-        rows.append(["average"] + [_fmt(v) for v in means[:len(values)]] + timing_cells + [""])
+    if measured:
+        means = {c: sum(m[c] for m in measured) / len(measured) for c in shown}
+        rows.append(_bench_row("average", means, shown))
     _write_csv(out_csv, rows)
-    return failures
+    return len(paths) - len(measured)
 
 
 def run_sweep(base_profile: gen_mod.GeneratorProfile, out_csv: str | Path, *,
               step: float = 0.05, instances_per_point: int = 3, seed: int = 0,
               cah_tries: int = 50, max_iterations: int = 5) -> int:
     """Mean allocated slots per (common fraction, fault-tolerant fraction)
-    grid point; one CSV row per point, suitable for surface plotting."""
+    grid point; one CSV row per point, suitable for surface plotting.
+    A bad setting or profile raises before any point runs."""
+    cfg = DriverConfig(cah_tries=cah_tries, rng_seed=seed, max_iterations=max_iterations)
+    if instances_per_point < 1:
+        raise ValueError("instances_per_point must be >= 1")
     rows = [["common_ecu_fraction", "fault_tolerant_fraction",
              "mean_slots", "mean_gw_slots", "error"]]
-    failures = 0
     for profile in gen_mod.sweep_profiles(base_profile, step=step):
+        point = [_fmt(profile.common_ecu_fraction), _fmt(profile.fault_tolerant_fraction)]
         try:
-            slots = []
-            gw_slots = []
+            slots = gw_slots = 0
             for k in range(instances_per_point):
                 inst = gen_mod.generate(profile, seed=seed + k)
-                result = run(inst, DriverConfig(
-                    assignment_solver="CAH", cah_tries=cah_tries,
-                    max_iterations=max_iterations, rng_seed=seed + k))
-                slots.append(result.schedule.allocated_slots())
-                gw_slots.append(result.schedule.gateway_slot_count())
-            rows.append([
-                _fmt(profile.common_ecu_fraction),
-                _fmt(profile.fault_tolerant_fraction),
-                _fmt(sum(slots) / len(slots)), _fmt(sum(gw_slots) / len(gw_slots)), "",
-            ])
+                sched = run(inst, replace(cfg, rng_seed=seed + k)).schedule
+                slots += sched.allocated_slots()
+                gw_slots += sched.gateway_slot_count()
+            rows.append(point + [_fmt(slots / instances_per_point),
+                                 _fmt(gw_slots / instances_per_point), ""])
         except Exception as exc:
-            failures += 1
-            rows.append([_fmt(profile.common_ecu_fraction),
-                         _fmt(profile.fault_tolerant_fraction), "", "", str(exc)])
+            rows.append(point + ["", "", str(exc)])
     _write_csv(out_csv, rows)
-    return failures
+    return sum(1 for row in rows if row[2] == "")  # a failed point has no mean
 
 
 def _cmd_solve(args) -> int:
@@ -151,7 +151,7 @@ def _cmd_solve(args) -> int:
     cfg = DriverConfig(
         alpha=args.alpha,
         max_iterations=args.iters,
-        assignment_solver=_SOLVER_NAMES[args.solver],
+        assignment_solver=args.solver.upper(),
         cah_tries=args.tries,
         rng_seed=args.seed,
     )
@@ -179,8 +179,7 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     failures = run_benchmark(
         args.dir, args.csv, seed=args.seed, cah_tries=args.tries,
-        max_iterations=args.iters, exact_time_limit_ms=args.time_limit_ms,
-        include_timings=not args.no_timings)
+        max_iterations=args.iters, include_timings=not args.no_timings)
     print(f"wrote {args.csv} ({failures} failed instance(s))")
     return 0
 
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="schedule one instance")
     p.add_argument("instance")
-    p.add_argument("--solver", choices=sorted(_SOLVER_NAMES), default="cah")
+    p.add_argument("--solver", choices=sorted(s.lower() for s in SOLVERS), default="cah")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tries", type=int, default=1000)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--time-limit-ms", type=int, default=60_000)
     p.add_argument("--no-timings", action="store_true",
                    help="blank the wall-clock columns for reproducible output")
     p.set_defaults(func=_cmd_bench)
@@ -270,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

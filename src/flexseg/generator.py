@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -26,6 +27,7 @@ from .model import (
     _as_int,
     _as_number,
     parse_int,
+    validate_config,
     validate_instance,
 )
 
@@ -94,10 +96,8 @@ def validate_profile(profile: GeneratorProfile) -> None:
         raise ValueError("ecu_count must be >= 3 (gateway plus two common ECUs)")
     if profile.signal_count < 0:
         raise ValueError("signal_count must be >= 0")
-    if profile.cycle_duration_ms <= 0:
-        raise ValueError("cycle_duration_ms must be positive")
-    if profile.slot_payload_bytes < 1:
-        raise ValueError("slot_payload_bytes must be >= 1")
+    validate_config(NetworkConfig(cycle_duration_ms=profile.cycle_duration_ms,
+                                  slot_payload_bytes=profile.slot_payload_bytes))
     for name in ("common_ecu_fraction", "fault_tolerant_fraction"):
         value = getattr(profile, name)
         if not 0.0 <= value <= 1.0:
@@ -110,9 +110,9 @@ def validate_profile(profile: GeneratorProfile) -> None:
             raise ValueError(
                 f"payload_weights key {l} outside 1..{profile.slot_payload_bytes}")
     for dist_name in ("period_weights", "payload_weights", "receiver_count_weights"):
-        dist = getattr(profile, dist_name)
-        if not dist or any(w < 0 for w in dist.values()) or sum(dist.values()) <= 0:
-            raise ValueError(f"{dist_name} must hold non-negative weights, some positive")
+        weights = getattr(profile, dist_name).values()
+        if not (all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf):
+            raise ValueError(f"{dist_name} needs finite weights >= 0, some positive")
     if any(c < 1 for c in profile.receiver_count_weights):
         raise ValueError("receiver counts must be >= 1")
 
@@ -217,6 +217,8 @@ def _profile_value(key: str, value):
         return {_weight_key(k, key): _as_number(w, f"{key}[{k}]") for k, w in value.items()}
     if key in _INT_FIELDS:
         return _as_int(value, key)
+    if key == "name" and type(value) is not str:
+        raise FormatError("name must be a string")
     return value if key == "name" else _as_number(value, key)
 
 

@@ -110,7 +110,6 @@ class _SlotIndex:
     base cycles) to the slot the last such request took.  Every candidate
     below that slot refused it, and masks only grow until the index is
     dropped, so an identical request starts its scan there."""
-    h: int
     full: int
     top: dict[str, int]
     holes: dict[str, list[int]]
@@ -120,7 +119,7 @@ class _SlotIndex:
 
     @classmethod
     def derive(cls, columns: dict[str, dict[int, SlotColumn]], h: int) -> _SlotIndex:
-        idx = cls(h, (1 << HYPERPERIOD_CYCLES * h) - 1, top={}, holes={}, open={},
+        idx = cls((1 << HYPERPERIOD_CYCLES * h) - 1, top={}, holes={}, open={},
                   masks={}, taken={})
         for ch in CHANNELS:
             cols = columns[ch]

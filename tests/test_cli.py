@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import example1_instance
+from flexseg import cli
 from flexseg.cli import main, run_benchmark, run_sweep
+from flexseg.driver import run
 from flexseg.fibex import read_fibex
-from flexseg.generator import GeneratorProfile
+from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.model import save_instance
 
 
@@ -145,6 +153,21 @@ def test_sweep_grid_rows(tmp_path):
     assert len(rows) == 1 + 9
 
 
+def test_sweep_counts_failed_points(tmp_path, monkeypatch):
+    def fail(inst, cfg):
+        if inst.name.startswith("sweep-c0.5"):
+            raise RuntimeError()
+        return run(inst, cfg)
+
+    monkeypatch.setattr(cli, "run", fail)
+    out_csv = tmp_path / "sweep.csv"
+    base = GeneratorProfile(name="sweep", ecu_count=8, signal_count=20)
+    assert run_sweep(base, out_csv, step=0.5, instances_per_point=1, cah_tries=3,
+                     max_iterations=2) == 3
+    rows = out_csv.read_text().splitlines()
+    assert sum(row.startswith("0.5,") and row.endswith(",,,") for row in rows) == 3
+
+
 def test_sweep_cli(tmp_path, capsys):
     profile = tmp_path / "profile.json"
     profile.write_text('{"name": "s", "ecu_count": 8, "signal_count": 20}')
@@ -153,3 +176,73 @@ def test_sweep_cli(tmp_path, capsys):
                  "--step", "0.5", "--instances", "1", "--tries", "5",
                  "--iters", "2"]) == 0
     assert out_csv.exists()
+
+
+def test_bench_and_sweep_csv_bytes_are_pinned(tmp_path):
+    bench_dir = tmp_path / "set"
+    bench_dir.mkdir()
+    save_instance(example1_instance(), bench_dir / "example1.json")
+    save_instance(generate(sae_profile(4, signal_count=120, fault_tolerant_fraction=0.2), 3),
+                  bench_dir / "sae4-ft0.2-3.json")
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(bench_dir), "--csv", str(bench_csv),
+                 "--tries", "20", "--iters", "3", "--seed", "1", "--no-timings"]) == 0
+    assert hashlib.sha256(bench_csv.read_bytes()).hexdigest() == \
+        "3db72884cd38935d0f157640895a3e0d434b7184545e520c2c1722107f5c2e00"
+
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"name": "tiny", "ecu_count": 8, "signal_count": 40}')
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--profile", str(profile), "--csv", str(sweep_csv),
+                 "--step", "0.5", "--instances", "2", "--tries", "10", "--iters", "3",
+                 "--seed", "1"]) == 0
+    assert hashlib.sha256(sweep_csv.read_bytes()).hexdigest() == \
+        "b54fc17a46b90f5c94cb291df9e3e5f3563b7a43958e57205759fe7c92292aec"
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "set").mkdir()
+    save_instance(example1_instance(), root / "set" / "example1.json")
+    (root / "profile.json").write_text('{"name": "s", "ecu_count": 8, "signal_count": 20}')
+    return root
+
+
+# the library parameter each option sets, which the error message names
+_OPTION_PARAMS = {"--tries": "cah_tries", "--iters": "max_iterations",
+                  "--instances": "instances_per_point"}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(command_option=st.sampled_from([
+           ("bench", "--tries"), ("bench", "--iters"),
+           ("sweep", "--tries"), ("sweep", "--iters"), ("sweep", "--instances")]),
+       value=st.integers(max_value=0))
+def test_option_below_one_exits_2_before_any_instance(run_inputs, command_option, value):
+    command, option = command_option
+    out_csv = run_inputs / "out.csv"
+    source = (["--dir", str(run_inputs / "set")] if command == "bench"
+              else ["--profile", str(run_inputs / "profile.json"), "--step", "0.5"])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, *source, "--csv", str(out_csv), f"{option}={value}"])
+    assert code == 2
+    assert _OPTION_PARAMS[option] in err.getvalue()
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("name", ["missing", "file.json"])
+def test_bench_dir_that_is_no_directory_exits_2(tmp_path, capsys, name):
+    (tmp_path / "file.json").write_text("{}")
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(tmp_path / name), "--csv", str(out_csv)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_bench_has_no_time_limit_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dir", str(tmp_path), "--csv", str(tmp_path / "b.csv"),
+              "--time-limit-ms", "5"])
+    assert exc.value.code == 2

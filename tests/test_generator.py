@@ -184,3 +184,21 @@ def test_generate_rejects_mistyped_profile(tmp_path, capsys, text, message):
     assert main(["generate", "--profile", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ('"slot_payload_bytes": 300', "slot_payload_bytes must be <= 254"),
+    ('"cycle_duration_ms": Infinity', "cycle_duration_ms must be positive and finite"),
+    ('"period_weights": {"8": NaN}', "period_weights needs finite weights"),
+    ('"payload_weights": {"1": Infinity}', "payload_weights needs finite weights"),
+    ('"payload_weights": {"1": 1e308, "2": 1e308}', "payload_weights needs finite weights"),
+    ('"name": [1, 2]', "name must be a string"),
+])
+def test_sweep_rejects_bad_profile_before_any_point(tmp_path, capsys, fields, message):
+    path = tmp_path / "profile.json"
+    path.write_text('{"ecu_count": 8, "signal_count": 20, %s}' % fields)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--profile", str(path), "--csv", str(out), "--step", "0.5",
+                 "--instances", "1", "--tries", "3", "--iters", "2"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
