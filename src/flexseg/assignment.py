@@ -77,9 +77,9 @@ class _State:
     ECU: `mask_a` and `mask_b`.  Unassigned ECUs are treated as absent: an
     edge counts toward a channel once at least one of its assigned
     endpoints lies there.  `add_split` and `move_delta` score a candidate
-    without changing any state; `criterion_at` and `bound_at` turn the
-    resulting sums into the same floats `criterion` and `bound` give once
-    the candidate is applied, and `assign` and `move` apply it from that
+    without changing any state; `criterion_at` turns the resulting sums
+    into the float `criterion` gives once the candidate is applied,
+    `bound_at` into a lower bound, and `assign` and `move` apply it from that
     score.  `saved` and `restore` undo any run of changes.  Only the
     scoring has two backings: `_TableState` reads the hypergraph's coverage
     table, `_WalkState` walks the incident edges of the ECU that changes.
@@ -159,9 +159,6 @@ class _State:
         """The criterion of a map with these edge sums (fault-tolerant
         payload excluded, as in `sum_a`/`sum_b`)."""
         return max(params.beta * (sum_a + self.ft), sum_b + self.ft) + params.alpha * sum_g
-
-    def bound(self, params: CriterionParams) -> float:
-        return self.bound_at(params, self.sum_a, self.sum_b, self.sum_g, self.sum_float)
 
     def bound_at(self, params: CriterionParams, sum_a: int, sum_b: int, sum_g: int,
                  pool: int) -> float:

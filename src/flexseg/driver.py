@@ -62,10 +62,6 @@ class DriverResult:
     log: list[IterationRecord] = field(default_factory=list)
 
 
-def _schedule_key(sched: Schedule) -> tuple[int, int, int]:
-    return (sched.allocated_slots(), sched.gateway_slot_count(), sched.frame_count())
-
-
 def _solve(solver: str, hg, params: CriterionParams, cfg: DriverConfig,
            seed: int) -> ChannelAssignment:
     if solver == "EXACT":
@@ -105,7 +101,7 @@ def run(inst: Instance, cfg: DriverConfig) -> DriverResult:
             slots_a=slots_a, slots_b=slots_b, gw_slots=sched.gateway_slot_count(),
         )
         log.append(rec)
-        rank = _schedule_key(sched)
+        rank = (max(slots_a, slots_b), rec.gw_slots, sched.frame_count())
         if best is None or rank < best_rank:
             best, best_rank = DriverResult(schedule=sched, assignment=asg), rank
 

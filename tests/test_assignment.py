@@ -257,7 +257,7 @@ def test_bound_admissible_on_partial_assignments():
             st = make(hg)
             for u, ch in partial.items():
                 st.assign(u, ch)
-            bounds.append(st.bound(params))
+            bounds.append(st.bound_at(params, st.sum_a, st.sum_b, st.sum_g, st.sum_float))
         bound = bounds[0]
         assert bounds == [bound] * len(STATES)
         rest = [u for u in hg.free_ecus if u not in partial]
@@ -386,7 +386,9 @@ def check_split_and_move_delta(state, hg, partial, params) -> list[tuple[int, ..
                               ("B", (sums[0], sums[1] + floating + on_a, sums[2] + on_a))):
                 state.assign(u, ch, split)
                 check({**partial, u: ch})
-                assert state.bound(params) == state.bound_at(params, *child, sums[3] - floating)
+                assert state.bound_at(
+                    params, state.sum_a, state.sum_b, state.sum_g, state.sum_float
+                ) == state.bound_at(params, *child, sums[3] - floating)
                 assert state.criterion(params) == state.criterion_at(params, *child)
                 state.restore(before)
         assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == sums

@@ -4,12 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import example1_instance
+from flexseg import assignment as asg_mod
 from flexseg import cli
 from flexseg.cli import main, run_benchmark, run_sweep
 from flexseg.driver import run
@@ -56,7 +58,6 @@ def test_validate_reports_violations(tmp_path, example1_file, capsys):
     # image precedes its original; no id repeats, so the file still reads
     text = fibex.read_text()
     broken = tmp_path / "broken.xml"
-    import re
     gateway = re.search(r'<slot id="(\d+)" owner="0" gateway="true">', text).group(1)
     text = text.replace('<slot id="1" ', '<slot id="swap" ', 1)
     text = text.replace(f'<slot id="{gateway}" owner="0" gateway="true">',
@@ -79,6 +80,19 @@ def test_validate_rejects_misaligned_bit_offset(tmp_path, example1_file, capsys)
         read_fibex(misaligned)
     assert main(["validate", str(example1_file), str(misaligned)]) == 2
     assert "bit-offset 3" in capsys.readouterr().err
+
+
+def test_validate_refuses_one_port_ecu_without_a_channel(tmp_path, example1_file, capsys):
+    fibex = tmp_path / "out.xml"
+    main(["solve", str(example1_file), "--fibex", str(fibex)])
+    capsys.readouterr()
+    unassigned = tmp_path / "unassigned.xml"
+    text, n = re.subn(r'(<ecu id="3" class="ONE_PORT" channels=)"[AB]"', r'\1""',
+                      fibex.read_text())
+    assert n == 1
+    unassigned.write_text(text)
+    assert main(["validate", str(example1_file), str(unassigned)]) == 2
+    assert "lacks channel assignments for ECUs [3]" in capsys.readouterr().err
 
 
 def test_generate_command(tmp_path, capsys):
@@ -132,6 +146,40 @@ def test_bench_csv_shape(tmp_path, example1_file):
     assert bad["error"] != ""
 
 
+def test_bench_names_the_exception_type_of_an_empty_message(tmp_path, example1_file,
+                                                            monkeypatch):
+    def fail(inst, cfg):
+        raise AssertionError()
+
+    monkeypatch.setattr(cli, "run", fail)
+    bench_dir = tmp_path / "set"
+    bench_dir.mkdir()
+    (bench_dir / "one.json").write_text(example1_file.read_text())
+    out_csv = tmp_path / "bench.csv"
+    assert run_benchmark(bench_dir, out_csv, seed=1, cah_tries=5) == 1
+    rows = out_csv.read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("one,") and rows[1].endswith(",AssertionError")
+
+
+def test_bench_builds_the_coverage_table_before_timing_the_solvers(tmp_path, example1_file,
+                                                                 monkeypatch):
+    seen = []
+    exact = asg_mod.solve_exact
+
+    def solve_exact(hg, params):
+        seen.append("uncovered" in vars(hg))
+        return exact(hg, params)
+
+    monkeypatch.setattr(asg_mod, "solve_exact", solve_exact)
+    bench_dir = tmp_path / "set"
+    bench_dir.mkdir()
+    (bench_dir / "one.json").write_text(example1_file.read_text())
+    assert run_benchmark(bench_dir, tmp_path / "bench.csv", seed=1, cah_tries=5,
+                         max_iterations=1) == 0
+    assert seen == [True]
+
+
 def test_bench_no_timings_deterministic(tmp_path, example1_file):
     bench_dir = tmp_path / "set"
     bench_dir.mkdir()
@@ -165,7 +213,7 @@ def test_sweep_counts_failed_points(tmp_path, monkeypatch):
     assert run_sweep(base, out_csv, step=0.5, instances_per_point=1, cah_tries=3,
                      max_iterations=2) == 3
     rows = out_csv.read_text().splitlines()
-    assert sum(row.startswith("0.5,") and row.endswith(",,,") for row in rows) == 3
+    assert sum(row.startswith("0.5,") and row.endswith(",,,RuntimeError") for row in rows) == 3
 
 
 def test_sweep_cli(tmp_path, capsys):
