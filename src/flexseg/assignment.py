@@ -62,10 +62,12 @@ def default_alpha(hg: Hypergraph) -> float:
 
 # The solvers read the coverage table up to this many one-port ECUs and
 # walk each ECU's incident edges above it.  The table holds 2**n entries of
-# 8 bytes and its build doubles with each ECU.  On sae4 hypergraphs of
-# about 650 edges (2 cores, Python 3.11), a 100-try cah call saves 50-70 ms
-# with the table; the build pays back after 1.5 calls at n = 19, 3 at 20,
-# 5-7 at 21 and 11-13 at 22, more than a run's 10 iterations.
+# 8 bytes, twice that while it is built, and its build doubles with each
+# ECU.  On sae4 hypergraphs of about 650-700 edges (2 cores, Python 3.11),
+# a 100-try cah call saves 40-65 ms with the table; the build (32, 57, 98
+# and 178 ms) pays back after 0.5 calls at n = 19, 1 at 20, 2.4 at 21 and
+# 3 at 22.  The cap holds the table to 8 MiB; no benchmark workload has
+# more than 17 one-port ECUs.
 TABLE_MAX_ECUS = 20
 
 

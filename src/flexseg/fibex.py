@@ -83,12 +83,14 @@ def export_fibex(inst: Instance, asg: ChannelAssignment, sched: Schedule,
 
 def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     """Parse an exported file back into a Schedule plus the one-port
-    ECU-to-channel map embedded in the ecu elements."""
+    ECU-to-channel map embedded in the ecu elements.  An element out of
+    the writer's layout (another tag, a missing or repeated part, a
+    repeated channel, frame or ECU) is a ValueError naming it."""
     try:
         root = ET.parse(path).getroot()
-        return _read_parsed(root)
-    except (ET.ParseError, AttributeError, TypeError, KeyError) as exc:
+    except ET.ParseError as exc:
         raise ValueError(f"{path} is not a schedule file: {exc}") from exc
+    return _read_parsed(root)
 
 
 _PARSED_AS = {parse_int: "an integer", float: "a number"}
@@ -133,8 +135,26 @@ def _occurrence(a: dict[str, str]) -> Occupancy:
     return Occupancy(signal, bit_offset // 8, payload, image == "true", rep)
 
 
+def _children(el: ET.Element, tag: str, where: str) -> ET.Element:
+    """`el`, whose child elements must all be `tag` elements; ValueError
+    names the first that is not, and `where` it stands."""
+    for child in el:
+        if child.tag != tag:
+            raise ValueError(f"{where}: element <{child.tag}> is not <{tag}>")
+    return el
+
+
 def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
-    cluster = root.find("cluster").attrib
+    if root.tag != "flexray-schedule":
+        raise ValueError(f"root element <{root.tag}> is not flexray-schedule")
+    if root.get("format") != "simplified-1":
+        raise ValueError(f"flexray-schedule: format {root.get('format')!r} is not simplified-1")
+    parts = [el.tag for el in root]
+    if parts != ["cluster", "ecus", "channels"]:
+        raise ValueError(f"flexray-schedule: child elements {parts} are not "
+                         f"['cluster', 'ecus', 'channels']")
+    cluster_el, ecus_el, channels_el = root
+    cluster = cluster_el.attrib
     hyperperiod = _field(cluster, "hyperperiod-cycles", "cluster: ")
     if hyperperiod != HYPERPERIOD_CYCLES:
         raise ValueError(f"cluster: hyperperiod-cycles {hyperperiod} is not "
@@ -150,9 +170,13 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
     )
     validate_config(config)
     channel_of: dict[int, str] = {}
-    for ecu_el in root.find("ecus"):
+    ecu_ids: set[int] = set()
+    for ecu_el in _children(ecus_el, "ecu", "ecus"):
         a = ecu_el.attrib
         ecu = _field(a, "id", "ecu element: ")
+        if ecu in ecu_ids:
+            raise ValueError(f"ecus: ecu id {ecu} appears twice")
+        ecu_ids.add(ecu)
         kind = _field(a, "class", f"ecu {ecu}: ", str)
         # An empty value is an ECU without a channel, which validate reports.
         ch = _field(a, "channels", f"ecu {ecu}: ", str)
@@ -162,12 +186,16 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             channel_of[ecu] = ch
 
     sched = Schedule(config=config)
-    for ch_el in root.find("channels"):
+    names: list[str] = []
+    for ch_el in _children(channels_el, "channel", "channels"):
         ch = ch_el.get("name")
         if ch not in CHANNELS:
             raise ValueError(f"channel element: name {ch!r} is not A or B")
+        if ch in names:
+            raise ValueError(f"channels: channel {ch} appears twice")
+        names.append(ch)
         max_slot = _field(ch_el.attrib, "max-slot", f"channel {ch}: ")
-        for slot_el in ch_el:
+        for slot_el in _children(ch_el, "slot", f"channel {ch}"):
             a = slot_el.attrib
             slot = _field(a, "id", f"slot element on channel {ch}: ")
             if slot in sched.columns[ch]:
@@ -179,12 +207,15 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             col = SlotColumn(owner=_field(a, "owner", f"{where}: "),
                              is_gateway=gateway == "true")
             sched.add_column(ch, slot, col)
-            for frame_el in slot_el:
+            for frame_el in _children(slot_el, "frame", where):
                 base = _field(frame_el.attrib, "base-cycle", f"frame in {where}: ")
                 if not 1 <= base <= HYPERPERIOD_CYCLES:
                     raise ValueError(f"frame in {where}: base-cycle "
                                      f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
-                for inst_el in frame_el:
+                if base in col.frames:
+                    raise ValueError(f"{where}: frame base-cycle {base} appears twice")
+                for inst_el in _children(frame_el, "signal-instance",
+                                         f"frame {base} in {where}"):
                     a = inst_el.attrib
                     try:
                         occ = _occurrence(a)

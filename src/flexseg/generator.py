@@ -9,7 +9,6 @@ hypergraphs that encode two-partition questions as assignment problems.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ from .model import (
     _as_int,
     _as_number,
     parse_int,
+    read_json,
     validate_config,
     validate_instance,
 )
@@ -223,7 +223,7 @@ def _profile_value(key: str, value):
 
 
 def load_profile(path: str | Path) -> GeneratorProfile:
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError("profile file must hold a JSON object")
     unknown = set(data) - _PROFILE_FIELDS

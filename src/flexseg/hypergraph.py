@@ -16,7 +16,9 @@ from functools import cached_property
 from .model import Instance
 
 # Table entries per block of the subset-sum transform: 2**10 entries of 8
-# bytes, so the transform allocates a few 8 KiB ints beside the table.
+# bytes, one 8 KiB int.  The blocks of the whole table sit beside it while
+# the transform runs, one more copy of the table (1 MiB at 17 one-port
+# ECUs, 8 MiB at 20).
 _BLOCK_BITS = 10
 
 
@@ -43,13 +45,14 @@ def _uncovered_table(hg: Hypergraph) -> array:
     edges whose endpoint set is exactly the complement of S and ends as
     the sum over the supersets of S.
 
-    The table is transformed block by block, each block read as one int
-    of 64-bit fields.  Entries never exceed the total payload, so fields
-    add without a carry between them and one big-int add updates a whole
-    block.  For a bit inside a block, every entry S without the bit gets
-    entry S | bit: the fields whose index has the bit set, masked and
-    shifted down by bit fields.  For a bit above, the block gets its
-    partner block."""
+    The filled table is read once into a list of blocks, each one int of
+    64-bit fields.  Entries never exceed the total payload, so fields add
+    without a carry between them and one big-int add updates a whole
+    block.  The transform is one pass per bit.  For a bit inside a block,
+    every entry S without the bit gets entry S | bit: the fields whose
+    index has the bit set, masked and shifted down by bit fields.  For a
+    bit above, the block gets its partner block.  Each block is then
+    written back into the table once."""
     n = len(hg.free_ecus)
     full = (1 << n) - 1
     bit = {u: 1 << i for i, u in enumerate(hg.free_ecus)}
@@ -62,24 +65,20 @@ def _uncovered_table(hg: Hypergraph) -> array:
 
     if sys.byteorder == "big":
         table.byteswap()  # the fields are read as little-endian
-    view = memoryview(table).cast("B")
-    k = min(n, _BLOCK_BITS)
-    span = 8 << k
-    with_bit = [int.from_bytes((bytes(8 << i) + b"\xff" * (8 << i)) * (1 << (k - i - 1)), "little")
-                for i in range(k)]
-    for lo in range(0, len(view), span):
-        x = int.from_bytes(view[lo:lo + span], "little")
-        for i, m in enumerate(with_bit):
-            x += (x & m) >> (64 << i)
-        view[lo:lo + span] = x.to_bytes(span, "little")
-    for i in range(k, n):
-        half = 8 << i
-        for lo in range(0, len(view), 2 * half):
-            for c in range(lo, lo + half, span):
-                x = int.from_bytes(view[c:c + span], "little") + \
-                    int.from_bytes(view[c + half:c + half + span], "little")
-                view[c:c + span] = x.to_bytes(span, "little")
-    view.release()
+    size = 1 << min(n, _BLOCK_BITS)
+    blocks = [int.from_bytes(table[lo:lo + size], "little") for lo in range(0, full + 1, size)]
+    for i in range(n):
+        if i < _BLOCK_BITS:
+            m = int.from_bytes((bytes(8 << i) + b"\xff" * (8 << i)) * (size >> (i + 1)), "little")
+            for c, x in enumerate(blocks):
+                blocks[c] = x + ((x & m) >> (64 << i))
+        else:
+            step = 1 << (i - _BLOCK_BITS)
+            for c, x in enumerate(blocks):
+                if not c & step:
+                    blocks[c] = x + blocks[c | step]
+    for c, x in enumerate(blocks):
+        table[c * size:(c + 1) * size] = array("q", x.to_bytes(8 * size, "little"))
     if sys.byteorder == "big":
         table.byteswap()
     return table

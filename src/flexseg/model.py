@@ -21,7 +21,7 @@ _EPS_MS = 1e-9
 
 
 class FormatError(ValueError):
-    """Instance file is malformed (bad JSON or wrong schema)."""
+    """Instance or profile file is malformed (bad JSON or wrong schema)."""
 
 
 class ValidationError(ValueError):
@@ -325,13 +325,18 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def load_instance(path: str | Path) -> Instance:
+def read_json(path: str | Path):
+    """The JSON value in an instance or profile file; FormatError names
+    the file when it is not valid JSON."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
-    return instance_from_dict(data, name=path.stem)
+
+
+def load_instance(path: str | Path) -> Instance:
+    return instance_from_dict(read_json(path), name=Path(path).stem)
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

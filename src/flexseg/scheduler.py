@@ -377,17 +377,12 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment) -> Schedule:
     gw = inst.gateway.id
     one_port = inst.one_port_ids
     for sig in sort_signals(inst.signals):
-        tx = sig.transmitter
-        if sig.fault_tolerant:
-            ch = BOTH
-        else:
-            ch = determine_channel(sig, one_port, asg.channel_of, loads)
-        if ch != BOTH:
-            place_to_schedule(sched, sig, ch, owner=tx)
-            loads[ch] += signal_volume(sig)
-            continue
+        tx, reached = sig.transmitter, CHANNELS
         if sig.fault_tolerant:
             place_to_schedule(sched, sig, BOTH, owner=tx)
+        elif (ch := determine_channel(sig, one_port, asg.channel_of, loads)) != BOTH:
+            place_to_schedule(sched, sig, ch, owner=tx)
+            reached = (ch,)
         elif tx not in one_port:
             place_to_schedule(sched, sig, CH_A, owner=tx)
             place_to_schedule(sched, sig, CH_B, owner=tx)
@@ -396,8 +391,8 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment) -> Schedule:
             original = place_to_schedule(sched, sig, home, owner=tx)[0]
             place_to_schedule(sched, sig, CH_B if home == CH_A else CH_A, owner=gw,
                               is_image=True, fixed_base_cycle=original.base_cycle)
-        loads[CH_A] += signal_volume(sig)
-        loads[CH_B] += signal_volume(sig)
+        for ch in reached:
+            loads[ch] += signal_volume(sig)
 
     return reorder_slots(sched)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     subset_sum_half,
 )
 from flexseg import assignment as asg_mod
+from flexseg import hypergraph as hypergraph_mod
 from flexseg.assignment import (
     TABLE_MAX_ECUS,
     CriterionParams,
@@ -413,6 +415,29 @@ def test_coverage_table_across_blocks():
         edges[ends] = edges.get(ends, 0) + rng.randint(1, 2**40)
     check_coverage_table(Hypergraph(edges=edges, free_ecus=free, ft_weight_bytes=0,
                                     total_weight_bytes=sum(edges.values())))
+
+
+@st.composite
+def small_block_tables(draw):
+    """A hypergraph over 0..10 free ECUs and a block size of 2..16 entries,
+    so that up to 9 bits of the transform lie above a block."""
+    free = tuple(range(1, draw(st.integers(0, 10)) + 1))
+    edges = {}
+    if free:
+        for ends, w in draw(st.lists(st.tuples(
+                st.frozensets(st.sampled_from(free), min_size=1), st.integers(1, 2**40)))):
+            edges[ends] = edges.get(ends, 0) + w
+    hg = Hypergraph(edges=edges, free_ecus=free, ft_weight_bytes=0,
+                    total_weight_bytes=sum(edges.values()))
+    return hg, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_block_tables())
+def test_coverage_table_with_small_blocks(case):
+    hg, block_bits = case
+    with mock.patch.object(hypergraph_mod, "_BLOCK_BITS", block_bits):
+        check_coverage_table(hg)
 
 
 def check_coverage_table(hg):

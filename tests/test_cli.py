@@ -106,6 +106,16 @@ def test_generate_command(tmp_path, capsys):
     assert len(inst.signals) == 40
 
 
+@pytest.mark.parametrize("command, output", [("generate", "--out"), ("sweep", "--csv")])
+def test_truncated_profile_exits_2_naming_the_file(tmp_path, capsys, command, output):
+    profile = tmp_path / "broken.json"
+    profile.write_text('{"name": "tiny",\n')
+    out = tmp_path / "out"
+    assert main([command, "--profile", str(profile), output, str(out)]) == 2
+    assert f"malformed JSON in {profile}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_hard_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import re
 import tempfile
@@ -245,14 +246,22 @@ def assert_reader_rejects(tmp_path, example1, capsys, element, attr, value, mess
     """Setting `attr` of the first `element` of an exported file to `value`,
     or removing it when `value` is None, makes read_fibex raise `message`
     and `flexseg validate` exit 2."""
+    def mutate(root):
+        if value is None:
+            del root.find(element).attrib[attr]
+        else:
+            root.find(element).set(attr, value)
+    assert_reader_refuses(tmp_path, example1, capsys, mutate, message)
+
+
+def assert_reader_refuses(tmp_path, example1, capsys, mutate, message):
+    """An exported file whose root element `mutate` has changed makes
+    read_fibex raise `message` and `flexseg validate` exit 2."""
     asg, sched = solved_example1(example1)
     path = tmp_path / "example1.xml"
     export_fibex(example1, asg, sched, path)
     tree = ET.parse(path)
-    if value is None:
-        del tree.getroot().find(element).attrib[attr]
-    else:
-        tree.getroot().find(element).set(attr, value)
+    mutate(tree.getroot())
     broken = tmp_path / "broken.xml"
     tree.write(broken)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -270,6 +279,85 @@ def test_reader_rejects_repeated_slot_id(tmp_path, example1, capsys):
     # replace it and drop its frames
     assert_reader_rejects(tmp_path, example1, capsys, "channels/channel[@name='A']/slot[2]",
                           "id", "1", "channel A: slot id 1 appears twice")
+
+
+def _rename(path, tag):
+    def mutate(root):
+        root.find(path).tag = tag
+    return mutate
+
+
+def _remove(path):
+    def mutate(root):
+        root.remove(root.find(path))
+    return mutate
+
+
+def _repeat(path):
+    def mutate(root):
+        root.append(copy.deepcopy(root.find(path)))
+    return mutate
+
+
+def _split_channel_a(root):
+    # slots 2..5 move to a second channel A element; each element's
+    # max-slot is its own highest slot id
+    channels = root.find("channels")
+    first = channels.find("channel[@name='A']")
+    second = ET.Element("channel", first.attrib)
+    for slot in list(first)[1:]:
+        first.remove(slot)
+        second.append(slot)
+    first.set("max-slot", "1")
+    channels.insert(1, second)
+
+
+def _split_frame(root):
+    # the second signal instance of slot 3's frame moves to a frame of
+    # its own with the same base cycle
+    slot = root.find("channels/channel[@name='A']/slot[@id='3']")
+    frame = slot.find("frame")
+    second = ET.SubElement(slot, "frame", frame.attrib)
+    moved = frame[1]
+    frame.remove(moved)
+    second.append(moved)
+
+
+def _repeat_ecu(root):
+    ecus = root.find("ecus")
+    ET.SubElement(ecus, "ecu", {"id": "3", "class": "ONE_PORT", "channels": "B"})
+
+
+PARTS = "['cluster', 'ecus', 'channels']"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda root: root.set("format", "other-9"),
+     "flexray-schedule: format 'other-9' is not simplified-1"),
+    (lambda root: setattr(root, "tag", "schedule"),
+     "root element <schedule> is not flexray-schedule"),
+    (_remove("cluster"),
+     f"flexray-schedule: child elements ['ecus', 'channels'] are not {PARTS}"),
+    (_remove("ecus"),
+     f"flexray-schedule: child elements ['cluster', 'channels'] are not {PARTS}"),
+    (_repeat("channels"), "flexray-schedule: child elements "
+     f"['cluster', 'ecus', 'channels', 'channels'] are not {PARTS}"),
+    (_rename("ecus/ecu", "node"), "ecus: element <node> is not <ecu>"),
+    (_rename("channels/channel", "bus"), "channels: element <bus> is not <channel>"),
+    (_rename("channels/channel/slot", "slt"), "channel A: element <slt> is not <slot>"),
+    (_rename(FRAME, "frm"), "slot 1 on channel A: element <frm> is not <frame>"),
+    (_rename(FRAME + "/signal-instance", "signal"),
+     "frame 1 in slot 1 on channel A: element <signal> is not <signal-instance>"),
+    (_split_channel_a, "channels: channel A appears twice"),
+    (_split_frame, "slot 3 on channel A: frame base-cycle 1 appears twice"),
+    (_repeat_ecu, "ecus: ecu id 3 appears twice"),
+], ids=["format", "root", "no-cluster", "no-ecus", "two-channels", "ecu-tag", "channel-tag",
+        "slot-tag", "frame-tag", "instance-tag", "split-channel", "split-frame", "repeated-ecu"])
+def test_reader_refuses_misplaced_or_repeated_elements(tmp_path, example1, capsys,
+                                                        mutate, message):
+    # an element out of the writer's layout is an error naming it, not
+    # one that is skipped, read under another tag or merged with its twin
+    assert_reader_refuses(tmp_path, example1, capsys, mutate, message)
 
 
 @pytest.mark.parametrize("element, attr, value, message", [
