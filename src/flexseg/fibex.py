@@ -85,7 +85,8 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     """Parse an exported file back into a Schedule plus the one-port
     ECU-to-channel map embedded in the ecu elements.  An element out of
     the writer's layout (another tag, a missing or repeated part, a
-    repeated channel, frame or ECU) is a ValueError naming it."""
+    repeated channel, frame or ECU, a frame without signal instances) is
+    a ValueError naming it."""
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:
@@ -214,8 +215,10 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
                                      f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
                 if base in col.frames:
                     raise ValueError(f"{where}: frame base-cycle {base} appears twice")
-                for inst_el in _children(frame_el, "signal-instance",
-                                         f"frame {base} in {where}"):
+                instances = _children(frame_el, "signal-instance", f"frame {base} in {where}")
+                if not len(instances):
+                    raise ValueError(f"frame {base} in {where} holds no signal-instance")
+                for inst_el in instances:
                     a = inst_el.attrib
                     try:
                         occ = _occurrence(a)

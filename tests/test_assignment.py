@@ -32,7 +32,7 @@ from flexseg.assignment import (
     solve_exact,
     solve_ga,
 )
-from flexseg.generator import reduce_partition
+from flexseg.generator import generate, reduce_partition, sae_profile
 from flexseg.hypergraph import Hypergraph, build_hypergraph
 from flexseg.model import Signal
 
@@ -487,6 +487,42 @@ def test_solvers_agree_on_both_paths(monkeypatch):
     with_table = results()
     monkeypatch.setattr(asg_mod, "TABLE_MAX_ECUS", -1)
     assert results() == with_table
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), st.floats(0.5, 2),
+       st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_stop_at_least_criterion_changes_no_result(seed, alpha, beta, tries, rng_seed):
+    # cah and ga that stop at the table's least criterion return what the
+    # same calls return when they never stop
+    hg = random_hypergraph(random.Random(seed), max_free=asg_mod.STOP_MAX_ECUS)
+    params = CriterionParams(alpha, beta)
+
+    def results():
+        return (solve_cah(hg, params, tries_count=tries, rng_seed=rng_seed).to_json_dict(),
+                solve_ga(hg, params, rng_seed=rng_seed, max_generations=tries).to_json_dict())
+
+    stopping = results()
+    with mock.patch.object(asg_mod, "STOP_MAX_ECUS", -1):
+        assert results() == stopping
+
+
+def test_cah_stops_at_least_criterion(monkeypatch):
+    # on an SAE instance the restarts stop early, at the exact minimum
+    hg = build_hypergraph(generate(sae_profile(4, signal_count=200), 0))
+    assert len(hg.free_ecus) <= asg_mod.STOP_MAX_ECUS
+    params = CriterionParams(alpha=default_alpha(hg))
+    calls = []
+    exchange = asg_mod._exchange
+
+    def counted(*args):
+        calls.append(args)
+        exchange(*args)
+
+    monkeypatch.setattr(asg_mod, "_exchange", counted)
+    result = solve_cah(hg, params, tries_count=100, rng_seed=1)
+    assert 1 <= len(calls) < 100
+    assert result.criterion == solve_exact(hg, params).criterion
 
 
 # --- genetic algorithm ------------------------------------------------------

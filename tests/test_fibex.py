@@ -328,6 +328,12 @@ def _repeat_ecu(root):
     ET.SubElement(ecus, "ecu", {"id": "3", "class": "ONE_PORT", "channels": "B"})
 
 
+def _empty_frame(root):
+    # an empty frame of the base cycle of slot 1's frame stands before it
+    slot = root.find("channels/channel[@name='A']/slot[@id='1']")
+    slot.insert(0, ET.Element("frame", slot.find("frame").attrib))
+
+
 PARTS = "['cluster', 'ecus', 'channels']"
 
 
@@ -351,8 +357,10 @@ PARTS = "['cluster', 'ecus', 'channels']"
     (_split_channel_a, "channels: channel A appears twice"),
     (_split_frame, "slot 3 on channel A: frame base-cycle 1 appears twice"),
     (_repeat_ecu, "ecus: ecu id 3 appears twice"),
+    (_empty_frame, "frame 1 in slot 1 on channel A holds no signal-instance"),
 ], ids=["format", "root", "no-cluster", "no-ecus", "two-channels", "ecu-tag", "channel-tag",
-        "slot-tag", "frame-tag", "instance-tag", "split-channel", "split-frame", "repeated-ecu"])
+        "slot-tag", "frame-tag", "instance-tag", "split-channel", "split-frame", "repeated-ecu",
+        "empty-frame"])
 def test_reader_refuses_misplaced_or_repeated_elements(tmp_path, example1, capsys,
                                                         mutate, message):
     # an element out of the writer's layout is an error naming it, not
