@@ -95,6 +95,7 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
 
 
 _PARSED_AS = {parse_int: "an integer", float: "a number"}
+_ECU_CLASSES = frozenset(kind.value for kind in EcuKind)
 
 
 def _field(attrib: dict[str, str], name: str, where: str, parse=parse_int):
@@ -179,8 +180,12 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
             raise ValueError(f"ecus: ecu id {ecu} appears twice")
         ecu_ids.add(ecu)
         kind = _field(a, "class", f"ecu {ecu}: ", str)
-        # An empty value is an ECU without a channel, which validate reports.
+        if kind not in _ECU_CLASSES:
+            raise ValueError(f"ecu {ecu}: class {kind!r} is not GATEWAY, COMMON or ONE_PORT")
         ch = _field(a, "channels", f"ecu {ecu}: ", str)
+        if kind != EcuKind.ONE_PORT.value and ch != "AB":
+            raise ValueError(f"ecu {ecu}: channels {ch!r} of a {kind} ECU is not AB")
+        # An empty value is an ECU without a channel, which validate reports.
         if kind == EcuKind.ONE_PORT.value and ch:
             if ch not in CHANNELS:
                 raise ValueError(f"ecu {ecu}: channels {ch!r} is not A or B")
@@ -207,7 +212,7 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
                 raise ValueError(f"{where}: gateway {gateway!r} is not true or false")
             col = SlotColumn(owner=_field(a, "owner", f"{where}: "),
                              is_gateway=gateway == "true")
-            sched.add_column(ch, slot, col)
+            sched.columns[ch][slot] = col
             for frame_el in _children(slot_el, "frame", where):
                 base = _field(frame_el.attrib, "base-cycle", f"frame in {where}: ")
                 if not 1 <= base <= HYPERPERIOD_CYCLES:

@@ -290,12 +290,16 @@ def instance_from_dict(data: dict, name: str = "") -> Instance:
         for r in receivers:
             if type(r) is not int:
                 raise FormatError(f"signals[{i}].receivers must be an integer")
+        receiver_set = frozenset(receivers)
+        if len(receiver_set) != len(receivers):
+            twice = next(r for j, r in enumerate(receivers) if r in receivers[:j])
+            raise FormatError(f"signals[{i}].receivers lists ECU {twice} twice")
         try:
             release, deadline = float(release), float(deadline)
         except OverflowError:
             _check_signal_types(raw, f"signals[{i}]")
         signals.append(Signal(sid, tx, period, payload, release, deadline,
-                              ft, frozenset(receivers)))
+                              ft, receiver_set))
 
     inst = Instance(config=cfg, ecus=tuple(ecus), signals=tuple(signals), name=name)
     validate_instance(inst)

@@ -76,67 +76,31 @@ def _cycle_pattern(period: int, h: int) -> int:
     return sum(1 << k * period * h for k in range(HYPERPERIOD_CYCLES // period))
 
 
-# An instance recurs in the cycles of `_EVERY[repetition] << base`, bit c
-# for cycle c; the bits of cycles 1..64 are `_IN_HYPERPERIOD`.
-_EVERY = {period: _cycle_pattern(period, 1) for period in ALLOWED_PERIOD_CYCLES}
-_IN_HYPERPERIOD = ((1 << HYPERPERIOD_CYCLES) - 1) << 1
-
-
-def _occupancy_mask(base: int, occ: Occupancy, h: int) -> int:
-    """The bytes that `occ` at `base` covers in a column mask: bit
-    (cycle - 1) * h + byte, none past the frame's end or the hyperperiod."""
-    if occ.offset + occ.payload <= h:
-        frame = ((1 << occ.payload) - 1) << occ.offset
-    else:
-        frame = ((1 << h) - 1) >> occ.offset << occ.offset
-    bits = _cycle_pattern(occ.repetition, h) * frame << (base - 1) * h
-    # a base above the repetition runs past the hyperperiod
-    return bits & ((1 << HYPERPERIOD_CYCLES * h) - 1)
-
-
 @dataclass
 class _SlotIndex:
-    """Where first fit looks on each channel and what it finds there,
-    derived from the columns once and then kept in step by `add`;
-    `Schedule.add_column` drops it.
+    """Where first fit looks on each channel and what it finds there; it
+    starts empty with the first placement onto an empty schedule and is
+    kept in step by `add`.
 
     `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
-    one int (see `_occupancy_mask`); `full` is the mask of a full column.
-    Only slots in `open` (ascending ids of the columns that are not full,
-    per channel, owner and gateway flag), in `holes` (ascending ids in
-    1..top with no column) or above `top` can take a placement.
+    one int, bit (cycle - 1) * h + byte; `full` is the mask of a full
+    column.  Only slots in `open` (ascending ids of the columns that are
+    not full, per channel, owner and gateway flag), in `holes` (ascending
+    ids in 1..top with no column) or above `top` can take a placement.
+    A BOTH placement while the channels' tops differ leaves holes on the
+    lower channel.
 
     `taken` maps a request (target, owner, image flag, period, payload,
     base cycles) to the slot the last such request took.  Every candidate
-    below that slot refused it, and masks only grow until the index is
-    dropped, so an identical request starts its scan there."""
+    below that slot refused it, and masks only grow, so an identical
+    request starts its scan there."""
     full: int
-    top: dict[str, int]
-    holes: dict[str, list[int]]
-    open: dict[tuple[str, int, bool], list[int]]
-    masks: dict[str, dict[int, int]]
-    taken: dict[tuple, int]
-
-    @classmethod
-    def derive(cls, columns: dict[str, dict[int, SlotColumn]], h: int) -> _SlotIndex:
-        idx = cls((1 << HYPERPERIOD_CYCLES * h) - 1, top={}, holes={}, open={},
-                  masks={}, taken={})
-        for ch in CHANNELS:
-            cols = columns[ch]
-            # slot ids below 1 are invalid and never take a placement
-            idx.top[ch] = top = max(max(cols, default=0), 0)
-            idx.holes[ch] = [t for t in range(1, top + 1) if t not in cols]
-            masks = idx.masks[ch] = {}
-            for t in sorted(cols):
-                col = cols[t]
-                mask = 0
-                for base, entries in col.frames.items():
-                    for occ in entries:
-                        mask |= _occupancy_mask(base, occ, h)
-                masks[t] = mask
-                if t >= 1 and mask != idx.full:
-                    idx.open.setdefault((ch, col.owner, col.is_gateway), []).append(t)
-        return idx
+    top: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHANNELS, 0))
+    holes: dict[str, list[int]] = field(default_factory=lambda: {ch: [] for ch in CHANNELS})
+    open: dict[tuple[str, int, bool], list[int]] = field(default_factory=dict)
+    masks: dict[str, dict[int, int]] = field(
+        default_factory=lambda: {ch: {} for ch in CHANNELS})
+    taken: dict[tuple, int] = field(default_factory=dict)
 
     def candidates(self, ch: str, owner: int, is_gateway: bool, limit: int) -> list[int]:
         """Ascending slot ids below `limit` that are empty on `ch` or hold an
@@ -176,12 +140,6 @@ class Schedule:
     _index: _SlotIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
-    def add_column(self, ch: str, slot: int, col: SlotColumn) -> None:
-        """Store `col` at `slot` on `ch`, replacing any column there; the
-        next placement derives the slot index again."""
-        self.columns[ch][slot] = col
-        self._index = None
-
     @property
     def placements(self) -> list[Placement]:
         """The columns' signal instances in FIBEX file order; a signal on
@@ -209,12 +167,12 @@ class Schedule:
         count = 0
         for ch in CHANNELS:
             for col in self.columns[ch].values():
-                # the cycles in which the column holds an instance
+                # bit c - 1 for each cycle c in which the column holds an instance
                 cycles = 0
                 for base, entries in col.frames.items():
                     for occ in entries:
-                        cycles |= _EVERY[occ.repetition] << base
-                count += (cycles & _IN_HYPERPERIOD).bit_count()
+                        cycles |= _cycle_pattern(occ.repetition, 1) << base - 1
+                count += (cycles & (1 << HYPERPERIOD_CYCLES) - 1).bit_count()
         return count
 
 
@@ -283,10 +241,12 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     Takes the lowest slot id, then the lowest base cycle within the feasible
     window, then the lowest offset, where the slot is unowned or owned by
     `owner` on every target channel and all period-induced occurrences fit
-    at a common offset.  Falls back to a fresh slot at max_slot+1, and
-    never below 1.  Only the open slots of `owner` and empty slot ids are
-    visited, from the slot an identical request last took, and each is
-    tested with a few operations on its packed column mask.
+    at a common offset.  Falls back to a fresh slot at max_slot+1.  Only
+    the open slots of `owner` and empty slot ids are visited, from the
+    slot an identical request last took, and each is tested with a few
+    operations on its packed column mask.  `sched` must be empty at its
+    first placement: a schedule read back, renumbered or built by hand is
+    a ValueError.
     """
     h = sched.config.slot_payload_bytes
     period = sig.period_cycles
@@ -310,7 +270,10 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
 
     idx = sched._index
     if idx is None:
-        idx = sched._index = _SlotIndex.derive(sched.columns, h)
+        if sched.columns[CH_A] or sched.columns[CH_B]:
+            raise ValueError("place_to_schedule extends only a schedule it placed "
+                             "from empty; this one holds columns placed otherwise")
+        idx = sched._index = _SlotIndex((1 << HYPERPERIOD_CYCLES * h) - 1)
     if target == BOTH:
         channels = CHANNELS
         limit = max(idx.top[CH_A], idx.top[CH_B]) + 1

@@ -135,8 +135,8 @@ def test_export_matches_elementtree_serialization(tmp_path):
     for base, occ in ((2, Occupancy(7, 12, 4, False, 2)), (1, Occupancy(5, 0, 16, False, 4)),
                       (2, Occupancy(6, 3, 9, False, 2)), (2, Occupancy(8, 0, 3, True, 4))):
         col.add(base, occ)
-    sched.add_column("A", 3, col)
-    sched.add_column("A", 1, SlotColumn(owner=0, is_gateway=True))
+    sched.columns["A"][3] = col
+    sched.columns["A"][1] = SlotColumn(owner=0, is_gateway=True)
     path = tmp_path / "edge.xml"
     export_fibex(inst, asg, sched, path)
     assert path.read_bytes() == elementtree_document(inst, asg, sched)
@@ -235,6 +235,10 @@ def test_roundtrip_on_generated_instance(tmp_path):
 
 @pytest.mark.parametrize("element, attr, value, message", [
     ("ecus/ecu[@id='3']", "channels", "X", "ecu 3: channels 'X' is not A or B"),
+    # the writer spells the channels of a common or gateway ECU only as AB
+    ("ecus/ecu[@id='1']", "channels", "A", "ecu 1: channels 'A' of a COMMON ECU is not AB"),
+    ("ecus/ecu[@id='2']", "channels", "BA", "ecu 2: channels 'BA' of a COMMON ECU is not AB"),
+    ("ecus/ecu[@id='0']", "channels", "", "ecu 0: channels '' of a GATEWAY ECU is not AB"),
     ("channels/channel[@name='B']", "name", "C", "channel element: name 'C' is not A or B"),
 ])
 def test_reader_rejects_unknown_channel_names(tmp_path, example1, capsys,
@@ -423,6 +427,8 @@ def test_reader_rejects_out_of_range_cycles(tmp_path, example1, capsys,
      "channel B: max-slot 'six' is not an integer"),
     ("ecus/ecu[@id='1']", "id", "four", "ecu element: id 'four' is not an integer"),
     ("ecus/ecu[@id='3']", "class", None, "ecu 3: class is missing"),
+    ("ecus/ecu[@id='3']", "class", "BOGUS",
+     "ecu 3: class 'BOGUS' is not GATEWAY, COMMON or ONE_PORT"),
     ("ecus/ecu[@id='3']", "channels", None, "ecu 3: channels is missing"),
     ("channels/channel/slot", "id", "x", "slot element on channel A: id 'x' is not an integer"),
     ("channels/channel/slot", "owner", None, "slot 1 on channel A: owner is missing"),

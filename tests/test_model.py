@@ -251,3 +251,13 @@ def test_number_beyond_float_range(mutate, message):
     mutate(data)
     with pytest.raises(FormatError, match=re.escape(message)):
         instance_from_dict(data)
+
+
+def test_repeated_receiver_is_refused(tmp_path):
+    # a receiver listed twice is a mistake in the file, not one receiver
+    data = json.loads(json.dumps(EXAMPLE1_JSON))
+    data["signals"][1]["receivers"] = [4, 5, 4]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=re.escape("signals[1].receivers lists ECU 4 twice")):
+        load_instance(path)

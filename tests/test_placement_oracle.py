@@ -4,10 +4,10 @@ The oracle visits every slot id from 1, every feasible base cycle and
 every offset, and expands the stored instances of each column (base cycle
 plus repetition) to their cycles itself, so it shares neither the owner
 index nor the packed column masks of the scheduler.  Random sequences of
-placements, with hand-built columns before and between them and
-requests repeated with a new signal id, must yield the same placements
-and frames, and the masks the index keeps placement by placement must
-equal those it derives from the frames.
+placements (originals on one channel or BOTH, gateway images, and
+requests repeated with a new signal id) must yield the same placements
+and frames, and the index the scheduler keeps placement by placement
+must equal one expanded here from the frames.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from flexseg.scheduler import (
     Placement,
     Schedule,
     SlotColumn,
-    _SlotIndex,
     place_to_schedule,
 )
 
@@ -54,8 +53,7 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
             raise InfeasibleWindowError(f"signal {sig.id}")
     probe = (1 << sig.payload_bytes) - 1
 
-    # a fresh slot gets id 1 or above, even beside columns below 1
-    limit = max(0, *(sched.max_slot(ch) for ch in channels)) + 1
+    limit = max(sched.max_slot(ch) for ch in channels) + 1
     chosen = None
     for slot in range(1, limit + 1):
         cols = [sched.columns[ch].get(slot) for ch in channels]
@@ -96,34 +94,29 @@ def grids(sched: Schedule):
             for ch in CHANNELS}
 
 
-def add_by_hand(sched: Schedule, ch: str, slot: int, owner: int, occupancies,
-                replace: bool = False) -> None:
-    """Add occurrences through SlotColumn.add to the column at `slot`, or to
-    a new one if there is none or `replace` is set, and store the column
-    through Schedule.add_column."""
-    col = None if replace else sched.columns[ch].get(slot)
-    col = col or SlotColumn(owner=owner, is_gateway=owner == GATEWAY)
-    for sid, period, base, offset, payload in occupancies:
-        col.add(base, Occupancy(sid, offset, payload, col.is_gateway, period))
-    sched.add_column(ch, slot, col)
-
-
-@st.composite
-def hand_columns(draw, h: int):
-    """(channel, slot, owner, occupancies, replace) of a column built by
-    hand; the slot id may be below 1, an occupancy may run past the end of
-    the frame, and a replacing column can free bytes or change the owner."""
-    ch = draw(st.sampled_from(CHANNELS))
-    slot = draw(st.integers(-1, 12))
-    owner = draw(st.integers(0, 3))
-    occupancies = []
-    for _ in range(draw(st.integers(0, 3))):
-        period = draw(st.sampled_from(ALLOWED_PERIOD_CYCLES))
-        payload = draw(st.integers(1, h))
-        occupancies.append((draw(st.integers(1000, 1999)), period,
-                            draw(st.integers(1, period)),
-                            draw(st.integers(0, h - 1)), payload))
-    return ("hand", ch, slot, owner, occupancies, draw(st.booleans()))
+def expected_index(sched: Schedule, h: int):
+    """(top, holes, open, masks) of a first-fit index, expanded from the
+    frames: each instance sets bit (cycle - 1) * h + byte for every cycle
+    from its base cycle on in steps of its repetition and every byte it
+    covers; a column is open while some bit of its 64 * h is clear."""
+    full = (1 << 64 * h) - 1
+    top, holes, open_, masks = {}, {}, {}, {}
+    for ch in CHANNELS:
+        cols = sched.columns[ch]
+        top[ch] = max(cols, default=0)
+        holes[ch] = [t for t in range(1, top[ch] + 1) if t not in cols]
+        masks[ch] = {}
+        for t in sorted(cols):
+            mask = 0
+            for base, entries in cols[t].frames.items():
+                for occ in entries:
+                    for cycle in range(base, 65, occ.repetition):
+                        for byte in range(occ.offset, occ.offset + occ.payload):
+                            mask |= 1 << (cycle - 1) * h + byte
+            masks[ch][t] = mask
+            if mask != full:
+                open_.setdefault((ch, cols[t].owner, cols[t].is_gateway), []).append(t)
+    return top, holes, open_, masks
 
 
 @st.composite
@@ -151,35 +144,23 @@ def placements(draw, h: int):
 @st.composite
 def scenarios(draw):
     h = draw(st.integers(1, 16))
-    steps = draw(st.lists(hand_columns(h), max_size=5))
-    steps += draw(st.lists(st.one_of(placements(h), placements(h), hand_columns(h),
-                                     st.tuples(st.just("repeat"), st.booleans())),
-                           min_size=1, max_size=25))
+    steps = draw(st.lists(st.one_of(placements(h), placements(h), st.just(("repeat",))),
+                          min_size=1, max_size=30))
     return h, steps
 
 
-def play(h: int, steps) -> None:
+def play(h: int, steps) -> Schedule:
     """Apply the same steps to a schedule placed by place_to_schedule and
-    one placed by the oracle; they must agree after every step."""
+    one placed by the oracle; they must agree after every step.  Returns
+    the schedule place_to_schedule built."""
     fast = Schedule(config=NetworkConfig(1.0, h))
     slow = Schedule(config=NetworkConfig(1.0, h))
-    request = taken = None
+    request = None
     for sid, step in enumerate(steps, start=1):
-        if step[0] == "hand":
-            for sched in (fast, slow):
-                add_by_hand(sched, *step[1:])
-            continue
         if step[0] == "repeat":
-            # the previous request again, with a new id; with step[1] set,
-            # first empty the lowest column below the slot it took, so
-            # that the slot could take it; none after an infeasible request
-            if taken is None:
+            # the previous request again, with a new id
+            if request is None:
                 continue
-            ch, owner = CH_A if request[5] == BOTH else request[5], request[6]
-            below = [t for t in sorted(fast.columns[ch]) if 1 <= t < taken]
-            if step[1] and below:
-                for sched in (fast, slow):
-                    add_by_hand(sched, ch, below[0], owner, [], replace=True)
             step = request
         request = step
         _, period, payload, release, deadline, target, owner, is_image, base = step
@@ -193,12 +174,14 @@ def play(h: int, steps) -> None:
             except InfeasibleWindowError:
                 outcome.append("infeasible")
         assert outcome[0] == outcome[1], step
-        taken = None if outcome[0] == "infeasible" else outcome[0][0].slot
         assert grids(fast) == grids(slow), step
-        # the masks kept placement by placement are those of the frames
+        # the index kept placement by placement is the one of the frames
         if fast._index is not None:
-            assert fast._index.masks == _SlotIndex.derive(fast.columns, h).masks, step
+            idx = fast._index
+            kept_open = {key: slots for key, slots in idx.open.items() if slots}
+            assert (idx.top, idx.holes, kept_open, idx.masks) == expected_index(fast, h), step
     assert fast.placements == slow.placements
+    return fast
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -208,26 +191,30 @@ def test_first_fit_matches_linear_scan(scenario):
 
 
 def test_holes_on_one_channel_match_linear_scan():
-    # channel A has slots 2 and 5 with holes at 1, 3 and 4; channel B runs
-    # 1..3, so BOTH placements must skip B's foreign slots and fill A's
-    # holes in id order
-    steps = [
-        ("hand", CH_A, 2, 1, [(1001, 1, 1, 0, 6)]),
-        ("hand", CH_A, 5, 2, [(1002, 2, 2, 2, 3)]),
-        ("hand", CH_B, 1, 3, [(1003, 1, 1, 0, 8)]),
-        ("hand", CH_B, 2, 1, [(1004, 4, 1, 0, 2)]),
-        ("hand", CH_B, 3, 2, []),
+    # A-only placements open slots 1..3 on channel A; BOTH placements then
+    # take slot 2 and a fresh slot 4 on both channels, leaving holes 1 and
+    # 3 on channel B.  A B-only placement and an image fill them in id
+    # order, and a BOTH placement that must skip B's foreign slot 5 takes
+    # slot 6, leaving a hole at 5 on channel A
+    prefix = [
+        (1, 8, 0.0, 1.0, CH_A, 1, False, None),
+        (2, 2, 0.0, 2.0, CH_A, 2, False, None),
+        (1, 8, 0.0, 1.0, CH_A, 3, False, None),
+        (2, 2, 0.0, 2.0, BOTH, 2, False, None),
+        (1, 4, 0.0, 1.0, BOTH, 1, False, None),
     ]
-    places = [
+    rest = [
+        (2, 4, 0.0, 2.0, CH_B, 3, False, None),
         (1, 2, 0.0, 1.0, BOTH, 1, False, None),
-        (2, 4, 0.0, 2.0, BOTH, 2, False, None),
-        (1, 8, 0.0, 1.0, BOTH, 2, False, None),
-        (4, 3, 1.0, 4.0, CH_A, 1, False, None),
-        (8, 5, 0.0, 8.0, CH_A, GATEWAY, True, 3),
+        (8, 5, 0.0, 8.0, CH_B, GATEWAY, True, 3),
+        (4, 3, 1.0, 4.0, CH_B, 1, False, None),
         (1, 8, 0.0, 1.0, BOTH, 3, False, None),
-        (2, 4, 0.0, 2.0, CH_B, 1, False, None),
+        (2, 4, 0.0, 2.0, CH_B, 3, False, None),
     ]
-    play(8, steps + [("place", *p) for p in places])
+    sched = play(8, [("place", *p) for p in prefix])
+    assert sched._index.holes == {CH_A: [], CH_B: [1, 3]}
+    sched = play(8, [("place", *p) for p in prefix + rest])
+    assert sched._index.holes == {CH_A: [5], CH_B: []}
 
 
 def test_unpackable_arguments_rejected():
