@@ -205,6 +205,10 @@ def _cmd_validate(args) -> int:
     missing = [u for u in hg.free_ecus if u not in channel_of]
     if missing:
         raise FormatError(f"schedule file lacks channel assignments for ECUs {missing}")
+    foreign = sorted(u for u in channel_of if u not in inst.one_port_ids)
+    if foreign:
+        raise FormatError(f"schedule file assigns channels to ECUs {foreign}, which are "
+                          f"not one-port ECUs of the instance")
     p_a, p_b, p_g, crit = asg_mod.evaluate_criterion(
         hg, channel_of, CriterionParams(alpha=asg_mod.default_alpha(hg)))
     asg = asg_mod.ChannelAssignment(

@@ -17,7 +17,7 @@ from . import assignment as asg_mod
 from .assignment import CH_A, CH_B, ChannelAssignment, CriterionParams
 from .hypergraph import build_hypergraph
 from .model import Instance
-from .scheduler import Schedule, schedule_channels
+from .scheduler import Schedule, placement_plan, schedule_channels
 
 BETA_MIN = 1.0 / 8.0
 BETA_MAX = 8.0
@@ -74,6 +74,7 @@ def _solve(solver: str, hg, params: CriterionParams, cfg: DriverConfig,
 def run(inst: Instance, cfg: DriverConfig) -> DriverResult:
     """Run the iterative scheduling loop and return the best result."""
     hg = build_hypergraph(inst)
+    plan = placement_plan(inst)
     alpha = cfg.alpha if cfg.alpha is not None else asg_mod.default_alpha(hg)
     seeds = random.Random(cfg.rng_seed)
 
@@ -94,16 +95,23 @@ def run(inst: Instance, cfg: DriverConfig) -> DriverResult:
                                criterion=asg.criterion, repeat_of=earlier.iteration))
             break
 
-        sched = schedule_channels(inst, asg)
+        sched = schedule_channels(inst, asg, plan=plan)
         slots_a, slots_b = sched.max_slot(CH_A), sched.max_slot(CH_B)
         seen[key] = rec = IterationRecord(
             iteration=iteration, beta=beta, criterion=asg.criterion,
             slots_a=slots_a, slots_b=slots_b, gw_slots=sched.gateway_slot_count(),
         )
         log.append(rec)
-        rank = (max(slots_a, slots_b), rec.gw_slots, sched.frame_count())
+        # Rank by (max slots, gateway slots, frames); frames are counted
+        # only to break a tie on the first two.
+        rank = (max(slots_a, slots_b), rec.gw_slots)
         if best is None or rank < best_rank:
-            best, best_rank = DriverResult(schedule=sched, assignment=asg), rank
+            best, best_rank, best_frames = DriverResult(sched, asg), rank, None
+        elif rank == best_rank:
+            if best_frames is None:
+                best_frames = best.schedule.frame_count()
+            if (frames := sched.frame_count()) < best_frames:
+                best, best_frames = DriverResult(sched, asg), frames
 
         if slots_a == 0 and slots_b == 0:
             break

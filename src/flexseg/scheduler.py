@@ -10,7 +10,7 @@ final reordering pass.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -79,8 +79,9 @@ def _cycle_pattern(period: int, h: int) -> int:
 @dataclass
 class _SlotIndex:
     """Where first fit looks on each channel and what it finds there; it
-    starts empty with the first placement onto an empty schedule and is
-    kept in step by `add`.
+    starts empty on an empty schedule, made by `schedule_channels` or by
+    `place_to_schedule` at its first placement, and is kept in step by
+    `add`.
 
     `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
     one int, bit (cycle - 1) * h + byte; `full` is the mask of a full
@@ -94,13 +95,17 @@ class _SlotIndex:
     base cycles) to the slot the last such request took.  Every candidate
     below that slot refused it, and masks only grow, so an identical
     request starts its scan there."""
-    full: int
+    h: int
+    full: int = field(init=False)
     top: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHANNELS, 0))
     holes: dict[str, list[int]] = field(default_factory=lambda: {ch: [] for ch in CHANNELS})
     open: dict[tuple[str, int, bool], list[int]] = field(default_factory=dict)
     masks: dict[str, dict[int, int]] = field(
         default_factory=lambda: {ch: {} for ch in CHANNELS})
     taken: dict[tuple, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.full = (1 << HYPERPERIOD_CYCLES * self.h) - 1
 
     def candidates(self, ch: str, owner: int, is_gateway: bool, limit: int) -> list[int]:
         """Ascending slot ids below `limit` that are empty on `ch` or hold an
@@ -139,6 +144,12 @@ class Schedule:
         default_factory=lambda: {CH_A: {}, CH_B: {}})
     _index: _SlotIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    # First fit's counters over the placements that built the columns:
+    # calls, fallbacks to a fresh slot, and the sum of the slot ids taken
+    # before renumbering.
+    place_calls: int = field(default=0, compare=False)
+    fresh_slots: int = field(default=0, compare=False)
+    scan_depth: int = field(default=0, compare=False)
 
     @property
     def placements(self) -> list[Placement]:
@@ -192,16 +203,16 @@ def signal_volume(sig: Signal) -> int:
     return sig.payload_bytes * sig.occurrence_count()
 
 
-def determine_channel(sig: Signal, one_port: frozenset[int], channel_of: dict[int, str],
+def determine_channel(ports: tuple[int, ...], channel_of: dict[int, str],
                       loads: dict[str, float]) -> str:
-    """Channel selection for a non-fault-tolerant signal.
+    """Channel selection for a non-fault-tolerant signal whose one-port
+    endpoints are `ports`.
 
-    One-port endpoints (ids in `one_port`) force their assigned channel in
-    `channel_of`; if they span both, the signal must appear on both.  When
-    every endpoint is wired to both channels the lighter-loaded channel is
-    chosen.
+    One-port endpoints force their assigned channel in `channel_of`; if
+    they span both, the signal must appear on both.  When every endpoint
+    is wired to both channels the lighter-loaded channel is chosen.
     """
-    required = {channel_of[u] for u in (sig.transmitter, *sig.receivers) if u in one_port}
+    required = {channel_of[u] for u in ports}
     if len(required) == 2:
         return BOTH
     if len(required) == 1:
@@ -233,22 +244,13 @@ def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
     return tuple(fold), (1 << width) - 1, tuple(runs), allowed, pattern
 
 
-def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
-                      is_image: bool = False,
-                      fixed_base_cycle: int | None = None) -> list[Placement]:
-    """First-fit placement of all occurrences of one signal.
-
-    Takes the lowest slot id, then the lowest base cycle within the feasible
-    window, then the lowest offset, where the slot is unowned or owned by
-    `owner` on every target channel and all period-induced occurrences fit
-    at a common offset.  Falls back to a fresh slot at max_slot+1.  Only
-    the open slots of `owner` and empty slot ids are visited, from the
-    slot an identical request last took, and each is tested with a few
-    operations on its packed column mask.  `sched` must be empty at its
-    first placement: a schedule read back, renumbered or built by hand is
-    a ValueError.
-    """
-    h = sched.config.slot_payload_bytes
+def _checked_bases(sig: Signal, config: NetworkConfig,
+                   fixed_base_cycle: int | None = None) -> tuple[int, ...]:
+    """The base cycles first fit may give `sig`: `fixed_base_cycle` alone,
+    or else its release/deadline window.  A period or payload that no slot
+    can take, a fixed cycle outside the period or an empty window is a
+    ValueError naming the signal."""
+    h = config.slot_payload_bytes
     period = sig.period_cycles
     if period not in ALLOWED_PERIOD_CYCLES:
         raise ValueError(f"signal {sig.id}: period_cycles {period} is not "
@@ -260,20 +262,38 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         if not 1 <= fixed_base_cycle <= period:
             raise ValueError(f"signal {sig.id}: fixed base cycle {fixed_base_cycle} "
                              f"outside 1..{period}")
-        bases = (fixed_base_cycle,)
-    else:
-        bases = base_cycle_window(period, sig.release_ms, sig.deadline_ms,
-                                  sched.config.cycle_duration_ms)
-        if not bases:
-            raise InfeasibleWindowError(
-                f"signal {sig.id}: no feasible base cycle in its window")
+        return (fixed_base_cycle,)
+    bases = base_cycle_window(period, sig.release_ms, sig.deadline_ms,
+                              config.cycle_duration_ms)
+    if not bases:
+        raise InfeasibleWindowError(f"signal {sig.id}: no feasible base cycle in its window")
+    return bases
 
+
+def placement_plan(inst: Instance) -> list[tuple]:
+    """What placing each signal needs that depends only on the instance:
+    one row (signal, one-port endpoints, signal_volume, checked base
+    cycles, their _fit_plan) per signal in `sort_signals` order.  Raises
+    what `place_to_schedule` raises for the first signal it cannot place."""
+    h = inst.config.slot_payload_bytes
+    one_port = inst.one_port_ids
+    plan = []
+    for sig in sort_signals(inst.signals):
+        bases = _checked_bases(sig, inst.config)
+        tx = sig.transmitter
+        ports = ((tx,) if tx in one_port else ()) + tuple(sig.receivers & one_port)
+        plan.append((sig, ports, signal_volume(sig), bases,
+                     _fit_plan(sig.period_cycles, h, sig.payload_bytes, bases)))
+    return plan
+
+
+def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool,
+           bases: tuple[int, ...], fit: tuple) -> tuple[int, int]:
+    """First fit of all occurrences of `sig` within `bases`, whose fit plan
+    is `fit`, onto a schedule whose index is set; no argument is checked.
+    Returns the slot and base cycle taken."""
     idx = sched._index
-    if idx is None:
-        if sched.columns[CH_A] or sched.columns[CH_B]:
-            raise ValueError("place_to_schedule extends only a schedule it placed "
-                             "from empty; this one holds columns placed otherwise")
-        idx = sched._index = _SlotIndex((1 << HYPERPERIOD_CYCLES * h) - 1)
+    h = idx.h
     if target == BOTH:
         channels = CHANNELS
         limit = max(idx.top[CH_A], idx.top[CH_B]) + 1
@@ -283,11 +303,10 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         limit = idx.top[target] + 1
         second = None
     first = idx.masks[channels[0]]
-    fold, width_mask, runs, allowed, pattern = _fit_plan(period, h, sig.payload_bytes,
-                                                         bases)
+    fold, width_mask, runs, allowed, pattern = fit
     # A candidate is empty on the first channel or an open column of
     # `owner` there; only the second channel of BOTH needs the owner test.
-    request = (target, owner, is_image, period, sig.payload_bytes, bases)
+    request = (target, owner, is_image, sig.period_cycles, sig.payload_bytes, bases)
     candidates = idx.candidates(channels[0], owner, is_image, limit)
     start = bisect_left(candidates, idx.taken.get(request, 0))
     for slot in islice(candidates, start, None):
@@ -311,9 +330,10 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
         slot, base, offset = limit, bases[0], 0
+        sched.fresh_slots += 1
 
     idx.taken[request] = slot
-    occ = Occupancy(sig.id, offset, sig.payload_bytes, is_image, period)
+    occ = Occupancy(sig.id, offset, sig.payload_bytes, is_image, sig.period_cycles)
     bits = (pattern << (base - 1) * h + offset) & idx.full
     for ch in channels:
         cols = sched.columns[ch]
@@ -322,40 +342,78 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
             col = cols[slot] = SlotColumn(owner, is_image)
         col.add(base, occ)
         idx.add(ch, slot, col, bits)
+    sched.place_calls += 1
+    sched.scan_depth += slot
+    return slot, base
+
+
+def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
+                      is_image: bool = False,
+                      fixed_base_cycle: int | None = None) -> list[Placement]:
+    """First-fit placement of all occurrences of one signal.
+
+    Takes the lowest slot id, then the lowest base cycle within the feasible
+    window, then the lowest offset, where the slot is unowned or owned by
+    `owner` on every target channel and all period-induced occurrences fit
+    at a common offset.  Falls back to a fresh slot at max_slot+1.  Only
+    the open slots of `owner` and empty slot ids are visited, from the
+    slot an identical request last took, and each is tested with a few
+    operations on its packed column mask.  `sched` must be empty at its
+    first placement: a schedule read back, renumbered or built by hand is
+    a ValueError.
+    """
+    bases = _checked_bases(sig, sched.config, fixed_base_cycle)
+    idx = sched._index
+    if idx is None:
+        if sched.columns[CH_A] or sched.columns[CH_B]:
+            raise ValueError("place_to_schedule extends only a schedule it placed "
+                             "from empty; this one holds columns placed otherwise")
+        idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes)
+    fit = _fit_plan(sig.period_cycles, idx.h, sig.payload_bytes, bases)
+    slot, base = _place(sched, sig, target, owner, is_image, bases, fit)
+    # the instance just placed is the last of its frame
+    col = sched.columns[CH_A if target == BOTH else target][slot]
+    offset = col.frames[base][-1].offset
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
-def schedule_channels(inst: Instance, asg: ChannelAssignment) -> Schedule:
+def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
+                      plan: list[tuple] | None = None) -> Schedule:
     """Build both channel schedules for an instance under an assignment.
 
-    Fault-tolerant signals sort first, so they open the same slots 1..k on
-    both channels, a common prefix that renumbering keeps.  Each other
-    signal is routed by determine_channel; a one-port transmitter whose
-    receivers span the channels additionally gets a gateway image on the
-    opposite channel, while a common transmitter simply transmits on both
-    channels itself.
+    Walks `plan`, `placement_plan(inst)` (built here when not given), onto
+    an empty schedule.  Fault-tolerant signals sort first, so they open
+    the same slots 1..k on both channels, a common prefix that renumbering
+    keeps.  Each other signal is routed by determine_channel; a one-port
+    transmitter whose receivers span the channels additionally gets a
+    gateway image on the opposite channel, while a common transmitter
+    simply transmits on both channels itself.
     """
+    if plan is None:
+        plan = placement_plan(inst)
+    h = inst.config.slot_payload_bytes
     sched = Schedule(config=inst.config)
+    sched._index = _SlotIndex(h)
     loads = {CH_A: 0.0, CH_B: 0.0}
     gw = inst.gateway.id
-    one_port = inst.one_port_ids
-    for sig in sort_signals(inst.signals):
+    channel_of = asg.channel_of
+    for sig, ports, volume, bases, fit in plan:
         tx, reached = sig.transmitter, CHANNELS
         if sig.fault_tolerant:
-            place_to_schedule(sched, sig, BOTH, owner=tx)
-        elif (ch := determine_channel(sig, one_port, asg.channel_of, loads)) != BOTH:
-            place_to_schedule(sched, sig, ch, owner=tx)
+            _place(sched, sig, BOTH, tx, False, bases, fit)
+        elif (ch := determine_channel(ports, channel_of, loads)) != BOTH:
+            _place(sched, sig, ch, tx, False, bases, fit)
             reached = (ch,)
-        elif tx not in one_port:
-            place_to_schedule(sched, sig, CH_A, owner=tx)
-            place_to_schedule(sched, sig, CH_B, owner=tx)
+        elif tx not in ports:
+            _place(sched, sig, CH_A, tx, False, bases, fit)
+            _place(sched, sig, CH_B, tx, False, bases, fit)
         else:
-            home = asg.channel_of[tx]
-            original = place_to_schedule(sched, sig, home, owner=tx)[0]
-            place_to_schedule(sched, sig, CH_B if home == CH_A else CH_A, owner=gw,
-                              is_image=True, fixed_base_cycle=original.base_cycle)
+            home = channel_of[tx]
+            base = _place(sched, sig, home, tx, False, bases, fit)[1]
+            _place(sched, sig, CH_B if home == CH_A else CH_A, gw, True, (base,),
+                   _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)))
         for ch in reached:
-            loads[ch] += signal_volume(sig)
+            loads[ch] += volume
 
     return reorder_slots(sched)
 
@@ -402,10 +460,9 @@ def reorder_slots(sched: Schedule) -> Schedule:
     comes strictly after the slot of the latest original it retransmits.
     Frame contents are unchanged."""
     new_ids = _renumber(sched)
-    out = Schedule(config=sched.config)
-    for ch in CHANNELS:
-        out.columns[ch] = {new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()}
-    return out
+    return replace(sched, columns={
+        ch: {new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()}
+        for ch in CHANNELS})
 
 
 def schedule_single_channel(inst: Instance) -> Schedule:

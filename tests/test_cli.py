@@ -95,6 +95,27 @@ def test_validate_refuses_one_port_ecu_without_a_channel(tmp_path, example1_file
     assert "lacks channel assignments for ECUs [3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern, repl, named", [
+    # a common ECU rewritten as a one-port ECU on channel A
+    (r'<ecu id="1" class="COMMON" channels="AB" />',
+     '<ecu id="1" class="ONE_PORT" channels="A" />', [1]),
+    # a one-port ECU the instance does not have
+    (r'(<ecu id="5" [^>]*/>)', r'\1<ecu id="99" class="ONE_PORT" channels="B" />', [99]),
+], ids=["common-as-one-port", "extra-one-port"])
+def test_validate_refuses_a_channel_for_an_ecu_that_is_not_one_port(
+        tmp_path, example1_file, capsys, pattern, repl, named):
+    fibex = tmp_path / "out.xml"
+    main(["solve", str(example1_file), "--fibex", str(fibex)])
+    capsys.readouterr()
+    foreign = tmp_path / "foreign.xml"
+    text, n = re.subn(pattern, repl, fibex.read_text())
+    assert n == 1
+    foreign.write_text(text)
+    assert main(["validate", str(example1_file), str(foreign)]) == 2
+    assert (f"assigns channels to ECUs {named}, which are not one-port ECUs of the "
+            f"instance") in capsys.readouterr().err
+
+
 def test_generate_command(tmp_path, capsys):
     profile = tmp_path / "profile.json"
     profile.write_text('{"name": "tiny", "ecu_count": 8, "signal_count": 40}')

@@ -14,7 +14,7 @@ from flexseg.driver import BETA_MAX, BETA_MIN, DriverConfig, log_to_csv_rows, ru
 from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
 from flexseg.model import Instance
-from flexseg.scheduler import schedule_channels
+from flexseg.scheduler import placement_plan, schedule_channels
 from flexseg.validator import validate
 
 
@@ -109,9 +109,9 @@ def test_repeated_map_is_not_scheduled_again(monkeypatch):
         maps.append(dict(asg.channel_of))
         return asg
 
-    def counting_schedule(inst, asg):
+    def counting_schedule(inst, asg, **kwargs):
         scheduled.append(dict(asg.channel_of))
-        return schedule_channels(inst, asg)
+        return schedule_channels(inst, asg, **kwargs)
 
     monkeypatch.setattr(asg_mod, "solve_cah", solve_cah)
     monkeypatch.setattr(driver_mod, "schedule_channels", counting_schedule)
@@ -130,6 +130,28 @@ def test_repeated_map_is_not_scheduled_again(monkeypatch):
         (earlier.slots_a, earlier.slots_b, earlier.gw_slots)
     assert [(r.slots_a, r.slots_b, r.gw_slots) for r in head].count(
         (last.slots_a, last.slots_b, last.gw_slots)) == 1
+
+
+def test_run_builds_the_placement_plan_once(monkeypatch):
+    inst = generate(sae_profile(3, ecu_count=10, signal_count=40), seed=7)
+    built, given = [], []
+
+    def counting_plan(inst):
+        built.append(placement_plan(inst))
+        return built[-1]
+
+    def recording_schedule(inst, asg, *, plan=None):
+        given.append(plan)
+        return schedule_channels(inst, asg, plan=plan)
+
+    monkeypatch.setattr(driver_mod, "placement_plan", counting_plan)
+    monkeypatch.setattr(driver_mod, "schedule_channels", recording_schedule)
+    result = run(inst, DriverConfig(cah_tries=5, rng_seed=0))
+    monkeypatch.undo()
+
+    assert len(given) == 4 < len(result.log)
+    assert len(built) == 1
+    assert all(plan is built[0] for plan in given)
 
 
 def reference_run(inst: Instance, cfg: DriverConfig):

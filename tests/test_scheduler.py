@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
-from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import flexseg.scheduler as scheduler
 from flexseg.assignment import CH_A, CH_B, CriterionParams, evaluate_criterion, solve_exact
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import GeneratorProfile, generate, sae_profile
@@ -25,6 +26,7 @@ from flexseg.scheduler import (
     determine_channel,
     lbsc,
     place_to_schedule,
+    placement_plan,
     reorder_slots,
     schedule_channels,
     schedule_single_channel,
@@ -84,18 +86,19 @@ def test_sort_decreasing_payload():
 def test_determine_channel_one_port_receiver(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
     loads = {CH_A: 0.0, CH_B: 0.0}
-    s3 = example1.signals[2]  # ECU2 -> {4}
-    assert determine_channel(s3, example1.one_port_ids, asg.channel_of, loads) == CH_B
-    s5 = example1.signals[4]  # ECU3 -> {4, 5}: spans both channels
-    assert determine_channel(s5, example1.one_port_ids, asg.channel_of, loads) == BOTH
+    ports = {sig.id: ports for sig, ports, *_ in placement_plan(example1)}
+    assert ports[3] == (4,)  # ECU2 -> {4}
+    assert determine_channel(ports[3], asg.channel_of, loads) == CH_B
+    assert sorted(ports[5]) == [3, 4, 5]  # ECU3 -> {4, 5}: spans both channels
+    assert determine_channel(ports[5], asg.channel_of, loads) == BOTH
 
 
 def test_determine_channel_balances_common_traffic(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
-    sig = make_signal(99, 1, receivers={2})  # common -> common
-    one_port, channel_of = example1.one_port_ids, asg.channel_of
-    assert determine_channel(sig, one_port, channel_of, {CH_A: 0.0, CH_B: 10.0}) == CH_A
-    assert determine_channel(sig, one_port, channel_of, {CH_A: 10.0, CH_B: 0.0}) == CH_B
+    # common -> common: no one-port endpoint
+    channel_of = asg.channel_of
+    assert determine_channel((), channel_of, {CH_A: 0.0, CH_B: 10.0}) == CH_A
+    assert determine_channel((), channel_of, {CH_A: 10.0, CH_B: 0.0}) == CH_B
 
 
 # --- placement --------------------------------------------------------------
@@ -182,6 +185,22 @@ def test_infeasible_window_raises():
         place_to_schedule(sched, sig, CH_A, owner=2)
 
 
+@pytest.mark.parametrize("bad", [
+    Signal(3, 2, 3, 4, 0.0, 3.0, False, frozenset({4})),  # period not a power of two
+    Signal(3, 2, 2, 9, 0.0, 2.0, False, frozenset({4})),  # payload over the slot
+    Signal(3, 2, 2, 4, 1.9, 2.0, False, frozenset({4})),  # no base cycle in the window
+])
+def test_plan_refuses_what_place_to_schedule_refuses(example1, bad):
+    with pytest.raises(ValueError) as placing:
+        place_to_schedule(empty_schedule(), bad, CH_A, owner=2)
+    inst = Instance(example1.config, example1.ecus,
+                    (example1.signals[0], bad, example1.signals[3]))
+    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
+    for build in (lambda: placement_plan(inst), lambda: schedule_channels(inst, asg)):
+        with pytest.raises(type(placing.value), match=f"^{re.escape(str(placing.value))}$"):
+            build()
+
+
 def test_fresh_slot_uses_earliest_feasible_cycle():
     sched = empty_schedule()
     sig = Signal(1, 2, 4, 4, 1.0, 4.0, False, frozenset({4}))
@@ -216,55 +235,89 @@ def test_place_refuses_a_schedule_it_did_not_build(tmp_path, example1):
 
 # --- full channel scheduling ------------------------------------------------
 
-def test_schedule_channels_places_through_the_module_attribute(monkeypatch, example1):
-    # a tracer wraps place_to_schedule and reorder_slots from outside and
-    # reads the slot of each call's one placement before renumbering
-    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
-    calls, renumbered = [], []
-    place, reorder = scheduler.place_to_schedule, scheduler.reorder_slots
+def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str]):
+    """schedule_channels' routing, replayed signal by signal through the
+    public place_to_schedule and then reorder_slots.  Also returns what a
+    tracer wrapping each call counts: calls, slots above the highest id of
+    the target channels before the call, and the slot ids taken."""
+    sched = Schedule(config=inst.config)
+    counts = Counter()
 
-    def record_place(sched, sig, target, owner, **kwargs):
-        placed = place(sched, sig, target, owner, **kwargs)
-        calls.append((sched, sig.id, target, kwargs.get("is_image", False), placed))
+    def place(sig, target, owner, **kwargs):
+        channels = (CH_A, CH_B) if target == BOTH else (target,)
+        highest = max(sched.max_slot(ch) for ch in channels)
+        (placed,) = place_to_schedule(sched, sig, target, owner, **kwargs)
+        counts["place_calls"] += 1
+        counts["fresh_slots"] += placed.slot > highest
+        counts["scan_depth"] += placed.slot
         return placed
 
-    def record_reorder(sched):
-        renumbered.append(sched)
-        return reorder(sched)
+    one_port, gateway = inst.one_port_ids, inst.gateway.id
+    loads = {CH_A: 0, CH_B: 0}
+    for sig in sort_signals(inst.signals):
+        tx = sig.transmitter
+        required = {channel_of[u] for u in {tx, *sig.receivers} & one_port}
+        reached = (CH_A, CH_B)
+        if sig.fault_tolerant:
+            place(sig, BOTH, tx)
+        elif len(required) < 2:
+            (ch,) = required or {CH_A if loads[CH_A] <= loads[CH_B] else CH_B}
+            place(sig, ch, tx)
+            reached = (ch,)
+        elif tx not in one_port:
+            place(sig, CH_A, tx)
+            place(sig, CH_B, tx)
+        else:
+            home = channel_of[tx]
+            original = place(sig, home, tx)
+            place(sig, CH_B if home == CH_A else CH_A, gateway, is_image=True,
+                  fixed_base_cycle=original.base_cycle)
+        for ch in reached:
+            loads[ch] += sig.payload_bytes * (64 // sig.period_cycles)
+    return reorder_slots(sched), counts
 
-    monkeypatch.setattr(scheduler, "place_to_schedule", record_place)
-    monkeypatch.setattr(scheduler, "reorder_slots", record_reorder)
-    out = scheduler.schedule_channels(example1, asg)
 
-    (pre,) = renumbered
-    assert all(sched is pre and len(placed) == 1 for sched, *_, placed in calls)
-    # the calls' placements, a BOTH one as an A and a B record, are what
-    # the columns hold
-    returned = Counter()
-    for *_, (p,) in calls:
-        for ch in (CH_A, CH_B) if p.channel == BOTH else (p.channel,):
-            returned[astuple(replace(p, channel=ch))] += 1
-    assert returned == Counter(astuple(p) for p in pre.placements)
-    # renumbering moves gateway slots, so the recorded slots are the old ids
-    new_ids = scheduler._renumber(pre)
-    assert any(old != new for (_, old), new in new_ids.items())
-    assert (Counter(astuple(replace(p, slot=new_ids[(p.channel, p.slot)]))
-                    for p in pre.placements)
-            == Counter(astuple(p) for p in out.placements))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 80),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_schedule_channels_matches_replay_through_place_to_schedule(
+        level, ecus, signals, ft, gen_seed, rng):
+    inst = generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
+                                fault_tolerant_fraction=ft), gen_seed)
+    channel_of = {u: rng.choice((CH_A, CH_B)) for u in sorted(inst.one_port_ids)}
+    asg = assignment_for(inst, channel_of)
+    built = schedule_channels(inst, asg)
+    replayed, counts = replay_through_place_to_schedule(inst, channel_of)
+    assert built.columns == replayed.columns
+    assert (built.place_calls, built.fresh_slots, built.scan_depth) == (
+        counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
+    again = schedule_channels(inst, asg, plan=placement_plan(inst))
+    assert again.columns == built.columns
+    assert (again.place_calls, again.fresh_slots, again.scan_depth) == (
+        built.place_calls, built.fresh_slots, built.scan_depth)
 
+
+def test_schedule_channels_routes_example1(example1):
+    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
+    sched = schedule_channels(example1, asg)
     made = {}
-    for _, sid, target, is_image, _ in calls:
-        made.setdefault(sid, []).append((target, is_image))
-    assert made[1] == [(BOTH, False)]  # fault-tolerant
-    assert made[2] == [(CH_A, False), (CH_B, False)]  # common transmitter on both
-    images = {sid: kinds for sid, kinds in made.items()
-              if any(is_image for _, is_image in kinds)}
-    assert images.keys() == {5, 6, 7, 9}
+    for p in sched.placements:
+        made.setdefault(p.signal, []).append(p)
+    kinds = {sid: [(p.channel, p.is_image) for p in ps] for sid, ps in made.items()}
+    # fault-tolerant: one BOTH placement, the same position on both channels
+    assert kinds[1] == [(CH_A, False), (CH_B, False)]
+    assert made[1][0].slot == made[1][1].slot
+    assert kinds[2] == [(CH_A, False), (CH_B, False)]  # common transmitter on both
+    images = {sid for sid, ks in kinds.items() if any(is_image for _, is_image in ks)}
+    assert images == {5, 6, 7, 9}
     home = {3: CH_B, 4: CH_B, 5: CH_A}
-    for sid, kinds in images.items():
+    for sid in images:
         ch = home[example1.signals[sid - 1].transmitter]
-        assert kinds == [(ch, False), (CH_A if ch == CH_B else CH_B, True)]
-    assert all(len(kinds) == 1 for sid, kinds in made.items() if sid not in {2, *images})
+        assert sorted(kinds[sid], key=lambda k: k[1]) == [
+            (ch, False), (CH_A if ch == CH_B else CH_B, True)]
+    assert all(len(ks) == 1 for sid, ks in kinds.items() if sid not in {1, 2, *images})
+    # one call per signal, a second for signal 2 and one per image
+    assert sched.place_calls == len(example1.signals) + 1 + len(images)
 
 
 def test_schedule_example1(example1):
