@@ -289,31 +289,35 @@ def _new_state(hg: Hypergraph) -> _State:
     return _WalkState(hg)
 
 
-# cah and ga stop once their best map's criterion is the least over all
-# 2**n maps, which one pass over the coverage table gives up to this many
-# one-port ECUs.  The pass doubles with each ECU.  On sae4 hypergraphs of
-# 500 signals (2 cores, Python 3.11, median of 9-18 calls) it took 0.4,
-# 0.9, 1.7 and 3.4 ms at n = 10, 11, 12 and 13; a cah(100) call took 2.0,
-# 3.2, 5.1 and 6.9 ms with the stop against 3.1, 3.3, 3.6 and 3.7 ms
-# without, and ga 1.9, 2.1, 5.0 and 8.5 ms against 5.4, 6.1, 6.6 and 6.1.
+# Up to this many one-port ECUs one pass over the coverage table scores
+# all 2**n maps: the driver takes its least map, and cah and ga stop once
+# their best map's criterion is the least.  The pass doubles with each
+# ECU.  On sae4 hypergraphs of 500 signals (2 cores, Python 3.11, median
+# of 9-18 calls) it took 0.4, 0.9, 1.7 and 3.4 ms at n = 10, 11, 12 and
+# 13; a cah(100) call took 2.0, 3.2, 5.1 and 6.9 ms with the stop against
+# 3.1, 3.3, 3.6 and 3.7 ms without, and ga 1.9, 2.1, 5.0 and 8.5 ms
+# against 5.4, 6.1, 6.6 and 6.1.
 STOP_MAX_ECUS = 11
 
 
-def _least_criterion(st: _State, params: CriterionParams) -> float:
-    """The least criterion over all full maps when `st` reads the coverage
-    table of at most `STOP_MAX_ECUS` ECUs, else -inf, which no map reaches.
-    Each map is scored by `criterion_at` from the integer sums
-    `_TableState.load` gives it, so a solver's criterion equals this
-    exactly when its map is a minimum."""
+def _least_criterion(st: _State, params: CriterionParams) -> tuple[float, int | None]:
+    """(least criterion, A-mask of the first map that has it) over all full
+    maps when `st` reads the coverage table of at most `STOP_MAX_ECUS`
+    ECUs, else (-inf, None): a value no map reaches.  Ties go to the lowest
+    A-mask, bit i standing for the i-th of `free_ecus`.  Each map is scored
+    by `criterion_at` from the integer sums `_TableState.load` gives it, so
+    a solver's criterion equals this exactly when its map is a minimum."""
     if not isinstance(st, _TableState) or len(st.bit) > STOP_MAX_ECUS:
-        return -math.inf
+        return -math.inf, None
     total = st.total
     # sum_a of the map with A-mask m; its B-mask is full ^ m = full - m, so
     # its sum_b is the same list read backwards
     on_a = [total - x for x in st.uncovered]
     gw = st.uncovered[st.full] - total
-    return min(st.criterion_at(params, a, b, a + b + gw)
-               for a, b in zip(on_a, reversed(on_a)))
+    crits = [st.criterion_at(params, a, b, a + b + gw)
+             for a, b in zip(on_a, reversed(on_a))]
+    least = min(crits)
+    return least, crits.index(least)
 
 
 def _finish(st: _State, params: CriterionParams, optimal: bool) -> ChannelAssignment:
@@ -516,7 +520,7 @@ def solve_cah(hg: Hypergraph, params: CriterionParams, tries_count: int = 1000,
     if not free:
         return _finish(st, params, optimal=True)
 
-    least = _least_criterion(st, params)
+    least = _least_criterion(st, params)[0]
     rng = random.Random(rng_seed)
     best_crit = float("inf")
     best_a = 0
@@ -574,7 +578,7 @@ def solve_ga(hg: Hypergraph, params: CriterionParams, rng_seed: int = 0,
     stagnant = 0
     mut_p = 1.0 / n
 
-    least = _least_criterion(st, params)
+    least = _least_criterion(st, params)[0]
     for _ in range(max_generations):
         if stagnant >= GA_STAGNATION_LIMIT or fitness(best) == least:
             break

@@ -91,12 +91,12 @@ def subset_sum_half(items: list[int]) -> bool:
 
 
 def random_hypergraph(rng: random.Random, max_free: int = 12,
-                      max_edges: int = 40) -> Hypergraph:
+                      max_edges: int = 40, min_free: int = 3) -> Hypergraph:
     """Random assignment problem: a few common vertices, weighted signal
     groups over 1..3 one-port endpoints, occasional all-common groups and
     FT payload.  Groups with equal one-port endpoints merge into one edge;
     all-common groups only add to the total payload."""
-    n_free = rng.randint(3, max_free)
+    n_free = rng.randint(min_free, max_free)
     free = list(range(1, n_free + 1))
     common = list(range(101, 101 + rng.randint(0, 3)))
     n_edges = rng.randint(1, max_edges)

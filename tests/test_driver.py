@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 import flexseg.assignment as asg_mod
 import flexseg.driver as driver_mod
-from flexseg.assignment import CH_A, CH_B, CriterionParams
+from flexseg.assignment import CH_A, CH_B, CriterionParams, evaluate_criterion, solve_cah
 from flexseg.driver import BETA_MAX, BETA_MIN, DriverConfig, log_to_csv_rows, run
 from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
 from flexseg.model import Instance
 from flexseg.scheduler import placement_plan, schedule_channels
 from flexseg.validator import validate
+
+from conftest import random_hypergraph
 
 
 def test_config_validation():
@@ -97,10 +99,17 @@ def test_alpha_default_matches_total_payload(example1):
     assert explicit.log[0].criterion == default.log[0].criterion
 
 
+# 13 one-port ECUs, above the table scan's cap, so the driver runs cah
+# and its loop ends at iteration 5 on the map of iteration 2, whose slot
+# counts no other iteration has
+def loop_instance() -> Instance:
+    inst = generate(sae_profile(3, ecu_count=18, signal_count=40), seed=16)
+    assert len(build_hypergraph(inst).free_ecus) > asg_mod.STOP_MAX_ECUS
+    return inst
+
+
 def test_repeated_map_is_not_scheduled_again(monkeypatch):
-    # generator seed 7 ends its loop at iteration 5 on the map of iteration
-    # 2, whose slot counts no other iteration has
-    inst = generate(sae_profile(3, ecu_count=10, signal_count=40), seed=7)
+    inst = loop_instance()
     maps, scheduled = [], []
     original_cah = asg_mod.solve_cah
 
@@ -133,7 +142,7 @@ def test_repeated_map_is_not_scheduled_again(monkeypatch):
 
 
 def test_run_builds_the_placement_plan_once(monkeypatch):
-    inst = generate(sae_profile(3, ecu_count=10, signal_count=40), seed=7)
+    inst = loop_instance()
     built, given = [], []
 
     def counting_plan(inst):
@@ -152,6 +161,31 @@ def test_run_builds_the_placement_plan_once(monkeypatch):
     assert len(given) == 4 < len(result.log)
     assert len(built) == 1
     assert all(plan is built[0] for plan in given)
+
+
+@pytest.mark.parametrize("n", range(1, asg_mod.STOP_MAX_ECUS + 1))
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), st.floats(1 / 8, 8),
+       st.integers(0, 2**32 - 1))
+def test_driver_takes_the_lowest_least_map(n, seed, alpha, beta, rng_seed):
+    # up to the cap, cah and ga runs take the map of least criterion over
+    # all 2**n maps, the lowest A-mask among ties, and never lose to cah
+    hg = random_hypergraph(random.Random(seed), min_free=n, max_free=n)
+    params = CriterionParams(alpha, beta)
+    # every map by A-mask: bit i puts the i-th one-port ECU on channel A
+    maps = [{u: CH_A if mask >> i & 1 else CH_B for i, u in enumerate(hg.free_ecus)}
+            for mask in range(2**n)]
+    crits = [evaluate_criterion(hg, m, params)[3] for m in maps]
+    least = min(crits)
+    cfg = DriverConfig()
+    for solver in ("CAH", "GA"):
+        asg = driver_mod._solve(solver, hg, params, cfg, rng_seed)
+        assert asg.optimal
+        assert asg.channel_of == maps[crits.index(least)]
+        assert (asg.payload_a, asg.payload_b, asg.payload_gw, asg.criterion) == \
+            evaluate_criterion(hg, asg.channel_of, params)
+    assert asg.criterion == least <= solve_cah(
+        hg, params, tries_count=cfg.cah_tries, rng_seed=rng_seed).criterion
 
 
 def reference_run(inst: Instance, cfg: DriverConfig):
