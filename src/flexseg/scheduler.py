@@ -9,7 +9,7 @@ final reordering pass.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
@@ -85,11 +85,9 @@ class _SlotIndex:
 
     `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
     one int, bit (cycle - 1) * h + byte; `full` is the mask of a full
-    column.  Only slots in `open` (ascending ids of the columns that are
-    not full, per channel, owner and gateway flag), in `holes` (ascending
-    ids in 1..top with no column) or above `top` can take a placement.
-    A BOTH placement while the channels' tops differ leaves holes on the
-    lower channel.
+    column.  Each channel's columns are slots 1..len(masks[ch]), so only
+    slots in `open` (ascending ids of the columns that are not full, per
+    channel, owner and gateway flag) and the next id can take a placement.
 
     `taken` maps a request (target, owner, image flag, period, payload,
     base cycles) to the slot the last such request took.  Every candidate
@@ -97,8 +95,6 @@ class _SlotIndex:
     request starts its scan there."""
     h: int
     full: int = field(init=False)
-    top: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHANNELS, 0))
-    holes: dict[str, list[int]] = field(default_factory=lambda: {ch: [] for ch in CHANNELS})
     open: dict[tuple[str, int, bool], list[int]] = field(default_factory=dict)
     masks: dict[str, dict[int, int]] = field(
         default_factory=lambda: {ch: {} for ch in CHANNELS})
@@ -107,29 +103,13 @@ class _SlotIndex:
     def __post_init__(self) -> None:
         self.full = (1 << HYPERPERIOD_CYCLES * self.h) - 1
 
-    def candidates(self, ch: str, owner: int, is_gateway: bool, limit: int) -> list[int]:
-        """Ascending slot ids below `limit` that are empty on `ch` or hold an
-        open column of `owner` there; the open list itself when there is no
-        empty one."""
-        own = self.open.get((ch, owner, is_gateway), [])
-        holes, top = self.holes[ch], self.top[ch]
-        if holes:
-            own = sorted(own + holes)
-        return [*own, *range(top + 1, limit)] if top + 1 < limit else own
-
     def add(self, ch: str, slot: int, col: SlotColumn, bits: int) -> None:
         """Record the bytes `bits` of an instance just added to `col`, the
         column at `slot` on `ch`; a slot with no mask yet holds a new column."""
         masks = self.masks[ch]
         mask = masks.get(slot)
         if mask is None:
-            if slot > self.top[ch]:
-                self.holes[ch].extend(range(self.top[ch] + 1, slot))
-                self.top[ch] = slot
-            else:
-                holes = self.holes[ch]
-                del holes[bisect_left(holes, slot)]
-            insort(self.open.setdefault((ch, col.owner, col.is_gateway), []), slot)
+            self.open.setdefault((ch, col.owner, col.is_gateway), []).append(slot)
             mask = 0
         masks[slot] = mask = mask | bits
         if mask == self.full:
@@ -288,35 +268,28 @@ def placement_plan(inst: Instance) -> list[tuple]:
 
 
 def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool,
-           bases: tuple[int, ...], fit: tuple) -> tuple[int, int]:
+           bases: tuple[int, ...], fit: tuple) -> tuple[int, int, int]:
     """First fit of all occurrences of `sig` within `bases`, whose fit plan
     is `fit`, onto a schedule whose index is set; no argument is checked.
-    Returns the slot and base cycle taken."""
+    Returns the slot, base cycle and offset taken."""
     idx = sched._index
     h = idx.h
-    if target == BOTH:
-        channels = CHANNELS
-        limit = max(idx.top[CH_A], idx.top[CH_B]) + 1
-        second = sched.columns[CH_B]
-    else:
-        channels = (target,)
-        limit = idx.top[target] + 1
-        second = None
+    channels = CHANNELS if target == BOTH else (target,)
+    second = sched.columns[CH_B] if target == BOTH else None
     first = idx.masks[channels[0]]
     fold, width_mask, runs, allowed, pattern = fit
-    # A candidate is empty on the first channel or an open column of
-    # `owner` there; only the second channel of BOTH needs the owner test.
+    # A candidate is an open column of `owner` on the first channel; BOTH
+    # needs even channels, so B holds a column there too, whose owner is tested.
     request = (target, owner, is_image, sig.period_cycles, sig.payload_bytes, bases)
-    candidates = idx.candidates(channels[0], owner, is_image, limit)
-    start = bisect_left(candidates, idx.taken.get(request, 0))
-    for slot in islice(candidates, start, None):
-        mask = first.get(slot, 0)
+    own = idx.open.get((channels[0], owner, is_image), [])
+    start = bisect_left(own, idx.taken.get(request, 0))
+    for slot in islice(own, start, None):
+        mask = first[slot]
         if second is not None:
-            col = second.get(slot)
-            if col is not None:
-                if col.owner != owner or col.is_gateway != is_image:
-                    continue
-                mask |= idx.masks[CH_B][slot]
+            col = second[slot]
+            if col.owner != owner or col.is_gateway != is_image:
+                continue
+            mask |= idx.masks[CH_B][slot]
         for shift in fold:
             mask |= mask >> shift
         free = ~mask & width_mask
@@ -329,7 +302,7 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
             break
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
-        slot, base, offset = limit, bases[0], 0
+        slot, base, offset = len(first) + 1, bases[0], 0
         sched.fresh_slots += 1
 
     idx.taken[request] = slot
@@ -344,7 +317,7 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
         idx.add(ch, slot, col, bits)
     sched.place_calls += 1
     sched.scan_depth += slot
-    return slot, base
+    return slot, base, offset
 
 
 def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
@@ -356,11 +329,12 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     window, then the lowest offset, where the slot is unowned or owned by
     `owner` on every target channel and all period-induced occurrences fit
     at a common offset.  Falls back to a fresh slot at max_slot+1.  Only
-    the open slots of `owner` and empty slot ids are visited, from the
+    the open slots of `owner` and the next slot id are visited, from the
     slot an identical request last took, and each is tested with a few
     operations on its packed column mask.  `sched` must be empty at its
     first placement: a schedule read back, renumbered or built by hand is
-    a ValueError.
+    a ValueError, and so is a BOTH placement while channels A and B hold
+    different numbers of slots; neither changes anything.
     """
     bases = _checked_bases(sig, sched.config, fixed_base_cycle)
     idx = sched._index
@@ -369,11 +343,11 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
             raise ValueError("place_to_schedule extends only a schedule it placed "
                              "from empty; this one holds columns placed otherwise")
         idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes)
+    if target == BOTH and len(idx.masks[CH_A]) != len(idx.masks[CH_B]):
+        raise ValueError(f"a BOTH placement needs as many slots on channel A as on B; "
+                         f"A holds {len(idx.masks[CH_A])}, B holds {len(idx.masks[CH_B])}")
     fit = _fit_plan(sig.period_cycles, idx.h, sig.payload_bytes, bases)
-    slot, base = _place(sched, sig, target, owner, is_image, bases, fit)
-    # the instance just placed is the last of its frame
-    col = sched.columns[CH_A if target == BOTH else target][slot]
-    offset = col.frames[base][-1].offset
+    slot, base, offset = _place(sched, sig, target, owner, is_image, bases, fit)
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 

@@ -6,8 +6,10 @@ plus repetition) to their cycles itself, so it shares neither the owner
 index nor the packed column masks of the scheduler.  Random sequences of
 placements (originals on one channel or BOTH, gateway images, and
 requests repeated with a new signal id) must yield the same placements
-and frames, and the index the scheduler keeps placement by placement
-must equal one expanded here from the frames.
+and frames, both sides must refuse the same BOTH placements while the
+channels hold different numbers of slots, and the index the scheduler
+keeps placement by placement must equal one expanded here from the
+frames.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
                  fixed_base_cycle: int | None = None) -> list[Placement]:
     """Linear first-fit scan: slot ids ascending from 1, base cycles
     ascending within the window, offsets ascending; a fresh slot at
-    max_slot+1 when nothing fits."""
+    max_slot+1 when nothing fits.  A BOTH placement while the channels'
+    max_slots differ is a ValueError."""
     h = sched.config.slot_payload_bytes
     channels = CHANNELS if target == BOTH else (target,)
     if fixed_base_cycle is not None:
@@ -51,6 +54,8 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
                                   sched.config.cycle_duration_ms)
         if not bases:
             raise InfeasibleWindowError(f"signal {sig.id}")
+    if target == BOTH and sched.max_slot(CH_A) != sched.max_slot(CH_B):
+        raise ValueError(f"signal {sig.id}: uneven channels")
     probe = (1 << sig.payload_bytes) - 1
 
     limit = max(sched.max_slot(ch) for ch in channels) + 1
@@ -95,16 +100,16 @@ def grids(sched: Schedule):
 
 
 def expected_index(sched: Schedule, h: int):
-    """(top, holes, open, masks) of a first-fit index, expanded from the
-    frames: each instance sets bit (cycle - 1) * h + byte for every cycle
-    from its base cycle on in steps of its repetition and every byte it
-    covers; a column is open while some bit of its 64 * h is clear."""
+    """(open, masks) of a first-fit index, expanded from the frames: each
+    instance sets bit (cycle - 1) * h + byte for every cycle from its base
+    cycle on in steps of its repetition and every byte it covers; a column
+    is open while some bit of its 64 * h is clear.  Asserts that each
+    channel's columns are slots 1..len."""
     full = (1 << 64 * h) - 1
-    top, holes, open_, masks = {}, {}, {}, {}
+    open_, masks = {}, {}
     for ch in CHANNELS:
         cols = sched.columns[ch]
-        top[ch] = max(cols, default=0)
-        holes[ch] = [t for t in range(1, top[ch] + 1) if t not in cols]
+        assert sorted(cols) == list(range(1, len(cols) + 1)), ch
         masks[ch] = {}
         for t in sorted(cols):
             mask = 0
@@ -116,7 +121,7 @@ def expected_index(sched: Schedule, h: int):
             masks[ch][t] = mask
             if mask != full:
                 open_.setdefault((ch, cols[t].owner, cols[t].is_gateway), []).append(t)
-    return top, holes, open_, masks
+    return open_, masks
 
 
 @st.composite
@@ -173,13 +178,15 @@ def play(h: int, steps) -> Schedule:
                                      fixed_base_cycle=base))
             except InfeasibleWindowError:
                 outcome.append("infeasible")
+            except ValueError:
+                outcome.append("uneven")
         assert outcome[0] == outcome[1], step
         assert grids(fast) == grids(slow), step
         # the index kept placement by placement is the one of the frames
         if fast._index is not None:
             idx = fast._index
             kept_open = {key: slots for key, slots in idx.open.items() if slots}
-            assert (idx.top, idx.holes, kept_open, idx.masks) == expected_index(fast, h), step
+            assert (kept_open, idx.masks) == expected_index(fast, h), step
     assert fast.placements == slow.placements
     return fast
 
@@ -190,31 +197,39 @@ def test_first_fit_matches_linear_scan(scenario):
     play(*scenario)
 
 
-def test_holes_on_one_channel_match_linear_scan():
-    # A-only placements open slots 1..3 on channel A; BOTH placements then
-    # take slot 2 and a fresh slot 4 on both channels, leaving holes 1 and
-    # 3 on channel B.  A B-only placement and an image fill them in id
-    # order, and a BOTH placement that must skip B's foreign slot 5 takes
-    # slot 6, leaving a hole at 5 on channel A
-    prefix = [
+def test_uneven_both_placement_refused_until_channels_even():
+    # two A-only placements open slots 1 and 2 on channel A; a BOTH
+    # placement then is refused and changes nothing, and once two B-only
+    # placements have opened slots 1 and 2 on channel B the same BOTH
+    # placement fits into slot 2, which owner 2 holds on both channels
+    uneven = [
         (1, 8, 0.0, 1.0, CH_A, 1, False, None),
         (2, 2, 0.0, 2.0, CH_A, 2, False, None),
-        (1, 8, 0.0, 1.0, CH_A, 3, False, None),
-        (2, 2, 0.0, 2.0, BOTH, 2, False, None),
-        (1, 4, 0.0, 1.0, BOTH, 1, False, None),
     ]
-    rest = [
-        (2, 4, 0.0, 2.0, CH_B, 3, False, None),
-        (1, 2, 0.0, 1.0, BOTH, 1, False, None),
-        (8, 5, 0.0, 8.0, CH_B, GATEWAY, True, 3),
-        (4, 3, 1.0, 4.0, CH_B, 1, False, None),
-        (1, 8, 0.0, 1.0, BOTH, 3, False, None),
-        (2, 4, 0.0, 2.0, CH_B, 3, False, None),
+    both = (2, 2, 0.0, 2.0, BOTH, 2, False, None)
+    sched = play(8, [("place", *p) for p in uneven])
+    idx = sched._index
+    before = (repr(sched.columns), {ch: dict(m) for ch, m in idx.masks.items()},
+              {key: list(slots) for key, slots in idx.open.items()},
+              sched.place_calls, sched.fresh_slots, sched.scan_depth)
+    with pytest.raises(ValueError, match="A holds 2, B holds 0"):
+        place_to_schedule(sched, Signal(3, 2, 2, 2, 0.0, 2.0, False, frozenset({9})),
+                          BOTH, 2)
+    assert (repr(sched.columns), idx.masks, idx.open, sched.place_calls,
+            sched.fresh_slots, sched.scan_depth) == before
+
+    even = [
+        (1, 4, 0.0, 1.0, CH_B, 3, False, None),
+        (2, 2, 0.0, 2.0, CH_B, 2, False, None),
     ]
-    sched = play(8, [("place", *p) for p in prefix])
-    assert sched._index.holes == {CH_A: [], CH_B: [1, 3]}
-    sched = play(8, [("place", *p) for p in prefix + rest])
-    assert sched._index.holes == {CH_A: [5], CH_B: []}
+    sched = play(8, [("place", *p) for p in uneven + [both] + even + [both]])
+    # signal 3 was refused; signal 6 shares base cycle 1 of slot 2 with
+    # signal 2 on A and signal 5 on B, and no slot was opened for it
+    frames = {ch: [(base, occ.signal, occ.offset)
+                   for base, entries in sched.columns[ch][2].frames.items()
+                   for occ in entries] for ch in CHANNELS}
+    assert frames == {CH_A: [(1, 2, 0), (1, 6, 2)], CH_B: [(1, 5, 0), (1, 6, 2)]}
+    assert [sorted(sched.columns[ch]) for ch in CHANNELS] == [[1, 2], [1, 2]]
 
 
 def test_unpackable_arguments_rejected():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from collections import Counter
@@ -18,6 +19,7 @@ from flexseg.model import (
     Instance,
     NetworkConfig,
     Signal,
+    validate_instance,
 )
 from flexseg.scheduler import (
     BOTH,
@@ -284,9 +286,23 @@ def test_schedule_channels_matches_replay_through_place_to_schedule(
         level, ecus, signals, ft, gen_seed, rng):
     inst = generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
                                 fault_tolerant_fraction=ft), gen_seed)
+    # about half the signals get a window of cycles lo..hi within their period
+    m = inst.config.cycle_duration_ms
+    narrowed = []
+    for sig in inst.signals:
+        if rng.random() < 0.5:
+            lo = rng.randint(1, sig.period_cycles)
+            hi = rng.randint(lo, sig.period_cycles)
+            sig = dataclasses.replace(sig, release_ms=(lo - 1) * m, deadline_ms=hi * m)
+        narrowed.append(sig)
+    inst = dataclasses.replace(inst, signals=tuple(narrowed))
+    validate_instance(inst)
     channel_of = {u: rng.choice((CH_A, CH_B)) for u in sorted(inst.one_port_ids)}
     asg = assignment_for(inst, channel_of)
     built = schedule_channels(inst, asg)
+    assert validate(inst, asg, built) == []
+    # the replay goes through place_to_schedule, which refuses a BOTH
+    # placement while the channels hold different numbers of slots
     replayed, counts = replay_through_place_to_schedule(inst, channel_of)
     assert built.columns == replayed.columns
     assert (built.place_calls, built.fresh_slots, built.scan_depth) == (
