@@ -1,11 +1,12 @@
 """Channel scheduling: pack signal occurrences into slot/cycle/offset grids.
 
 Slots live on a single id timeline shared by both channels: the same slot
-id can carry a frame from a different owner on each channel.  Fault-
-tolerant signals occupy identical positions on both channels; cross-
-channel signals get a gateway-retransmitted image on the opposite channel,
-placed in the same base cycle and pushed to a strictly later slot by the
-final reordering pass.
+id can carry a frame from a different owner on each channel.  First fit
+places on one channel at a time; a signal on both channels is placed on
+A, then on B.  Fault-tolerant signals sort first, so they occupy identical
+positions on both channels; cross-channel signals get a gateway-
+retransmitted image on the opposite channel, placed in the same base cycle
+and pushed to a strictly later slot by the final reordering pass.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ class InfeasibleWindowError(ValueError):
 @dataclass(slots=True)
 class Placement:
     signal: int
-    channel: str  # CH_A or CH_B; BOTH only as returned by place_to_schedule
+    channel: str  # CH_A or CH_B; a signal on both channels has a record on each
     base_cycle: int
     slot: int
     offset_bytes: int
@@ -270,26 +271,17 @@ def placement_plan(inst: Instance) -> list[tuple]:
 def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool,
            bases: tuple[int, ...], fit: tuple) -> tuple[int, int, int]:
     """First fit of all occurrences of `sig` within `bases`, whose fit plan
-    is `fit`, onto a schedule whose index is set; no argument is checked.
-    Returns the slot, base cycle and offset taken."""
+    is `fit`, onto channel `target` of a schedule whose index is set; no
+    argument is checked.  Returns the slot, base cycle and offset taken."""
     idx = sched._index
     h = idx.h
-    channels = CHANNELS if target == BOTH else (target,)
-    second = sched.columns[CH_B] if target == BOTH else None
-    first = idx.masks[channels[0]]
+    masks = idx.masks[target]
     fold, width_mask, runs, allowed, pattern = fit
-    # A candidate is an open column of `owner` on the first channel; BOTH
-    # needs even channels, so B holds a column there too, whose owner is tested.
     request = (target, owner, is_image, sig.period_cycles, sig.payload_bytes, bases)
-    own = idx.open.get((channels[0], owner, is_image), [])
+    own = idx.open.get((target, owner, is_image), [])
     start = bisect_left(own, idx.taken.get(request, 0))
     for slot in islice(own, start, None):
-        mask = first[slot]
-        if second is not None:
-            col = second[slot]
-            if col.owner != owner or col.is_gateway != is_image:
-                continue
-            mask |= idx.masks[CH_B][slot]
+        mask = masks[slot]
         for shift in fold:
             mask |= mask >> shift
         free = ~mask & width_mask
@@ -302,19 +294,16 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
             break
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
-        slot, base, offset = len(first) + 1, bases[0], 0
+        slot, base, offset = len(masks) + 1, bases[0], 0
         sched.fresh_slots += 1
 
     idx.taken[request] = slot
-    occ = Occupancy(sig.id, offset, sig.payload_bytes, is_image, sig.period_cycles)
-    bits = (pattern << (base - 1) * h + offset) & idx.full
-    for ch in channels:
-        cols = sched.columns[ch]
-        col = cols.get(slot)
-        if col is None:
-            col = cols[slot] = SlotColumn(owner, is_image)
-        col.add(base, occ)
-        idx.add(ch, slot, col, bits)
+    cols = sched.columns[target]
+    col = cols.get(slot)
+    if col is None:
+        col = cols[slot] = SlotColumn(owner, is_image)
+    col.add(base, Occupancy(sig.id, offset, sig.payload_bytes, is_image, sig.period_cycles))
+    idx.add(target, slot, col, (pattern << (base - 1) * h + offset) & idx.full)
     sched.place_calls += 1
     sched.scan_depth += slot
     return slot, base, offset
@@ -323,19 +312,22 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
 def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
                       is_image: bool = False,
                       fixed_base_cycle: int | None = None) -> list[Placement]:
-    """First-fit placement of all occurrences of one signal.
+    """First-fit placement of all occurrences of one signal on channel
+    `target`, CH_A or CH_B.
 
     Takes the lowest slot id, then the lowest base cycle within the feasible
     window, then the lowest offset, where the slot is unowned or owned by
-    `owner` on every target channel and all period-induced occurrences fit
-    at a common offset.  Falls back to a fresh slot at max_slot+1.  Only
-    the open slots of `owner` and the next slot id are visited, from the
-    slot an identical request last took, and each is tested with a few
-    operations on its packed column mask.  `sched` must be empty at its
-    first placement: a schedule read back, renumbered or built by hand is
-    a ValueError, and so is a BOTH placement while channels A and B hold
-    different numbers of slots; neither changes anything.
+    `owner` and all period-induced occurrences fit at a common offset.
+    Falls back to a fresh slot at max_slot+1.  Only the open slots of
+    `owner` and the next slot id are visited, from the slot an identical
+    request last took, and each is tested with a few operations on its
+    packed column mask.  A signal on both channels is placed on A, then
+    on B.  Any other target is a ValueError, and so is a first placement
+    onto a schedule that is not empty (read back, renumbered or built by
+    hand); neither changes anything.
     """
+    if target not in CHANNELS:
+        raise ValueError(f"target {target!r} is not channel {CH_A} or {CH_B}")
     bases = _checked_bases(sig, sched.config, fixed_base_cycle)
     idx = sched._index
     if idx is None:
@@ -343,9 +335,6 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
             raise ValueError("place_to_schedule extends only a schedule it placed "
                              "from empty; this one holds columns placed otherwise")
         idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes)
-    if target == BOTH and len(idx.masks[CH_A]) != len(idx.masks[CH_B]):
-        raise ValueError(f"a BOTH placement needs as many slots on channel A as on B; "
-                         f"A holds {len(idx.masks[CH_A])}, B holds {len(idx.masks[CH_B])}")
     fit = _fit_plan(sig.period_cycles, idx.h, sig.payload_bytes, bases)
     slot, base, offset = _place(sched, sig, target, owner, is_image, bases, fit)
     return [Placement(sig.id, target, base, slot, offset, is_image)]
@@ -356,8 +345,9 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
     """Build both channel schedules for an instance under an assignment.
 
     Walks `plan`, `placement_plan(inst)` (built here when not given), onto
-    an empty schedule.  Fault-tolerant signals sort first, so they open
-    the same slots 1..k on both channels, a common prefix that renumbering
+    an empty schedule.  A signal on both channels is placed on A, then on
+    B.  Fault-tolerant signals sort first, so each lands at one position
+    on both channels, in slots 1..k, a common prefix that renumbering
     keeps.  Each other signal is routed by determine_channel; a one-port
     transmitter whose receivers span the channels additionally gets a
     gateway image on the opposite channel, while a common transmitter
@@ -373,12 +363,11 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
     channel_of = asg.channel_of
     for sig, ports, volume, bases, fit in plan:
         tx, reached = sig.transmitter, CHANNELS
-        if sig.fault_tolerant:
-            _place(sched, sig, BOTH, tx, False, bases, fit)
-        elif (ch := determine_channel(ports, channel_of, loads)) != BOTH:
+        ch = BOTH if sig.fault_tolerant else determine_channel(ports, channel_of, loads)
+        if ch != BOTH:
             _place(sched, sig, ch, tx, False, bases, fit)
             reached = (ch,)
-        elif tx not in ports:
+        elif tx not in ports:  # a common transmitter, as for every fault-tolerant signal
             _place(sched, sig, CH_A, tx, False, bases, fit)
             _place(sched, sig, CH_B, tx, False, bases, fit)
         else:

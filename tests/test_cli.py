@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import re
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,8 @@ from conftest import example1_instance
 from flexseg import assignment as asg_mod
 from flexseg import cli
 from flexseg.cli import main, run_benchmark, run_sweep
-from flexseg.driver import run
-from flexseg.fibex import read_fibex
+from flexseg.driver import DriverConfig, run
+from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.model import save_instance
 
@@ -325,3 +329,74 @@ def test_bench_has_no_time_limit_option(tmp_path):
         main(["bench", "--dir", str(tmp_path), "--csv", str(tmp_path / "b.csv"),
               "--time-limit-ms", "5"])
     assert exc.value.code == 2
+
+
+def exported_fault_tolerant_instance() -> tuple[bytes, bytes]:
+    """The instance file and the FIBEX export of a small generated instance
+    in which half the signals are fault-tolerant, every one whose
+    transmitter can send one."""
+    profile = GeneratorProfile(name="ft", ecu_count=6, signal_count=12,
+                               common_ecu_fraction=0.5, fault_tolerant_fraction=1.0)
+    inst = generate(profile, seed=3)
+    result = run(inst, DriverConfig())
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, xml_path = Path(tmp, "ft.json"), Path(tmp, "ft.xml")
+        save_instance(inst, inst_path)
+        export_fibex(inst, result.assignment, result.schedule, xml_path)
+        return inst_path.read_bytes(), xml_path.read_bytes()
+
+
+FT_INSTANCE, FT_FIBEX = exported_fault_tolerant_instance()
+# attribute values the writer never gives the attribute they replace, next
+# to ones it gives some other attribute
+MUTATED_VALUES = ("0", "-1", "", "nan", "1e308", "65", "AB", "A", "B", "C", "true",
+                  "COMMON", "ONE_PORT", "GATEWAY", "1", "2", "8", "64", "9" * 30)
+
+
+def mutate(draw, root: ET.Element) -> None:
+    """One structural or attribute mutation of the tree under `root`: drop,
+    duplicate, move or retag an element, delete an attribute or set one."""
+    elements = list(root.iter())
+    parent = {child: el for el in elements for child in el}
+    kind = draw(st.sampled_from(("drop", "duplicate", "move", "retag", "delete", "set")))
+    if kind in ("delete", "set"):
+        el = draw(st.sampled_from([el for el in elements if el.attrib]))
+        attr = draw(st.sampled_from(sorted(el.attrib)))
+        if kind == "delete":
+            del el.attrib[attr]
+        else:
+            el.set(attr, draw(st.sampled_from(MUTATED_VALUES)))
+        return
+    el = draw(st.sampled_from(elements[1:]))
+    if kind == "retag":
+        el.tag = draw(st.sampled_from(sorted({e.tag for e in elements})))
+        return
+    home = parent[el]
+    if kind == "duplicate":
+        home.insert(list(home).index(el) + 1, copy.deepcopy(el))
+        return
+    home.remove(el)
+    if kind == "move":
+        inside = set(el.iter())
+        target = draw(st.sampled_from([e for e in elements if e not in inside]))
+        target.insert(draw(st.integers(0, len(target))), el)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_validate_exits_0_1_or_2_on_mutated_fibex(data):
+    # whatever becomes of an exported file, validate reports findings as
+    # JSON with exit 0 or 1, or refuses the file with exit 2; it never raises
+    root = ET.fromstring(FT_FIBEX)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data.draw, root)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, xml_path = Path(tmp, "ft.json"), Path(tmp, "ft.xml")
+        inst_path.write_bytes(FT_INSTANCE)
+        ET.ElementTree(root).write(xml_path)
+        out = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(out):
+            code = main(["validate", str(inst_path), str(xml_path)])
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert (json.loads(out.getvalue()) == []) == (code == 0)

@@ -4,12 +4,10 @@ The oracle visits every slot id from 1, every feasible base cycle and
 every offset, and expands the stored instances of each column (base cycle
 plus repetition) to their cycles itself, so it shares neither the owner
 index nor the packed column masks of the scheduler.  Random sequences of
-placements (originals on one channel or BOTH, gateway images, and
-requests repeated with a new signal id) must yield the same placements
-and frames, both sides must refuse the same BOTH placements while the
-channels hold different numbers of slots, and the index the scheduler
-keeps placement by placement must equal one expanded here from the
-frames.
+placements (originals on channel A or B, gateway images, and requests
+repeated with a new signal id) must yield the same placements and frames,
+and the index the scheduler keeps placement by placement must equal one
+expanded here from the frames.
 """
 from __future__ import annotations
 
@@ -25,7 +23,6 @@ from flexseg.model import (
     base_cycle_window,
 )
 from flexseg.scheduler import (
-    BOTH,
     CHANNELS,
     InfeasibleWindowError,
     Occupancy,
@@ -43,10 +40,9 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
                  fixed_base_cycle: int | None = None) -> list[Placement]:
     """Linear first-fit scan: slot ids ascending from 1, base cycles
     ascending within the window, offsets ascending; a fresh slot at
-    max_slot+1 when nothing fits.  A BOTH placement while the channels'
-    max_slots differ is a ValueError."""
+    max_slot+1 when nothing fits."""
     h = sched.config.slot_payload_bytes
-    channels = CHANNELS if target == BOTH else (target,)
+    cols = sched.columns[target]
     if fixed_base_cycle is not None:
         bases = [fixed_base_cycle]
     else:
@@ -54,25 +50,21 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
                                   sched.config.cycle_duration_ms)
         if not bases:
             raise InfeasibleWindowError(f"signal {sig.id}")
-    if target == BOTH and sched.max_slot(CH_A) != sched.max_slot(CH_B):
-        raise ValueError(f"signal {sig.id}: uneven channels")
     probe = (1 << sig.payload_bytes) - 1
 
-    limit = max(sched.max_slot(ch) for ch in channels) + 1
+    limit = sched.max_slot(target) + 1
     chosen = None
     for slot in range(1, limit + 1):
-        cols = [sched.columns[ch].get(slot) for ch in channels]
-        if any(c is not None and (c.owner != owner or c.is_gateway != is_image)
-               for c in cols):
+        col = cols.get(slot)
+        if col is not None and (col.owner != owner or col.is_gateway != is_image):
             continue
         for base in bases:
             cycles = set(range(base, 65, sig.period_cycles))
             used = 0
-            for col in cols:
-                for stored_base, entries in col.frames.items() if col else ():
-                    for occ in entries:
-                        if cycles & set(range(stored_base, 65, occ.repetition)):
-                            used |= ((1 << occ.payload) - 1) << occ.offset
+            for stored_base, entries in col.frames.items() if col else ():
+                for occ in entries:
+                    if cycles & set(range(stored_base, 65, occ.repetition)):
+                        used |= ((1 << occ.payload) - 1) << occ.offset
             offset = next((o for o in range(h - sig.payload_bytes + 1)
                            if not used & probe << o), None)
             if offset is not None:
@@ -86,9 +78,7 @@ def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
     slot, base, offset = chosen
     occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
                     is_image=is_image, repetition=sig.period_cycles)
-    for ch in channels:
-        sched.columns[ch].setdefault(slot, SlotColumn(owner=owner, is_gateway=is_image)).add(
-            base, occ)
+    cols.setdefault(slot, SlotColumn(owner=owner, is_gateway=is_image)).add(base, occ)
     return [Placement(signal=sig.id, channel=target, base_cycle=base,
                       slot=slot, offset_bytes=offset, is_image=is_image)]
 
@@ -141,7 +131,7 @@ def placements(draw, h: int):
     # a half-cycle release shifts the first feasible base past lo, which
     # can leave the window empty
     release = lo - 1 + draw(st.sampled_from((0.0, 0.5)))
-    target = draw(st.sampled_from((CH_A, CH_B, BOTH)))
+    target = draw(st.sampled_from((CH_A, CH_B)))
     return ("place", period, payload, release, float(hi), target,
             draw(st.integers(1, 3)), False, None)
 
@@ -178,8 +168,6 @@ def play(h: int, steps) -> Schedule:
                                      fixed_base_cycle=base))
             except InfeasibleWindowError:
                 outcome.append("infeasible")
-            except ValueError:
-                outcome.append("uneven")
         assert outcome[0] == outcome[1], step
         assert grids(fast) == grids(slow), step
         # the index kept placement by placement is the one of the frames
@@ -197,39 +185,29 @@ def test_first_fit_matches_linear_scan(scenario):
     play(*scenario)
 
 
-def test_uneven_both_placement_refused_until_channels_even():
-    # two A-only placements open slots 1 and 2 on channel A; a BOTH
-    # placement then is refused and changes nothing, and once two B-only
-    # placements have opened slots 1 and 2 on channel B the same BOTH
-    # placement fits into slot 2, which owner 2 holds on both channels
-    uneven = [
-        (1, 8, 0.0, 1.0, CH_A, 1, False, None),
-        (2, 2, 0.0, 2.0, CH_A, 2, False, None),
-    ]
-    both = (2, 2, 0.0, 2.0, BOTH, 2, False, None)
-    sched = play(8, [("place", *p) for p in uneven])
-    idx = sched._index
-    before = (repr(sched.columns), {ch: dict(m) for ch, m in idx.masks.items()},
-              {key: list(slots) for key, slots in idx.open.items()},
-              sched.place_calls, sched.fresh_slots, sched.scan_depth)
-    with pytest.raises(ValueError, match="A holds 2, B holds 0"):
-        place_to_schedule(sched, Signal(3, 2, 2, 2, 0.0, 2.0, False, frozenset({9})),
-                          BOTH, 2)
-    assert (repr(sched.columns), idx.masks, idx.open, sched.place_calls,
-            sched.fresh_slots, sched.scan_depth) == before
+def test_target_other_than_one_channel_refused():
+    # first fit places on channel A or B; any other target is refused
+    # before anything changes, even before the index is made
+    sig = Signal(9, 2, 2, 2, 0.0, 2.0, False, frozenset({9}))
+    empty = Schedule(config=NetworkConfig(1.0, 8))
+    placed = play(8, [("place", 1, 8, 0.0, 1.0, CH_A, 1, False, None),
+                      ("place", 2, 2, 0.0, 2.0, CH_B, 2, False, None),
+                      ("place", 2, 4, 0.0, 2.0, CH_A, GATEWAY, True, 1)])
+    idx = placed._index
 
-    even = [
-        (1, 4, 0.0, 1.0, CH_B, 3, False, None),
-        (2, 2, 0.0, 2.0, CH_B, 2, False, None),
-    ]
-    sched = play(8, [("place", *p) for p in uneven + [both] + even + [both]])
-    # signal 3 was refused; signal 6 shares base cycle 1 of slot 2 with
-    # signal 2 on A and signal 5 on B, and no slot was opened for it
-    frames = {ch: [(base, occ.signal, occ.offset)
-                   for base, entries in sched.columns[ch][2].frames.items()
-                   for occ in entries] for ch in CHANNELS}
-    assert frames == {CH_A: [(1, 2, 0), (1, 6, 2)], CH_B: [(1, 5, 0), (1, 6, 2)]}
-    assert [sorted(sched.columns[ch]) for ch in CHANNELS] == [[1, 2], [1, 2]]
+    def state():
+        return (repr(placed.columns), {ch: dict(m) for ch, m in idx.masks.items()},
+                {key: list(slots) for key, slots in idx.open.items()},
+                placed.place_calls, placed.fresh_slots, placed.scan_depth)
+
+    before = state()
+    for target in ("BOTH", "C"):
+        for sched in (empty, placed):
+            with pytest.raises(ValueError, match=f"target '{target}'"):
+                place_to_schedule(sched, sig, target, 2)
+        assert empty._index is None
+        assert empty.columns == {CH_A: {}, CH_B: {}}
+        assert state() == before
 
 
 def test_unpackable_arguments_rejected():

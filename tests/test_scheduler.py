@@ -241,13 +241,12 @@ def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str])
     """schedule_channels' routing, replayed signal by signal through the
     public place_to_schedule and then reorder_slots.  Also returns what a
     tracer wrapping each call counts: calls, slots above the highest id of
-    the target channels before the call, and the slot ids taken."""
+    the target channel before the call, and the slot ids taken."""
     sched = Schedule(config=inst.config)
     counts = Counter()
 
     def place(sig, target, owner, **kwargs):
-        channels = (CH_A, CH_B) if target == BOTH else (target,)
-        highest = max(sched.max_slot(ch) for ch in channels)
+        highest = sched.max_slot(target)
         (placed,) = place_to_schedule(sched, sig, target, owner, **kwargs)
         counts["place_calls"] += 1
         counts["fresh_slots"] += placed.slot > highest
@@ -260,13 +259,11 @@ def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str])
         tx = sig.transmitter
         required = {channel_of[u] for u in {tx, *sig.receivers} & one_port}
         reached = (CH_A, CH_B)
-        if sig.fault_tolerant:
-            place(sig, BOTH, tx)
-        elif len(required) < 2:
+        if len(required) < 2 and not sig.fault_tolerant:
             (ch,) = required or {CH_A if loads[CH_A] <= loads[CH_B] else CH_B}
             place(sig, ch, tx)
             reached = (ch,)
-        elif tx not in one_port:
+        elif sig.fault_tolerant or tx not in one_port:
             place(sig, CH_A, tx)
             place(sig, CH_B, tx)
         else:
@@ -301,8 +298,7 @@ def test_schedule_channels_matches_replay_through_place_to_schedule(
     asg = assignment_for(inst, channel_of)
     built = schedule_channels(inst, asg)
     assert validate(inst, asg, built) == []
-    # the replay goes through place_to_schedule, which refuses a BOTH
-    # placement while the channels hold different numbers of slots
+    # the replay places a signal on both channels on A, then on B
     replayed, counts = replay_through_place_to_schedule(inst, channel_of)
     assert built.columns == replayed.columns
     assert (built.place_calls, built.fresh_slots, built.scan_depth) == (
@@ -320,7 +316,7 @@ def test_schedule_channels_routes_example1(example1):
     for p in sched.placements:
         made.setdefault(p.signal, []).append(p)
     kinds = {sid: [(p.channel, p.is_image) for p in ps] for sid, ps in made.items()}
-    # fault-tolerant: one BOTH placement, the same position on both channels
+    # fault-tolerant: placed on A, then on B, at the same position on both
     assert kinds[1] == [(CH_A, False), (CH_B, False)]
     assert made[1][0].slot == made[1][1].slot
     assert kinds[2] == [(CH_A, False), (CH_B, False)]  # common transmitter on both
@@ -332,8 +328,8 @@ def test_schedule_channels_routes_example1(example1):
         assert sorted(kinds[sid], key=lambda k: k[1]) == [
             (ch, False), (CH_A if ch == CH_B else CH_B, True)]
     assert all(len(ks) == 1 for sid, ks in kinds.items() if sid not in {1, 2, *images})
-    # one call per signal, a second for signal 2 and one per image
-    assert sched.place_calls == len(example1.signals) + 1 + len(images)
+    # one call per signal, a second for signals 1 and 2 and one per image
+    assert sched.place_calls == len(example1.signals) + 1 + 1 + len(images)
 
 
 def test_schedule_example1(example1):
