@@ -14,7 +14,7 @@ from . import assignment as asg_mod
 from . import generator as gen_mod
 from .assignment import CH_A, CH_B, CriterionParams
 from .driver import SOLVERS, DriverConfig, log_to_csv_rows, run
-from .fibex import export_fibex, read_fibex
+from .fibex import export_fibex, read_fibex_ecus
 from .hypergraph import build_hypergraph
 from .model import FormatError, load_instance, save_instance
 from .scheduler import lbsc, schedule_single_channel
@@ -197,7 +197,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = load_instance(args.instance)
-    sched, channel_of = read_fibex(args.schedule)
+    sched, channel_of, classes = read_fibex_ecus(args.schedule)
     if sched.config != inst.config:
         raise FormatError(f"schedule file cluster {sched.config} differs from the "
                           f"instance's {inst.config}")
@@ -209,6 +209,11 @@ def _cmd_validate(args) -> int:
     if foreign:
         raise FormatError(f"schedule file assigns channels to ECUs {foreign}, which are "
                           f"not one-port ECUs of the instance")
+    kinds = {e.id: e.kind.value for e in inst.ecus}
+    differ = sorted(u for u in kinds.keys() | classes.keys() if kinds.get(u) != classes.get(u))
+    if differ:
+        raise FormatError(f"schedule file's ECU classes differ from the instance's for "
+                          f"ECUs {differ}")
     p_a, p_b, p_g, crit = asg_mod.evaluate_criterion(
         hg, channel_of, CriterionParams(alpha=asg_mod.default_alpha(hg)))
     asg = asg_mod.ChannelAssignment(

@@ -87,6 +87,11 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     the writer's layout (another tag, a missing or repeated part, a
     repeated channel, frame or ECU, a frame without signal instances) is
     a ValueError naming it."""
+    return read_fibex_ecus(path)[:2]
+
+
+def read_fibex_ecus(path: str | Path) -> tuple[Schedule, dict[int, str], dict[int, str]]:
+    """What read_fibex returns, and the class of each ECU of the file by id."""
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:
@@ -146,7 +151,7 @@ def _children(el: ET.Element, tag: str, where: str) -> ET.Element:
     return el
 
 
-def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
+def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str], dict[int, str]]:
     if root.tag != "flexray-schedule":
         raise ValueError(f"root element <{root.tag}> is not flexray-schedule")
     if root.get("format") != "simplified-1":
@@ -172,14 +177,13 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
     )
     validate_config(config)
     channel_of: dict[int, str] = {}
-    ecu_ids: set[int] = set()
+    classes: dict[int, str] = {}
     for ecu_el in _children(ecus_el, "ecu", "ecus"):
         a = ecu_el.attrib
         ecu = _field(a, "id", "ecu element: ")
-        if ecu in ecu_ids:
+        if ecu in classes:
             raise ValueError(f"ecus: ecu id {ecu} appears twice")
-        ecu_ids.add(ecu)
-        kind = _field(a, "class", f"ecu {ecu}: ", str)
+        classes[ecu] = kind = _field(a, "class", f"ecu {ecu}: ", str)
         if kind not in _ECU_CLASSES:
             raise ValueError(f"ecu {ecu}: class {kind!r} is not GATEWAY, COMMON or ONE_PORT")
         ch = _field(a, "channels", f"ecu {ecu}: ", str)
@@ -234,4 +238,4 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str]]:
         if max_slot != sched.max_slot(ch):
             raise ValueError(f"channel {ch}: max-slot {max_slot} is not the highest "
                              f"slot id {sched.max_slot(ch)}")
-    return sched, channel_of
+    return sched, channel_of, classes

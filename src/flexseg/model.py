@@ -163,6 +163,8 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError(f"signal {s.id}: negative release")
         if not s.release_ms < s.deadline_ms:
             raise ValidationError(f"signal {s.id}: release must precede deadline")
+        if not s.deadline_ms < float("inf"):
+            raise ValidationError(f"signal {s.id}: deadline must be finite")
         if not s.receivers:
             raise ValidationError(f"signal {s.id}: receiver set is empty")
         if s.transmitter in s.receivers:

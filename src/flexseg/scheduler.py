@@ -82,7 +82,7 @@ class _SlotIndex:
     """Where first fit looks on each channel and what it finds there; it
     starts empty on an empty schedule, made by `schedule_channels` or by
     `place_to_schedule` at its first placement, and is kept in step by
-    `add`.
+    `_place`, whose fallback to the next id is the only place a slot opens.
 
     `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
     one int, bit (cycle - 1) * h + byte; `full` is the mask of a full
@@ -103,19 +103,6 @@ class _SlotIndex:
 
     def __post_init__(self) -> None:
         self.full = (1 << HYPERPERIOD_CYCLES * self.h) - 1
-
-    def add(self, ch: str, slot: int, col: SlotColumn, bits: int) -> None:
-        """Record the bytes `bits` of an instance just added to `col`, the
-        column at `slot` on `ch`; a slot with no mask yet holds a new column."""
-        masks = self.masks[ch]
-        mask = masks.get(slot)
-        if mask is None:
-            self.open.setdefault((ch, col.owner, col.is_gateway), []).append(slot)
-            mask = 0
-        masks[slot] = mask = mask | bits
-        if mask == self.full:
-            own = self.open[(ch, col.owner, col.is_gateway)]
-            del own[bisect_left(own, slot)]
 
 
 @dataclass
@@ -278,8 +265,9 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
     masks = idx.masks[target]
     fold, width_mask, runs, allowed, pattern = fit
     request = (target, owner, is_image, sig.period_cycles, sig.payload_bytes, bases)
-    own = idx.open.get((target, owner, is_image), [])
+    own = idx.open.setdefault((target, owner, is_image), [])
     start = bisect_left(own, idx.taken.get(request, 0))
+    cols = sched.columns[target]
     for slot in islice(own, start, None):
         mask = masks[slot]
         for shift in fold:
@@ -291,19 +279,21 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
         if free:
             base, offset = divmod((free & -free).bit_length() - 1, h)
             base += 1
+            col = cols[slot]
             break
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
         slot, base, offset = len(masks) + 1, bases[0], 0
+        masks[slot] = 0
+        own.append(slot)
+        col = cols[slot] = SlotColumn(owner, is_image)
         sched.fresh_slots += 1
 
     idx.taken[request] = slot
-    cols = sched.columns[target]
-    col = cols.get(slot)
-    if col is None:
-        col = cols[slot] = SlotColumn(owner, is_image)
     col.add(base, Occupancy(sig.id, offset, sig.payload_bytes, is_image, sig.period_cycles))
-    idx.add(target, slot, col, (pattern << (base - 1) * h + offset) & idx.full)
+    masks[slot] = mask = masks[slot] | (pattern << (base - 1) * h + offset) & idx.full
+    if mask == idx.full:
+        del own[bisect_left(own, slot)]
     sched.place_calls += 1
     sched.scan_depth += slot
     return slot, base, offset
@@ -385,29 +375,24 @@ def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
     """New slot ids: per-channel non-gateway slots first in original order,
     which keeps a fault-tolerant prefix shared by both channels, gateway
     slots as soon as every original they retransmit has a smaller id."""
-    # an imaged original is on its one-port transmitter's channel only
-    original_slot = {occ.signal: (ch, t) for ch in CHANNELS
-                     for t, col in sched.columns[ch].items() if not col.is_gateway
-                     for entries in col.frames.values() for occ in entries}
-
     new_ids: dict[tuple[str, int], int] = {}
-    chains: dict[str, list[int]] = {}
-    gateways: dict[str, list[int]] = {}
+    # an imaged original is on its one-port transmitter's channel only
+    original_id: dict[int, int] = {}
     for ch in CHANNELS:
-        pre = sorted(sched.columns[ch])
-        chains[ch] = [t for t in pre if not sched.columns[ch][t].is_gateway]
-        gateways[ch] = [t for t in pre if sched.columns[ch][t].is_gateway]
-        for new_id, t in enumerate(chains[ch], start=1):
+        cols = sched.columns[ch]
+        chain = [t for t in sorted(cols) if not cols[t].is_gateway]
+        for new_id, t in enumerate(chain, start=1):
             new_ids[(ch, t)] = new_id
+            for entries in cols[t].frames.values():
+                for occ in entries:
+                    original_id[occ.signal] = new_id
 
     for ch in CHANNELS:
-        pending = []
-        for t in gateways[ch]:
-            frames = sched.columns[ch][t].frames
-            latest = max((new_ids[original_slot[occ.signal]]
-                          for entries in frames.values() for occ in entries), default=0)
-            pending.append((t, latest))
-        tick = len(chains[ch]) + 1
+        cols = sched.columns[ch]
+        pending = [(t, max((original_id[occ.signal] for entries in col.frames.values()
+                            for occ in entries), default=0))
+                   for t, col in sorted(cols.items()) if col.is_gateway]
+        tick = len(cols) - len(pending) + 1
         while pending:
             eligible = [item for item in pending if item[1] < tick]
             if eligible:

@@ -120,6 +120,29 @@ def test_validate_refuses_a_channel_for_an_ecu_that_is_not_one_port(
             f"instance") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern, repl, named", [
+    # the gateway rewritten as a common ECU
+    ('<ecu id="0" class="GATEWAY" channels="AB" />',
+     '<ecu id="0" class="COMMON" channels="AB" />', [0]),
+    # a common ECU the instance does not have
+    (r'(<ecu id="5" [^>]*/>)', r'\1<ecu id="99" class="COMMON" channels="AB" />', [99]),
+    # a common ECU of the instance left out
+    (r'\n *<ecu id="1" class="COMMON" channels="AB" />', "", [1]),
+], ids=["gateway-as-common", "extra-common", "common-deleted"])
+def test_validate_refuses_ecu_classes_that_differ_from_the_instance(
+        tmp_path, example1_file, capsys, pattern, repl, named):
+    fibex = tmp_path / "out.xml"
+    main(["solve", str(example1_file), "--fibex", str(fibex)])
+    capsys.readouterr()
+    edited = tmp_path / "edited.xml"
+    text, n = re.subn(pattern, repl, fibex.read_text())
+    assert n == 1
+    edited.write_text(text)
+    assert main(["validate", str(example1_file), str(edited)]) == 2
+    assert (f"schedule file's ECU classes differ from the instance's for ECUs {named}"
+            in capsys.readouterr().err)
+
+
 def test_generate_command(tmp_path, capsys):
     profile = tmp_path / "profile.json"
     profile.write_text('{"name": "tiny", "ecu_count": 8, "signal_count": 40}')

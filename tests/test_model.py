@@ -117,6 +117,7 @@ def test_unknown_field_rejected(tmp_path):
     (lambda d: d["signals"][1].update(transmitter=0), "gateway"),
     (lambda d: d["signals"][1].update(release_ms=2.0, deadline_ms=1.0), "release"),
     (lambda d: d["signals"][1].update(release_ms=1.9, deadline_ms=2.0), "window"),
+    (lambda d: d["signals"][1].update(deadline_ms=float("inf")), "deadline must be finite"),
     (lambda d: d["ecus"].append({"id": 6, "class": "GATEWAY"}), "GATEWAY"),
     (lambda d: d["ecus"][1].update(**{"class": "ONE_PORT"}), "COMMON"),
     (lambda d: d["config"].update(slot_payload_bytes=0), "slot_payload_bytes"),

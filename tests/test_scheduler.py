@@ -23,8 +23,11 @@ from flexseg.model import (
 )
 from flexseg.scheduler import (
     BOTH,
+    CHANNELS,
     InfeasibleWindowError,
+    Occupancy,
     Schedule,
+    SlotColumn,
     determine_channel,
     lbsc,
     place_to_schedule,
@@ -444,6 +447,125 @@ def test_reorder_pushes_gateway_past_cross_channel_original():
     assert original.slot == 2 and original.channel == CH_B
     assert image.channel == CH_A and image.slot >= 3
     assert validate(inst, asg, sched) == []
+
+
+def reference_renumber(sched: Schedule) -> dict[tuple[str, int], int]:
+    """The renumbering the scheduler is held to: each original's (channel,
+    slot) looked up, then each channel's non-gateway chain and gateway
+    columns kept in lists for a second loop."""
+    # an imaged original is on its one-port transmitter's channel only
+    original_slot = {occ.signal: (ch, t) for ch in CHANNELS
+                     for t, col in sched.columns[ch].items() if not col.is_gateway
+                     for entries in col.frames.values() for occ in entries}
+
+    new_ids: dict[tuple[str, int], int] = {}
+    chains: dict[str, list[int]] = {}
+    gateways: dict[str, list[int]] = {}
+    for ch in CHANNELS:
+        pre = sorted(sched.columns[ch])
+        chains[ch] = [t for t in pre if not sched.columns[ch][t].is_gateway]
+        gateways[ch] = [t for t in pre if sched.columns[ch][t].is_gateway]
+        for new_id, t in enumerate(chains[ch], start=1):
+            new_ids[(ch, t)] = new_id
+
+    for ch in CHANNELS:
+        pending = []
+        for t in gateways[ch]:
+            frames = sched.columns[ch][t].frames
+            latest = max((new_ids[original_slot[occ.signal]]
+                          for entries in frames.values() for occ in entries), default=0)
+            pending.append((t, latest))
+        tick = len(chains[ch]) + 1
+        while pending:
+            eligible = [item for item in pending if item[1] < tick]
+            if eligible:
+                first = min(eligible)
+                new_ids[(ch, first[0])] = tick
+                pending.remove(first)
+            tick += 1
+    return new_ids
+
+
+@st.composite
+def column_layouts(draw) -> Schedule:
+    """Hand-built columns on both channels at distinct slot ids, put in
+    drawn order.  Each original column holds one or two signals of its
+    owner; each gateway column holds images of one to three signals whose
+    originals sit anywhere on the other channel, so gateway columns may
+    have to wait for a later id and yield to one behind them."""
+    sched = Schedule(config=NetworkConfig(1.0, 8))
+    layout = {ch: draw(st.lists(st.tuples(st.integers(1, 16), st.booleans()),
+                                min_size=1, max_size=10, unique_by=lambda c: c[0]))
+              for ch in CHANNELS}
+    originals: dict[str, list[int]] = {ch: [] for ch in CHANNELS}
+    for ch in CHANNELS:
+        for t, gateway in layout[ch]:
+            owner = 0 if gateway else draw(st.integers(1, 3))
+            col = sched.columns[ch][t] = SlotColumn(owner, gateway)
+            if gateway:
+                continue  # filled below, once every original is drawn
+            for offset in range(draw(st.integers(1, 2))):
+                originals[ch].append(signal := 100 * len(originals[ch]) + ord(ch))
+                col.add(draw(st.integers(1, 4)), Occupancy(signal, offset, 1, False, 4))
+    for ch, other in zip(CHANNELS, reversed(CHANNELS)):
+        for t, gateway in layout[ch]:
+            if gateway and originals[other]:
+                images = draw(st.lists(st.sampled_from(originals[other]), min_size=1,
+                                       max_size=3, unique=True))
+                for offset, signal in enumerate(images):
+                    sched.columns[ch][t].add(draw(st.integers(1, 4)),
+                                             Occupancy(signal, offset, 1, True, 4))
+            elif gateway:  # nothing to retransmit: an original column after all
+                col = sched.columns[ch][t] = SlotColumn(1, False)
+                col.add(1, Occupancy(1000 * ord(ch) + t, 0, 1, False, 4))
+    return sched
+
+
+def slot_ids(before: Schedule, after: Schedule) -> dict[tuple[str, int], int]:
+    """The id each column of `before` has in `after`, matched by identity."""
+    new_id = {id(col): t for ch in CHANNELS for t, col in after.columns[ch].items()}
+    return {(ch, t): new_id[id(col)]
+            for ch in CHANNELS for t, col in before.columns[ch].items()}
+
+
+def assert_images_follow_originals(sched: Schedule) -> None:
+    """V8: each gateway column has a higher id than the original of every
+    signal it retransmits."""
+    original = {occ.signal: t for ch in CHANNELS for t, col in sched.columns[ch].items()
+                if not col.is_gateway for entries in col.frames.values() for occ in entries}
+    for ch in CHANNELS:
+        for t, col in sched.columns[ch].items():
+            if col.is_gateway:
+                for entries in col.frames.values():
+                    assert all(original[occ.signal] < t for occ in entries), (ch, t)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(column_layouts())
+def test_reorder_matches_reference_renumbering(sched):
+    again = reorder_slots(sched)
+    assert slot_ids(sched, again) == reference_renumber(sched)
+    assert_images_follow_originals(again)
+
+
+def test_waiting_gateway_column_yields_to_a_later_one():
+    # A holds one original and, in first-fit order, gateway columns 2 and
+    # 3.  Column 2 retransmits B's third original and must wait past it;
+    # column 3 retransmits B's first and takes id 2 ahead of it.
+    sched = Schedule(config=NetworkConfig(1.0, 8))
+    sched.columns[CH_A][1] = SlotColumn(1, False)
+    sched.columns[CH_A][1].add(1, Occupancy(1, 0, 8, False, 1))
+    for t, signal in ((2, 13), (3, 11)):
+        sched.columns[CH_A][t] = SlotColumn(0, True)
+        sched.columns[CH_A][t].add(1, Occupancy(signal, 0, 8, True, 1))
+    for t in (1, 2, 3):
+        sched.columns[CH_B][t] = SlotColumn(2, False)
+        sched.columns[CH_B][t].add(1, Occupancy(10 + t, 0, 8, False, 1))
+    again = reorder_slots(sched)
+    expected = {(CH_A, 1): 1, (CH_A, 2): 4, (CH_A, 3): 2,
+                (CH_B, 1): 1, (CH_B, 2): 2, (CH_B, 3): 3}
+    assert slot_ids(sched, again) == reference_renumber(sched) == expected
+    assert_images_follow_originals(again)
 
 
 def test_fault_tolerant_prefix_shares_ids_after_reorder():
