@@ -64,15 +64,15 @@ class DriverResult:
 
 def _solve(solver: str, hg, params: CriterionParams, cfg: DriverConfig,
            seed: int) -> ChannelAssignment:
-    if solver == "EXACT":
-        return asg_mod.solve_exact(hg, params)
     # Up to STOP_MAX_ECUS one-port ECUs the coverage-table scan gives the
-    # least map at any beta, so cah and ga are not run.
+    # least map at any beta, so no solver is run.
     st = asg_mod._new_state(hg)
     mask = asg_mod._least_criterion(st, params)[1]
     if mask is not None:
         st.load(mask)
         return asg_mod._finish(st, params, optimal=True)
+    if solver == "EXACT":
+        return asg_mod.solve_exact(hg, params)
     if solver == "GA":
         return asg_mod.solve_ga(hg, params, rng_seed=seed)
     return asg_mod.solve_cah(hg, params, tries_count=cfg.cah_tries, rng_seed=seed)

@@ -165,11 +165,15 @@ def generate(profile: GeneratorProfile, seed: int) -> Instance:
 
 
 def sweep_profiles(base: GeneratorProfile, step: float = 0.05) -> list[GeneratorProfile]:
-    """Cross product of common-ECU fraction x fault-tolerant fraction."""
+    """Cross product of common-ECU fraction x fault-tolerant fraction,
+    each 0, step, ..., 1; the step must split [0, 1] into whole steps."""
     validate_profile(base)
     if not 0 < step <= 1:
         raise ValueError("step must be within (0, 1]")
-    points = [round(i * step, 10) for i in range(int(round(1 / step)) + 1)]
+    count = round(1 / step)
+    if abs(count * step - 1) > 1e-9:
+        raise ValueError(f"step {step:g} does not split [0, 1] into whole steps")
+    points = [round(i * step, 10) for i in range(count + 1)]
     out = []
     for cf in points:
         for ff in points:

@@ -101,7 +101,8 @@ def base_cycle_window(period_cycles: int, release_ms: float, deadline_ms: float,
 
     The first occurrence in cycle y is feasible when (y-1)*m >= release and
     y*m <= deadline; timing is resolved at cycle granularity only.  Cached:
-    the scheduler asks once per placement, and signals share a few windows.
+    it is asked once per signal when an instance is validated and once per
+    signal per run by `placement_plan`, and signals share a few windows.
     """
     m = cycle_duration_ms
     return tuple(y for y in range(1, period_cycles + 1)

@@ -80,8 +80,8 @@ def _cycle_pattern(period: int, h: int) -> int:
 @dataclass
 class _SlotIndex:
     """Where first fit looks on each channel and what it finds there; it
-    starts empty on an empty schedule, made by `schedule_channels` or by
-    `place_to_schedule` at its first placement, and is kept in step by
+    starts empty on an empty schedule, made by either schedule builder or
+    by `place_to_schedule` at its first placement, and is kept in step by
     `_place`, whose fallback to the next id is the only place a slot opens.
 
     `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
@@ -371,19 +371,21 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
     return reorder_slots(sched)
 
 
-def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
-    """New slot ids: per-channel non-gateway slots first in original order,
-    which keeps a fault-tolerant prefix shared by both channels, gateway
-    slots as soon as every original they retransmit has a smaller id."""
-    new_ids: dict[tuple[str, int], int] = {}
+def reorder_slots(sched: Schedule) -> Schedule:
+    """Renumber slots on the shared id timeline: per channel, non-gateway
+    slots first in original order, which keeps a fault-tolerant prefix
+    shared by both channels, then each gateway slot as soon as every
+    original it retransmits has a smaller id.  Frame contents are
+    unchanged."""
+    columns: dict[str, dict[int, SlotColumn]] = {ch: {} for ch in CHANNELS}
     # an imaged original is on its one-port transmitter's channel only
     original_id: dict[int, int] = {}
     for ch in CHANNELS:
         cols = sched.columns[ch]
-        chain = [t for t in sorted(cols) if not cols[t].is_gateway]
-        for new_id, t in enumerate(chain, start=1):
-            new_ids[(ch, t)] = new_id
-            for entries in cols[t].frames.values():
+        chain = [cols[t] for t in sorted(cols) if not cols[t].is_gateway]
+        for new_id, col in enumerate(chain, start=1):
+            columns[ch][new_id] = col
+            for entries in col.frames.values():
                 for occ in entries:
                     original_id[occ.signal] = new_id
 
@@ -397,28 +399,20 @@ def _renumber(sched: Schedule) -> dict[tuple[str, int], int]:
             eligible = [item for item in pending if item[1] < tick]
             if eligible:
                 first = min(eligible)
-                new_ids[(ch, first[0])] = tick
+                columns[ch][tick] = cols[first[0]]
                 pending.remove(first)
             tick += 1
-    return new_ids
-
-
-def reorder_slots(sched: Schedule) -> Schedule:
-    """Renumber slots on the shared id timeline so that every gateway slot
-    comes strictly after the slot of the latest original it retransmits.
-    Frame contents are unchanged."""
-    new_ids = _renumber(sched)
-    return replace(sched, columns={
-        ch: {new_ids[(ch, t)]: col for t, col in sched.columns[ch].items()}
-        for ch in CHANNELS})
+    return replace(sched, columns=columns)
 
 
 def schedule_single_channel(inst: Instance) -> Schedule:
     """Schedule every signal onto one channel (mirrored-channels semantics:
-    no assignment, no images); the baseline for bandwidth comparisons."""
+    no assignment, no images); the baseline for bandwidth comparisons.
+    Walks `placement_plan(inst)` onto channel A of an empty schedule."""
     sched = Schedule(config=inst.config)
-    for sig in sort_signals(inst.signals):
-        place_to_schedule(sched, sig, CH_A, owner=sig.transmitter)
+    sched._index = _SlotIndex(inst.config.slot_payload_bytes)
+    for sig, _, _, bases, fit in placement_plan(inst):
+        _place(sched, sig, CH_A, sig.transmitter, False, bases, fit)
     return sched
 
 

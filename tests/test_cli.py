@@ -164,6 +164,17 @@ def test_truncated_profile_exits_2_naming_the_file(tmp_path, capsys, command, ou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["0.6", "0.3"])
+def test_sweep_step_that_does_not_split_the_unit_interval_exits_2(tmp_path, capsys, step):
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"name": "tiny", "ecu_count": 8, "signal_count": 20}')
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--profile", str(profile), "--csv", str(out),
+                 "--step", step]) == 2
+    assert f"step {step} does not split [0, 1] into whole steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_hard_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

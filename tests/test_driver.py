@@ -168,8 +168,9 @@ def test_run_builds_the_placement_plan_once(monkeypatch):
 @given(st.integers(0, 2**32 - 1), st.floats(0, 0.1), st.floats(1 / 8, 8),
        st.integers(0, 2**32 - 1))
 def test_driver_takes_the_lowest_least_map(n, seed, alpha, beta, rng_seed):
-    # up to the cap, cah and ga runs take the map of least criterion over
-    # all 2**n maps, the lowest A-mask among ties, and never lose to cah
+    # up to the cap, runs under every solver take the map of least
+    # criterion over all 2**n maps, the lowest A-mask among ties, and
+    # never lose to cah
     hg = random_hypergraph(random.Random(seed), min_free=n, max_free=n)
     params = CriterionParams(alpha, beta)
     # every map by A-mask: bit i puts the i-th one-port ECU on channel A
@@ -178,7 +179,7 @@ def test_driver_takes_the_lowest_least_map(n, seed, alpha, beta, rng_seed):
     crits = [evaluate_criterion(hg, m, params)[3] for m in maps]
     least = min(crits)
     cfg = DriverConfig()
-    for solver in ("CAH", "GA"):
+    for solver in ("CAH", "GA", "EXACT"):
         asg = driver_mod._solve(solver, hg, params, cfg, rng_seed)
         assert asg.optimal
         assert asg.channel_of == maps[crits.index(least)]

@@ -120,6 +120,21 @@ def test_sweep_grid_default_and_coarse():
     assert fracs == {(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)}
 
 
+@pytest.mark.parametrize("step, points", [
+    (0.05, 21), (0.25, 5), (1 / 3, 4), (0.5, 3), (1, 2)])
+def test_sweep_accepts_a_step_that_splits_the_unit_interval(step, points):
+    fracs = sorted({p.common_ecu_fraction
+                    for p in sweep_profiles(GeneratorProfile(signal_count=20), step)})
+    assert len(fracs) == points
+    assert fracs[0] == 0 and fracs[-1] == 1
+
+
+@pytest.mark.parametrize("step", [0.3, 0.6, 0.7, 0.4])
+def test_sweep_refuses_a_step_that_does_not_split_the_unit_interval(step):
+    with pytest.raises(ValueError, match="does not split"):
+        sweep_profiles(GeneratorProfile(signal_count=20), step)
+
+
 def test_sweep_profiles_generate_valid_instances():
     base = GeneratorProfile(signal_count=30, ecu_count=8)
     for profile in sweep_profiles(base, step=0.25):

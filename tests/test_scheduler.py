@@ -279,14 +279,9 @@ def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str])
     return reorder_slots(sched), counts
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 80),
-       st.sampled_from([0.0, 0.3]), st.integers(0, 2**16), st.randoms(use_true_random=False))
-def test_schedule_channels_matches_replay_through_place_to_schedule(
-        level, ecus, signals, ft, gen_seed, rng):
-    inst = generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
-                                fault_tolerant_fraction=ft), gen_seed)
-    # about half the signals get a window of cycles lo..hi within their period
+def narrow_windows(inst: Instance, rng) -> Instance:
+    """About half the signals get a window of cycles lo..hi within their
+    period."""
     m = inst.config.cycle_duration_ms
     narrowed = []
     for sig in inst.signals:
@@ -295,7 +290,16 @@ def test_schedule_channels_matches_replay_through_place_to_schedule(
             hi = rng.randint(lo, sig.period_cycles)
             sig = dataclasses.replace(sig, release_ms=(lo - 1) * m, deadline_ms=hi * m)
         narrowed.append(sig)
-    inst = dataclasses.replace(inst, signals=tuple(narrowed))
+    return dataclasses.replace(inst, signals=tuple(narrowed))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 80),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_schedule_channels_matches_replay_through_place_to_schedule(
+        level, ecus, signals, ft, gen_seed, rng):
+    inst = narrow_windows(generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
+                                               fault_tolerant_fraction=ft), gen_seed), rng)
     validate_instance(inst)
     channel_of = {u: rng.choice((CH_A, CH_B)) for u in sorted(inst.one_port_ids)}
     asg = assignment_for(inst, channel_of)
@@ -601,6 +605,39 @@ def test_single_channel_example1(example1):
     sched = schedule_single_channel(example1)
     assert sched.max_slot(CH_B) == 0
     assert sched.max_slot(CH_A) >= lbsc(example1.signals, 8)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 80),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_single_channel_matches_placement_through_place_to_schedule(
+        level, ecus, signals, ft, gen_seed, rng):
+    inst = narrow_windows(generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
+                                               fault_tolerant_fraction=ft), gen_seed), rng)
+    # now and then one signal no slot can take: an empty window or a
+    # payload above the slot's
+    if inst.signals and rng.random() < 0.2:
+        k = rng.randrange(len(inst.signals))
+        sig = inst.signals[k]
+        sig = (dataclasses.replace(sig, release_ms=sig.deadline_ms) if rng.random() < 0.5
+               else dataclasses.replace(sig, payload_bytes=inst.config.slot_payload_bytes + 1))
+        inst = dataclasses.replace(
+            inst, signals=inst.signals[:k] + (sig,) + inst.signals[k + 1:])
+    # the reference: every signal in placement order, through the public
+    # place_to_schedule, on channel A for its transmitter
+    expected = Schedule(config=inst.config)
+    try:
+        for sig in sort_signals(inst.signals):
+            place_to_schedule(expected, sig, CH_A, owner=sig.transmitter)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            schedule_single_channel(inst)
+        return
+    single = schedule_single_channel(inst)
+    assert single.columns == expected.columns
+    assert single.placements == expected.placements
+    assert (single.place_calls, single.fresh_slots, single.scan_depth) == (
+        expected.place_calls, expected.fresh_slots, expected.scan_depth)
 
 
 def test_single_channel_empty():
