@@ -374,9 +374,9 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
 def reorder_slots(sched: Schedule) -> Schedule:
     """Renumber slots on the shared id timeline: per channel, non-gateway
     slots first in original order, which keeps a fault-tolerant prefix
-    shared by both channels, then each gateway slot as soon as every
-    original it retransmits has a smaller id.  Frame contents are
-    unchanged."""
+    shared by both channels, then each gateway slot in original order at
+    the lowest free id above the chain and above every original it
+    retransmits.  Frame contents are unchanged."""
     columns: dict[str, dict[int, SlotColumn]] = {ch: {} for ch in CHANNELS}
     # an imaged original is on its one-port transmitter's channel only
     original_id: dict[int, int] = {}
@@ -390,18 +390,15 @@ def reorder_slots(sched: Schedule) -> Schedule:
                     original_id[occ.signal] = new_id
 
     for ch in CHANNELS:
-        cols = sched.columns[ch]
-        pending = [(t, max((original_id[occ.signal] for entries in col.frames.values()
-                            for occ in entries), default=0))
-                   for t, col in sorted(cols.items()) if col.is_gateway]
-        tick = len(cols) - len(pending) + 1
-        while pending:
-            eligible = [item for item in pending if item[1] < tick]
-            if eligible:
-                first = min(eligible)
-                columns[ch][tick] = cols[first[0]]
-                pending.remove(first)
-            tick += 1
+        new = columns[ch]
+        start = len(new) + 1
+        for _, col in sorted(sched.columns[ch].items()):
+            if col.is_gateway:
+                new_id = max([start] + [original_id[occ.signal] + 1
+                                        for entries in col.frames.values() for occ in entries])
+                while new_id in new:
+                    new_id += 1
+                new[new_id] = col
     return replace(sched, columns=columns)
 
 

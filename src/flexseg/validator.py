@@ -92,7 +92,8 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
     V1 placement multiplicity, V2 frame packing, V3 slot ownership and
     slot ids below 1 (FlexRay static slots count from 1), V4 periodicity,
     V5 time windows, V6 fault-tolerant alignment, V7 receiver
-    reachability, V8 image precedence, V9 channel discipline.
+    reachability, V8 image precedence, V9 channel discipline.  Three
+    passes: the columns, the occurrence groups they hold, the signals.
     """
     out: list[Violation] = []
     signals = {s.id: s for s in inst.signals}
@@ -104,6 +105,8 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
     # [union of the cycles so far, [(offset, cycles) of each instance]]
     groups: dict[tuple[int, str, int, bool], list] = {}
     ecu_ids = {e.id for e in inst.ecus}
+    one_port = inst.one_port_ids
+    channel_of = asg.channel_of
     grid_mask = (1 << HYPERPERIOD_CYCLES * h) - 1
     for ch in CHANNELS:
         for slot, col in sched.columns[ch].items():
@@ -117,6 +120,10 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                 if col.is_gateway != (owner_kind == EcuKind.GATEWAY):
                     out.append(Violation(
                         "V3", f"({ch},{slot}): gateway flag does not match owner class"))
+            if col.owner in one_port and channel_of.get(col.owner) not in (None, ch):
+                out.append(Violation(
+                    "V9", f"one-port ECU {col.owner} owns slot {slot} on channel {ch}, "
+                          f"assigned to {channel_of[col.owner]}"))
             # the slot's bytes in every cycle, bit (cycle - 1) * h + byte
             grid = 0
             clash = False
@@ -184,8 +191,11 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
             if clash:
                 out.extend(_frame_clashes(ch, slot, col.frames, signals, h))
 
-    # Periodicity, offsets and windows per occurrence group.
-    base_of: dict[tuple[int, str, int, bool], tuple[int, int]] = {}
+    # Periodicity, offsets and windows per occurrence group, then where it
+    # places its signal: one original or image per channel, an original on
+    # its one-port transmitter's channel.
+    originals: dict[int, dict[str, tuple[int, int, int]]] = {}
+    images: dict[int, dict[str, tuple[int, int, int]]] = {}
     for (sig_id, ch, slot, is_image), (union, parts) in groups.items():
         sig = signals[sig_id]
         offsets = {parts[0][0]} if len(parts) == 1 else _last_offsets(parts)
@@ -204,23 +214,25 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
             out.append(Violation(
                 "V5", f"signal {sig_id} base cycle {base} violates window "
                       f"[{sig.release_ms}, {sig.deadline_ms}] ms"))
-        base_of[(sig_id, ch, slot, is_image)] = (base, min(offsets))
-
-    # Placement multiplicity per signal.
-    originals: dict[int, dict[str, tuple[int, int, int]]] = {}
-    images: dict[int, dict[str, tuple[int, int, int]]] = {}
-    for (sig_id, ch, slot, is_image), (base, offset) in base_of.items():
-        store = images if is_image else originals
-        per_ch = store.setdefault(sig_id, {})
+        per_ch = (images if is_image else originals).setdefault(sig_id, {})
         if ch in per_ch:
             out.append(Violation(
                 "V1", f"signal {sig_id}{' image' if is_image else ''} placed twice on "
                       f"channel {ch}"))
         else:
-            per_ch[ch] = (slot, base, offset)
+            per_ch[ch] = (slot, base, min(offsets))
+        if not is_image and sig.transmitter in one_port:
+            assigned = channel_of.get(sig.transmitter)
+            if assigned is None:
+                out.append(Violation(
+                    "V9", f"one-port ECU {sig.transmitter} has no channel assigned"))
+            elif ch != assigned:
+                out.append(Violation(
+                    "V9", f"signal {sig_id} transmitted by ECU {sig.transmitter} on "
+                          f"channel {ch}, assigned to {assigned}"))
 
-    gw_id = inst.gateway.id
-    one_port = inst.one_port_ids
+    # Per signal: placed at all, fault-tolerant alignment, images after
+    # their originals, and receivers on a channel that carries it.
     for sig in inst.signals:
         placed = originals.get(sig.id, {})
         if not placed:
@@ -247,11 +259,7 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                 out.append(Violation(
                     "V1", f"signal {sig.id}: image and original both on channel {ch}"))
                 continue
-            orig = placed.get(_other(ch))
-            if orig is None:
-                out.append(Violation(
-                    "V1", f"signal {sig.id}: image on {ch} without an original"))
-                continue
+            orig = placed[_other(ch)]
             if base != orig[1]:
                 out.append(Violation(
                     "V8", f"signal {sig.id}: image base cycle {base} != original {orig[1]}"))
@@ -264,7 +272,7 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
         audible = set(placed) | set(sig_images)
         for r in sorted(sig.receivers):
             if r in one_port:
-                r_ch = asg.channel_of.get(r)
+                r_ch = channel_of.get(r)
                 if r_ch is None:
                     out.append(Violation("V9", f"one-port ECU {r} has no channel assigned"))
                 elif r_ch not in audible:
@@ -273,28 +281,4 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                               f"hear it"))
             # common and gateway receivers hear both channels
 
-    # Channel discipline of one-port transmitters and slot owners.
-    for (sig_id, ch, _slot, is_image) in base_of:
-        sig = signals.get(sig_id)
-        if sig is None or is_image:
-            continue
-        if sig.transmitter in one_port:
-            assigned = asg.channel_of.get(sig.transmitter)
-            if assigned is None:
-                out.append(Violation(
-                    "V9", f"one-port ECU {sig.transmitter} has no channel assigned"))
-            elif ch != assigned:
-                out.append(Violation(
-                    "V9", f"signal {sig_id} transmitted by ECU {sig.transmitter} on "
-                          f"channel {ch}, assigned to {assigned}"))
-    for ch in CHANNELS:
-        for slot, col in sched.columns[ch].items():
-            if col.owner == gw_id:
-                continue
-            if col.owner in one_port:
-                assigned = asg.channel_of.get(col.owner)
-                if assigned is not None and assigned != ch:
-                    out.append(Violation(
-                        "V9", f"one-port ECU {col.owner} owns slot {slot} on channel "
-                              f"{ch}, assigned to {assigned}"))
     return out

@@ -21,7 +21,7 @@ from flexseg.cli import main, run_benchmark, run_sweep
 from flexseg.driver import DriverConfig, run
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import GeneratorProfile, generate, sae_profile
-from flexseg.model import save_instance
+from flexseg.model import instance_to_dict, save_instance
 
 
 @pytest.fixture
@@ -178,6 +178,87 @@ def test_sweep_step_that_does_not_split_the_unit_interval_exits_2(tmp_path, caps
 def test_missing_file_is_hard_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """An edit of an instance dict that sets the item at `path` to `value`."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("ecus", 0, "id"), -1), "ECU id -1 is negative"),
+    (_set(("ecus", 2, "id"), 1), "duplicate ECU id 1"),
+    (_set(("signals", 1, "id"), 1), "duplicate signal id 1"),
+    (_set(("signals", 1, "transmitter"), 99), "signal 2: transmitter 99 not an ECU"),
+    (_set(("signals", 1, "release_ms"), -1.0), "signal 2: negative release"),
+    (lambda data: [data], "top-level value must be an object"),
+    (_set(("config",), [8]), "config must be an object"),
+    (_set(("ecus", 0), 0), "ecus[0] must be an object"),
+    (_set(("signals", 0), "x"), "signals[0] must be an object"),
+    (_set(("ecus",), {}), "ecus must be a list"),
+    (_set(("signals",), {}), "signals must be a list"),
+    (_set(("config", "slots"), 4), "unknown field(s) ['slots'] in config"),
+    (_drop(("config", "slot_payload_bytes")),
+     "missing field(s) ['slot_payload_bytes'] in config"),
+    (_set(("ecus", 1, "name"), "x"), "unknown field(s) ['name'] in ecus[1]"),
+    (_drop(("ecus", 1, "class")), "missing field(s) ['class'] in ecus[1]"),
+])
+def test_malformed_instance_exits_2_with_its_message(tmp_path, capsys, example1, edit,
+                                                     message):
+    data = instance_to_dict(example1)
+    # an edit changes the dict in place or returns what replaces it
+    data = edit(data) or data
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path), "--tries", "1"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_truncated_schedule_file_exits_2(tmp_path, example1_file, capsys):
+    fibex = tmp_path / "out.xml"
+    assert main(["solve", str(example1_file), "--tries", "20", "--fibex", str(fibex)]) == 0
+    capsys.readouterr()
+    text = fibex.read_text()
+    fibex.write_text(text[:len(text) // 2])
+    assert main(["validate", str(example1_file), str(fibex)]) == 2
+    assert f"error: {fibex} is not a schedule file: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile, message", [
+    ('{"ecu_count": 2}', "ecu_count must be >= 3 (gateway plus two common ECUs)"),
+    ('{"receiver_count_weights": {"0": 1, "2": 1}}', "receiver counts must be >= 1"),
+    ("[]", "profile file must hold a JSON object"),
+])
+def test_generate_refuses_a_profile_with_its_message(tmp_path, capsys, profile, message):
+    path = tmp_path / "profile.json"
+    path.write_text(profile)
+    out = tmp_path / "out.json"
+    assert main(["generate", "--profile", str(path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5", "1.5"])
+def test_sweep_step_outside_the_unit_interval_exits_2(tmp_path, capsys, step):
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"name": "tiny", "ecu_count": 8, "signal_count": 20}')
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--profile", str(profile), "--csv", str(out),
+                 "--step", step]) == 2
+    assert "error: step must be within (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -235,3 +235,23 @@ def test_run_matches_loop_scheduling_every_iteration(level, ecus, signals, ft, s
     assert result.assignment.channel_of == asg.channel_of
     assert result.schedule.columns == sched.columns
     assert result.schedule.placements == sched.placements
+
+
+@pytest.mark.parametrize("solver, name", [("EXACT", "solve_exact"), ("GA", "solve_ga")])
+def test_driver_dispatches_to_the_solver_above_the_table_cap(monkeypatch, solver, name):
+    # 12 one-port ECUs: one more than the coverage-table scan takes
+    inst = generate(sae_profile(4, ecu_count=17, signal_count=80), 1)
+    hg = build_hypergraph(inst)
+    assert len(hg.free_ecus) == asg_mod.STOP_MAX_ECUS + 1
+    params = CriterionParams(alpha=asg_mod.default_alpha(hg), beta=1.0)
+    if solver == "EXACT":
+        direct = asg_mod.solve_exact(hg, params)
+    else:
+        direct = asg_mod.solve_ga(hg, params, rng_seed=random.Random(0).randrange(2**32))
+    calls = []
+    solve = getattr(asg_mod, name)
+    monkeypatch.setattr(asg_mod, name, lambda *a, **k: calls.append(a) or solve(*a, **k))
+    result = run(inst, DriverConfig(assignment_solver=solver))
+    assert len(calls) == len(result.log)
+    assert result.log[0].criterion == direct.criterion
+    assert validate(inst, result.assignment, result.schedule) == []

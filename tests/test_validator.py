@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -344,3 +347,96 @@ def test_frame_checks_match_per_cycle_expansion(case):
     found = [(v.code, v.message) for v in validate(inst, plain_assignment({}), sched)
              if v.code in ("V2", "V4", "V5")]
     assert found == expanded_frame_findings(inst, sched)
+
+
+def fault_case(signal, columns, channel_of):
+    """An instance of gateway 0, common ECUs 1 and 2 and one-port ECUs 3 and
+    4 holding one `signal`, a schedule of `columns` given as (channel, slot,
+    owner, is_gateway, [(base, offset, is_image)]) with the signal's period
+    and payload, and a channel map."""
+    inst = Instance(NetworkConfig(1.0, 8),
+                    (Ecu(0, EcuKind.GATEWAY), Ecu(1, EcuKind.COMMON), Ecu(2, EcuKind.COMMON),
+                     Ecu(3, EcuKind.ONE_PORT), Ecu(4, EcuKind.ONE_PORT)),
+                    (signal,))
+    sched = Schedule(config=inst.config)
+    for ch, slot, owner, is_gateway, stored in columns:
+        col = SlotColumn(owner=owner, is_gateway=is_gateway)
+        for base, offset, is_image in stored:
+            add_occurrences(col, signal.id, base, signal.period_cycles, offset,
+                            signal.payload_bytes, is_image)
+        sched.columns[ch][slot] = col
+    return inst, sched, plain_assignment(channel_of)
+
+
+def signal_from(transmitter, receivers, period=1, fault_tolerant=False):
+    return Signal(1, transmitter, period, 4, 0.0, 64.0, fault_tolerant,
+                  frozenset(receivers))
+
+
+# (signal, columns, channel map, expected (code, message) pairs)
+BACK_HALF_FAULTS = {
+    "owner not an ECU": (
+        signal_from(1, {2}), [(CH_A, 1, 9, False, [(1, 0, False)])], {},
+        [("V3", "(A,1): owner 9 is not an ECU")]),
+    "gateway flag against owner class": (
+        signal_from(1, {2}), [(CH_A, 1, 1, True, [(1, 0, False)])], {},
+        [("V3", "(A,1): gateway flag does not match owner class"),
+         ("V3", "original signal 1 in gateway slot (A,1)")]),
+    "transmitter other than the owner": (
+        signal_from(1, {2}), [(CH_A, 1, 2, False, [(1, 0, False)])], {},
+        [("V3", "signal 1 in slot (A,1) owned by ECU 2, transmitter is 1")]),
+    "fault-tolerant signal with an image": (
+        signal_from(1, {2}, fault_tolerant=True),
+        [(CH_A, 1, 1, False, [(1, 0, False)]), (CH_B, 1, 1, False, [(1, 0, False)]),
+         (CH_B, 2, 0, True, [(1, 0, True)])], {},
+        [("V1", "fault-tolerant signal 1 has an image")]),
+    "image that is not needed": (
+        signal_from(1, {2}),
+        [(CH_A, 1, 1, False, [(1, 0, False)]), (CH_B, 2, 0, True, [(1, 0, True)])], {},
+        [("V1", "signal 1 has an image but needs none")]),
+    "image and original on one channel": (
+        signal_from(3, {4}),
+        [(CH_A, 1, 3, False, [(1, 0, False)]), (CH_A, 2, 0, True, [(1, 0, True)])],
+        {3: CH_A, 4: CH_A},
+        [("V1", "signal 1: image and original both on channel A")]),
+    "original placed twice": (
+        signal_from(1, {2}),
+        [(CH_A, 1, 1, False, [(1, 0, False)]), (CH_A, 2, 1, False, [(1, 0, False)])], {},
+        [("V1", "signal 1 placed twice on channel A")]),
+    "image placed twice": (
+        signal_from(3, {4}),
+        [(CH_A, 1, 3, False, [(1, 0, False)]), (CH_B, 2, 0, True, [(1, 0, True)]),
+         (CH_B, 3, 0, True, [(1, 0, True)])],
+        {3: CH_A, 4: CH_B},
+        [("V1", "signal 1 image placed twice on channel B")]),
+    "image base and slot": (
+        signal_from(3, {4}, period=2),
+        [(CH_A, 2, 3, False, [(1, 0, False)]), (CH_B, 1, 0, True, [(2, 0, True)])],
+        {3: CH_A, 4: CH_B},
+        [("V8", "signal 1: image base cycle 2 != original 1"),
+         ("V8", "signal 1: image slot 1 not after original slot 2")]),
+    "receiver without a channel": (
+        signal_from(1, {3}), [(CH_A, 1, 1, False, [(1, 0, False)])], {},
+        [("V9", "one-port ECU 3 has no channel assigned")]),
+    "transmitter without a channel": (
+        signal_from(3, {2}), [(CH_A, 1, 3, False, [(1, 0, False)])], {},
+        [("V9", "one-port ECU 3 has no channel assigned")]),
+    "transmitted on the wrong channel": (
+        signal_from(3, {2}), [(CH_A, 1, 3, False, [(1, 0, False)])], {3: CH_B},
+        [("V9", "signal 1 transmitted by ECU 3 on channel A, assigned to B"),
+         ("V9", "one-port ECU 3 owns slot 1 on channel A, assigned to B")]),
+    "owner on the wrong channel": (
+        signal_from(1, {2}),
+        [(CH_A, 1, 1, False, [(1, 0, False)]), (CH_A, 2, 3, False, [])], {3: CH_B},
+        [("V9", "one-port ECU 3 owns slot 2 on channel A, assigned to B")]),
+}
+
+
+@pytest.mark.parametrize("name", list(BACK_HALF_FAULTS))
+def test_back_half_rules_report_each_fault(name):
+    """One hand-built fault per row; the findings are compared as a
+    multiset, since their order across rules is not part of the contract."""
+    signal, columns, channel_of, expected = BACK_HALF_FAULTS[name]
+    inst, sched, asg = fault_case(signal, columns, channel_of)
+    found = Counter((v.code, v.message) for v in validate(inst, asg, sched))
+    assert found == Counter(expected)
