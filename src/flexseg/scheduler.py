@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice
 
 from .assignment import CH_A, CH_B, ChannelAssignment
 from .model import (
@@ -77,32 +76,68 @@ def _cycle_pattern(period: int, h: int) -> int:
     return sum(1 << k * period * h for k in range(HYPERPERIOD_CYCLES // period))
 
 
-@dataclass
-class _SlotIndex:
-    """Where first fit looks on each channel and what it finds there; it
-    starts empty on an empty schedule, made by either schedule builder or
-    by `place_to_schedule` at its first placement, and is kept in step by
-    `_place`, whose fallback to the next id is the only place a slot opens.
+@dataclass(slots=True, eq=False)
+class _Lane:
+    """The columns of one owner and gateway flag on one channel: where
+    first fit looks for a request of that owner and flag.
+
+    `open` holds the ascending ids of the lane's columns that are not
+    full; `masks` and `cols` are the channel's column masks and columns,
+    shared by every lane of the channel.  `taken` maps a request key to
+    the slot the last such request took in this lane.  Every candidate
+    below that slot refused it, and masks only grow, so an identical
+    request starts its scan there.  `probes` counts the columns the lane's
+    placements tested."""
+    owner: int
+    is_gateway: bool
+    h: int
+    full: int
+    masks: dict[int, int]
+    cols: dict[int, SlotColumn]
+    open: list[int] = field(default_factory=list)
+    taken: dict = field(default_factory=dict)
+    probes: int = 0
+
+
+class _SlotIndex(dict):
+    """Where first fit looks on each channel and what it finds there: the
+    lanes, keyed by (channel, owner, gateway flag) and made at their first
+    request.  It starts empty on an empty schedule, made by either
+    schedule builder or by `place_to_schedule` at its first placement, and
+    is kept in step by `_place`, whose fallback to the next id is the only
+    place a slot opens.
 
     `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
     one int, bit (cycle - 1) * h + byte; `full` is the mask of a full
     column.  Each channel's columns are slots 1..len(masks[ch]), so only
-    slots in `open` (ascending ids of the columns that are not full, per
-    channel, owner and gateway flag) and the next id can take a placement.
+    the open columns of a lane and the next id can take a placement."""
 
-    `taken` maps a request (target, owner, image flag, period, payload,
-    base cycles) to the slot the last such request took.  Every candidate
-    below that slot refused it, and masks only grow, so an identical
-    request starts its scan there."""
-    h: int
-    full: int = field(init=False)
-    open: dict[tuple[str, int, bool], list[int]] = field(default_factory=dict)
-    masks: dict[str, dict[int, int]] = field(
-        default_factory=lambda: {ch: {} for ch in CHANNELS})
-    taken: dict[tuple, int] = field(default_factory=dict)
+    def __init__(self, h: int, columns: dict[str, dict[int, SlotColumn]]) -> None:
+        super().__init__()
+        self.h = h
+        self.full = (1 << HYPERPERIOD_CYCLES * h) - 1
+        self.columns = columns
+        self.masks: dict[str, dict[int, int]] = {ch: {} for ch in CHANNELS}
 
-    def __post_init__(self) -> None:
-        self.full = (1 << HYPERPERIOD_CYCLES * self.h) - 1
+    def __missing__(self, key: tuple[str, int, bool]) -> _Lane:
+        target, owner, is_gateway = key
+        lane = self[key] = _Lane(owner, is_gateway, self.h, self.full,
+                                 self.masks[target], self.columns[target])
+        return lane
+
+    def count(self, sched: Schedule) -> None:
+        """Write first fit's counters to `sched`, placed from empty by the
+        caller.  Each placement stores one signal instance, and the
+        fallback to the next id is the only place a slot opens, so all but
+        the probes are read off the columns."""
+        sched.place_calls = sched.scan_depth = 0
+        for cols in self.columns.values():
+            for slot, col in cols.items():
+                placed = sum(map(len, col.frames.values()))
+                sched.place_calls += placed
+                sched.scan_depth += slot * placed
+        sched.fresh_slots = sum(map(len, self.columns.values()))
+        sched.probes = sum(lane.probes for lane in self.values())
 
 
 @dataclass
@@ -113,11 +148,13 @@ class Schedule:
     _index: _SlotIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
     # First fit's counters over the placements that built the columns:
-    # calls, fallbacks to a fresh slot, and the sum of the slot ids taken
-    # before renumbering.
+    # calls, fallbacks to a fresh slot, the sum of the slot ids taken
+    # before renumbering, and the candidate columns tested (the fallback
+    # to a fresh slot is not a probe).
     place_calls: int = field(default=0, compare=False)
     fresh_slots: int = field(default=0, compare=False)
     scan_depth: int = field(default=0, compare=False)
+    probes: int = field(default=0, compare=False)
 
     @property
     def placements(self) -> list[Placement]:
@@ -169,23 +206,6 @@ def sort_signals(signals) -> list[Signal]:
 def signal_volume(sig: Signal) -> int:
     """Payload bytes weighted by occurrence count over the hyperperiod."""
     return sig.payload_bytes * sig.occurrence_count()
-
-
-def determine_channel(ports: tuple[int, ...], channel_of: dict[int, str],
-                      loads: dict[str, float]) -> str:
-    """Channel selection for a non-fault-tolerant signal whose one-port
-    endpoints are `ports`.
-
-    One-port endpoints force their assigned channel in `channel_of`; if
-    they span both, the signal must appear on both.  When every endpoint
-    is wired to both channels the lighter-loaded channel is chosen.
-    """
-    required = {channel_of[u] for u in ports}
-    if len(required) == 2:
-        return BOTH
-    if len(required) == 1:
-        return next(iter(required))
-    return CH_A if loads[CH_A] <= loads[CH_B] else CH_B
 
 
 @lru_cache(maxsize=1024)
@@ -241,34 +261,46 @@ def _checked_bases(sig: Signal, config: NetworkConfig,
 def placement_plan(inst: Instance) -> list[tuple]:
     """What placing each signal needs that depends only on the instance:
     one row (signal, one-port endpoints, signal_volume, checked base
-    cycles, their _fit_plan) per signal in `sort_signals` order.  Raises
-    what `place_to_schedule` raises for the first signal it cannot place."""
+    cycles, their _fit_plan, request id) per signal in `sort_signals`
+    order.  Signals of one period, payload, release and deadline share
+    the last four, computed once; the request id is a small integer per
+    distinct (period, payload, base cycles), the key of first fit's
+    refusal memory.  Raises what `place_to_schedule` raises for the first
+    signal it cannot place."""
     h = inst.config.slot_payload_bytes
     one_port = inst.one_port_ids
+    shared: dict[tuple, tuple] = {}
+    ids: dict[tuple, int] = {}
     plan = []
     for sig in sort_signals(inst.signals):
-        bases = _checked_bases(sig, inst.config)
+        key = (sig.period_cycles, sig.payload_bytes, sig.release_ms, sig.deadline_ms)
+        row = shared.get(key)
+        if row is None:
+            bases = _checked_bases(sig, inst.config)
+            row = shared[key] = (
+                signal_volume(sig), bases,
+                _fit_plan(sig.period_cycles, h, sig.payload_bytes, bases),
+                ids.setdefault((sig.period_cycles, sig.payload_bytes, bases), len(ids)))
         tx = sig.transmitter
         ports = ((tx,) if tx in one_port else ()) + tuple(sig.receivers & one_port)
-        plan.append((sig, ports, signal_volume(sig), bases,
-                     _fit_plan(sig.period_cycles, h, sig.payload_bytes, bases)))
+        plan.append((sig, ports, *row))
     return plan
 
 
-def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool,
-           bases: tuple[int, ...], fit: tuple) -> tuple[int, int, int]:
+def _place(lane: _Lane, sig: Signal, bases: tuple[int, ...], fit: tuple,
+           key) -> tuple[int, int, int]:
     """First fit of all occurrences of `sig` within `bases`, whose fit plan
-    is `fit`, onto channel `target` of a schedule whose index is set; no
-    argument is checked.  Returns the slot, base cycle and offset taken."""
-    idx = sched._index
-    h = idx.h
-    masks = idx.masks[target]
+    is `fit`, onto the columns of `lane` or the next id of its channel; no
+    argument is checked.  `key` names the request in the lane's refusal
+    memory: equal keys must mean equal period, payload and `bases`.
+    Returns the slot, base cycle and offset taken."""
+    h = lane.h
+    masks = lane.masks
+    own = lane.open
     fold, width_mask, runs, allowed, pattern = fit
-    request = (target, owner, is_image, sig.period_cycles, sig.payload_bytes, bases)
-    own = idx.open.setdefault((target, owner, is_image), [])
-    start = bisect_left(own, idx.taken.get(request, 0))
-    cols = sched.columns[target]
-    for slot in islice(own, start, None):
+    start = bisect_left(own, lane.taken.get(key, 0))
+    for i in range(start, len(own)):
+        slot = own[i]
         mask = masks[slot]
         for shift in fold:
             mask |= mask >> shift
@@ -279,23 +311,24 @@ def _place(sched: Schedule, sig: Signal, target: str, owner: int, is_image: bool
         if free:
             base, offset = divmod((free & -free).bit_length() - 1, h)
             base += 1
-            col = cols[slot]
+            col = lane.cols[slot]
+            lane.probes += i - start + 1
             break
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
+        lane.probes += len(own) - start
         slot, base, offset = len(masks) + 1, bases[0], 0
         masks[slot] = 0
         own.append(slot)
-        col = cols[slot] = SlotColumn(owner, is_image)
-        sched.fresh_slots += 1
+        col = lane.cols[slot] = SlotColumn(lane.owner, lane.is_gateway)
 
-    idx.taken[request] = slot
-    col.add(base, Occupancy(sig.id, offset, sig.payload_bytes, is_image, sig.period_cycles))
-    masks[slot] = mask = masks[slot] | (pattern << (base - 1) * h + offset) & idx.full
-    if mask == idx.full:
+    lane.taken[key] = slot
+    col.add(base, Occupancy(sig.id, offset, sig.payload_bytes, lane.is_gateway,
+                            sig.period_cycles))
+    # base lies in 1..period, so the shifted pattern stays within the column
+    masks[slot] = mask = masks[slot] | pattern << (base - 1) * h + offset
+    if mask == lane.full:
         del own[bisect_left(own, slot)]
-    sched.place_calls += 1
-    sched.scan_depth += slot
     return slot, base, offset
 
 
@@ -324,9 +357,16 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
         if sched.columns[CH_A] or sched.columns[CH_B]:
             raise ValueError("place_to_schedule extends only a schedule it placed "
                              "from empty; this one holds columns placed otherwise")
-        idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes)
+        idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes, sched.columns)
     fit = _fit_plan(sig.period_cycles, idx.h, sig.payload_bytes, bases)
-    slot, base, offset = _place(sched, sig, target, owner, is_image, bases, fit)
+    lane = idx[target, owner, is_image]
+    opened, probes = len(lane.masks), lane.probes
+    slot, base, offset = _place(lane, sig, bases, fit,
+                                (sig.period_cycles, sig.payload_bytes, bases))
+    sched.place_calls += 1
+    sched.fresh_slots += len(lane.masks) - opened
+    sched.scan_depth += slot
+    sched.probes += lane.probes - probes
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
@@ -338,36 +378,60 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
     an empty schedule.  A signal on both channels is placed on A, then on
     B.  Fault-tolerant signals sort first, so each lands at one position
     on both channels, in slots 1..k, a common prefix that renumbering
-    keeps.  Each other signal is routed by determine_channel; a one-port
-    transmitter whose receivers span the channels additionally gets a
-    gateway image on the opposite channel, while a common transmitter
-    simply transmits on both channels itself.
+    keeps.  Each other signal goes to the channels of its one-port
+    endpoints, or, when it has none, to the channel with less volume so
+    far; a one-port transmitter whose receivers span the channels
+    additionally gets a gateway image on the opposite channel, while a
+    common transmitter simply transmits on both channels itself.  A map
+    that leaves a one-port ECU without channel A or B is a ValueError,
+    raised before anything is placed.
     """
+    one_port = inst.one_port_ids
+    channel_of = asg.channel_of
+    missing = sorted(one_port - channel_of.keys())
+    if missing:
+        raise ValueError(f"channel map assigns no channel to one-port ECUs {missing}")
+    bad = {u: channel_of[u] for u in sorted(one_port) if channel_of[u] not in CHANNELS}
+    if bad:
+        raise ValueError(f"channel map gives one-port ECUs a channel other than "
+                         f"{CH_A} or {CH_B}: {bad}")
+    a_side = frozenset(u for u in one_port if channel_of[u] == CH_A)
+    b_side = one_port - a_side
     if plan is None:
         plan = placement_plan(inst)
     h = inst.config.slot_payload_bytes
     sched = Schedule(config=inst.config)
-    sched._index = _SlotIndex(h)
-    loads = {CH_A: 0.0, CH_B: 0.0}
+    lanes = sched._index = _SlotIndex(h, sched.columns)
+    load_a = load_b = 0
     gw = inst.gateway.id
-    channel_of = asg.channel_of
-    for sig, ports, volume, bases, fit in plan:
-        tx, reached = sig.transmitter, CHANNELS
-        ch = BOTH if sig.fault_tolerant else determine_channel(ports, channel_of, loads)
-        if ch != BOTH:
-            _place(sched, sig, ch, tx, False, bases, fit)
-            reached = (ch,)
-        elif tx not in ports:  # a common transmitter, as for every fault-tolerant signal
-            _place(sched, sig, CH_A, tx, False, bases, fit)
-            _place(sched, sig, CH_B, tx, False, bases, fit)
+    for sig, ports, volume, bases, fit, rid in plan:
+        tx = sig.transmitter
+        if sig.fault_tolerant:
+            ch = BOTH
+        elif a_side.isdisjoint(ports):  # B if it has a B-side endpoint, else the lighter
+            ch = CH_A if b_side.isdisjoint(ports) and load_a <= load_b else CH_B
         else:
-            home = channel_of[tx]
-            base = _place(sched, sig, home, tx, False, bases, fit)[1]
-            _place(sched, sig, CH_B if home == CH_A else CH_A, gw, True, (base,),
-                   _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)))
-        for ch in reached:
-            loads[ch] += volume
+            ch = CH_A if b_side.isdisjoint(ports) else BOTH
+        if ch != BOTH:
+            _place(lanes[ch, tx, False], sig, bases, fit, rid)
+            if ch == CH_A:
+                load_a += volume
+            else:
+                load_b += volume
+            continue
+        if tx not in ports:  # a common transmitter, as for every fault-tolerant signal
+            _place(lanes[CH_A, tx, False], sig, bases, fit, rid)
+            _place(lanes[CH_B, tx, False], sig, bases, fit, rid)
+        else:
+            home, away = (CH_A, CH_B) if tx in a_side else (CH_B, CH_A)
+            base = _place(lanes[home, tx, False], sig, bases, fit, rid)[1]
+            _place(lanes[away, gw, True], sig, (base,),
+                   _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)),
+                   (sig.period_cycles, sig.payload_bytes, base))
+        load_a += volume
+        load_b += volume
 
+    lanes.count(sched)
     return reorder_slots(sched)
 
 
@@ -407,9 +471,10 @@ def schedule_single_channel(inst: Instance) -> Schedule:
     no assignment, no images); the baseline for bandwidth comparisons.
     Walks `placement_plan(inst)` onto channel A of an empty schedule."""
     sched = Schedule(config=inst.config)
-    sched._index = _SlotIndex(inst.config.slot_payload_bytes)
-    for sig, _, _, bases, fit in placement_plan(inst):
-        _place(sched, sig, CH_A, sig.transmitter, False, bases, fit)
+    lanes = sched._index = _SlotIndex(inst.config.slot_payload_bytes, sched.columns)
+    for sig, _, _, bases, fit, rid in placement_plan(inst):
+        _place(lanes[CH_A, sig.transmitter, False], sig, bases, fit, rid)
+    lanes.count(sched)
     return sched
 
 

@@ -196,6 +196,14 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
     # its one-port transmitter's channel.
     originals: dict[int, dict[str, tuple[int, int, int]]] = {}
     images: dict[int, dict[str, tuple[int, int, int]]] = {}
+    # one-port ECUs without a channel, each reported once where first met
+    reported: set[int] = set()
+
+    def unassigned(ecu: int) -> None:
+        if ecu not in reported:
+            reported.add(ecu)
+            out.append(Violation("V9", f"one-port ECU {ecu} has no channel assigned"))
+
     for (sig_id, ch, slot, is_image), (union, parts) in groups.items():
         sig = signals[sig_id]
         offsets = {parts[0][0]} if len(parts) == 1 else _last_offsets(parts)
@@ -224,8 +232,7 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
         if not is_image and sig.transmitter in one_port:
             assigned = channel_of.get(sig.transmitter)
             if assigned is None:
-                out.append(Violation(
-                    "V9", f"one-port ECU {sig.transmitter} has no channel assigned"))
+                unassigned(sig.transmitter)
             elif ch != assigned:
                 out.append(Violation(
                     "V9", f"signal {sig_id} transmitted by ECU {sig.transmitter} on "
@@ -274,7 +281,7 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
             if r in one_port:
                 r_ch = channel_of.get(r)
                 if r_ch is None:
-                    out.append(Violation("V9", f"one-port ECU {r} has no channel assigned"))
+                    unassigned(r)
                 elif r_ch not in audible:
                     out.append(Violation(
                         "V7", f"signal {sig.id}: receiver {r} on channel {r_ch} cannot "

@@ -173,7 +173,7 @@ def play(h: int, steps) -> Schedule:
         # the index kept placement by placement is the one of the frames
         if fast._index is not None:
             idx = fast._index
-            kept_open = {key: slots for key, slots in idx.open.items() if slots}
+            kept_open = {key: lane.open for key, lane in idx.items() if lane.open}
             assert (kept_open, idx.masks) == expected_index(fast, h), step
     assert fast.placements == slow.placements
     return fast
@@ -197,8 +197,8 @@ def test_target_other_than_one_channel_refused():
 
     def state():
         return (repr(placed.columns), {ch: dict(m) for ch, m in idx.masks.items()},
-                {key: list(slots) for key, slots in idx.open.items()},
-                placed.place_calls, placed.fresh_slots, placed.scan_depth)
+                {key: (list(lane.open), dict(lane.taken)) for key, lane in idx.items()},
+                placed.place_calls, placed.fresh_slots, placed.scan_depth, placed.probes)
 
     before = state()
     for target in ("BOTH", "C"):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexseg.assignment import CH_A, CH_B, CriterionParams, evaluate_criterion, solve_exact
+from flexseg.assignment import (
+    CH_A,
+    CH_B,
+    ChannelAssignment,
+    CriterionParams,
+    evaluate_criterion,
+    solve_exact,
+)
 from flexseg.fibex import export_fibex, read_fibex
 from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
@@ -28,7 +35,6 @@ from flexseg.scheduler import (
     Occupancy,
     Schedule,
     SlotColumn,
-    determine_channel,
     lbsc,
     place_to_schedule,
     placement_plan,
@@ -50,7 +56,6 @@ def make_signal(sid, tx, period=1, payload=4, release=0.0, deadline=None,
 def assignment_for(inst: Instance, channel_of: dict[int, str]):
     hg = build_hypergraph(inst)
     params = CriterionParams(alpha=0.0, beta=1.0)
-    from flexseg.assignment import ChannelAssignment
     p_a, p_b, p_g, crit = evaluate_criterion(hg, channel_of, params)
     return ChannelAssignment(channel_of=channel_of, payload_a=p_a, payload_b=p_b,
                              payload_gw=p_g, criterion=crit)
@@ -88,22 +93,47 @@ def test_sort_decreasing_payload():
 
 # --- channel selection ------------------------------------------------------
 
-def test_determine_channel_one_port_receiver(example1):
+def records_of(sched: Schedule, sid: int) -> list[tuple[str, bool]]:
+    """(channel, is_image) of each placement of signal `sid`, A first."""
+    return [(p.channel, p.is_image) for p in sched.placements if p.signal == sid]
+
+
+def test_one_port_endpoints_route_a_signal(example1):
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
-    loads = {CH_A: 0.0, CH_B: 0.0}
+    sched = schedule_channels(example1, asg)
     ports = {sig.id: ports for sig, ports, *_ in placement_plan(example1)}
     assert ports[3] == (4,)  # ECU2 -> {4}
-    assert determine_channel(ports[3], asg.channel_of, loads) == CH_B
+    assert records_of(sched, 3) == [(CH_B, False)]
     assert sorted(ports[5]) == [3, 4, 5]  # ECU3 -> {4, 5}: spans both channels
-    assert determine_channel(ports[5], asg.channel_of, loads) == BOTH
+    assert records_of(sched, 5) == [(CH_A, True), (CH_B, False)]
 
 
-def test_determine_channel_balances_common_traffic(example1):
-    asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
-    # common -> common: no one-port endpoint
-    channel_of = asg.channel_of
-    assert determine_channel((), channel_of, {CH_A: 0.0, CH_B: 10.0}) == CH_A
-    assert determine_channel((), channel_of, {CH_A: 10.0, CH_B: 0.0}) == CH_B
+def test_common_traffic_goes_to_the_lighter_channel(example1):
+    # no one-port endpoint: each signal goes to the channel with less
+    # volume so far, A on a tie; volumes 512, 256, 128, 128, 64
+    signals = tuple(make_signal(sid, 1 + sid % 2, payload=payload, receivers={2 - sid % 2})
+                    for sid, payload in ((1, 8), (2, 4), (3, 2), (4, 2), (5, 1)))
+    inst = Instance(example1.config, example1.ecus, signals)
+    sched = schedule_channels(inst, assignment_for(inst, {3: "A", 4: "A", 5: "B"}))
+    assert {sid: records_of(sched, sid) for sid in range(1, 6)} == {
+        1: [(CH_A, False)], 2: [(CH_B, False)], 3: [(CH_B, False)],
+        4: [(CH_B, False)], 5: [(CH_A, False)]}
+
+
+@pytest.mark.parametrize("channel_of, message", [
+    ({3: "B", 4: "B"}, r"assigns no channel to one-port ECUs \[5\]$"),
+    ({4: "B"}, r"assigns no channel to one-port ECUs \[3, 5\]$"),
+    ({3: "B", 4: "C", 5: "A"}, r"a channel other than A or B: \{4: 'C'\}$"),
+    ({3: BOTH, 4: "B", 5: None}, r"a channel other than A or B: \{3: 'BOTH', 5: None\}$"),
+])
+def test_schedule_channels_refuses_an_incomplete_or_malformed_map(example1, channel_of,
+                                                                 message):
+    # checked before anything is placed: side sets alone would send a
+    # signal of an unassigned ECU to the other side's channel
+    asg = ChannelAssignment(channel_of=channel_of, payload_a=0, payload_b=0,
+                            payload_gw=0, criterion=0.0)
+    with pytest.raises(ValueError, match=message):
+        schedule_channels(example1, asg)
 
 
 # --- placement --------------------------------------------------------------
@@ -310,10 +340,14 @@ def test_schedule_channels_matches_replay_through_place_to_schedule(
     assert built.columns == replayed.columns
     assert (built.place_calls, built.fresh_slots, built.scan_depth) == (
         counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
+    # the plan's request ids split requests as place_to_schedule's keys do
+    assert built.probes == replayed.probes
+    # every placement that opens no slot tests at least one column
+    assert built.probes >= built.place_calls - built.fresh_slots
     again = schedule_channels(inst, asg, plan=placement_plan(inst))
     assert again.columns == built.columns
-    assert (again.place_calls, again.fresh_slots, again.scan_depth) == (
-        built.place_calls, built.fresh_slots, built.scan_depth)
+    assert (again.place_calls, again.fresh_slots, again.scan_depth, again.probes) == (
+        built.place_calls, built.fresh_slots, built.scan_depth, built.probes)
 
 
 def test_schedule_channels_routes_example1(example1):
@@ -337,6 +371,10 @@ def test_schedule_channels_routes_example1(example1):
     assert all(len(ks) == 1 for sid, ks in kinds.items() if sid not in {1, 2, *images})
     # one call per signal, a second for signals 1 and 2 and one per image
     assert sched.place_calls == len(example1.signals) + 1 + 1 + len(images)
+    # 10 calls open a fresh slot; each of the other 6 (signal 7's image,
+    # signal 2 on A and on B, signals 5, 9 and 10) fits in the first
+    # column it tests
+    assert (sched.fresh_slots, sched.probes) == (10, 6)
 
 
 def test_schedule_example1(example1):
@@ -688,7 +726,6 @@ def test_dual_channel_saves_slots_on_average():
 def test_adding_a_signal_never_frees_slots():
     # append a signal that sorts last: the existing placement sequence is
     # unchanged, so the slot count cannot drop
-    from flexseg.assignment import ChannelAssignment
     for seed in range(6):
         inst = generate(GeneratorProfile(ecu_count=8, signal_count=40), seed=seed)
         hg = build_hypergraph(inst)

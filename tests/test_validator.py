@@ -11,7 +11,7 @@ from flexseg.generator import generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
 from flexseg.model import ALLOWED_PERIOD_CYCLES, Ecu, EcuKind, Instance, NetworkConfig, Signal
 from flexseg.scheduler import CHANNELS, Occupancy, Schedule, SlotColumn, schedule_channels
-from flexseg.validator import validate
+from flexseg.validator import Violation, validate
 from flexseg.driver import DriverConfig, run
 
 
@@ -142,6 +142,19 @@ def test_wrong_channel_flagged_v9(example1):
                               payload_gw=0, criterion=0.0)
     result = codes(validate(example1, wrong, sched))
     assert "V9" in result or "V7" in result
+
+
+def test_unassigned_one_port_ecu_reported_once(example1):
+    # ECU 5 transmits signals 8 and 9 and ECU 4 signals 7 and 10, and each
+    # receives five signals.  Each is reported once,
+    # where first met: 5's originals are on channel A, whose columns come
+    # before B's, where 4's are.
+    sched = schedule_channels(example1, plain_assignment({3: CH_B, 4: CH_B, 5: CH_A}))
+    assert validate(example1, plain_assignment({3: CH_B, 4: CH_B}), sched) == [
+        Violation("V9", "one-port ECU 5 has no channel assigned")]
+    assert validate(example1, plain_assignment({3: CH_B}), sched) == [
+        Violation("V9", "one-port ECU 5 has no channel assigned"),
+        Violation("V9", "one-port ECU 4 has no channel assigned")]
 
 
 def test_base_cycle_outside_hyperperiod_flagged_v4():
