@@ -337,10 +337,14 @@ def evaluate_criterion(hg: Hypergraph, channel_of: dict[int, str],
     An edge whose one-port endpoints sit on one channel only loads that
     channel; an edge spanning both loads both channels plus the gateway.
     The fault-tolerant payload is added to both channels unconditionally.
+    A channel other than A or B is a ValueError naming the ECUs.
     """
     for u in hg.free_ecus:
         if u not in channel_of:
             raise ValueError(f"no channel assigned for ECU {u}")
+    bad = {u: channel_of[u] for u in hg.free_ecus if channel_of[u] not in (CH_A, CH_B)}
+    if bad:
+        raise ValueError(f"channel map gives ECUs a channel other than {CH_A} or {CH_B}: {bad}")
     on_a = frozenset(u for u in hg.free_ecus if channel_of[u] == CH_A)
     only_a = only_b = both = 0
     for ends, w in hg.edges.items():

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import count
 
 from .assignment import CH_A, CH_B, ChannelAssignment
 from .model import (
@@ -83,7 +84,7 @@ class _Lane:
 
     `open` holds the ascending ids of the lane's columns that are not
     full; `masks` and `cols` are the channel's column masks and columns,
-    shared by every lane of the channel.  `taken` maps a request key to
+    shared by every lane of the channel.  `taken` maps a request id to
     the slot the last such request took in this lane.  Every candidate
     below that slot refused it, and masks only grow, so an identical
     request starts its scan there.  `probes` counts the columns the lane's
@@ -208,15 +209,24 @@ def signal_volume(sig: Signal) -> int:
     return sig.payload_bytes * sig.occurrence_count()
 
 
+_request_ids = count()
+
+
 @lru_cache(maxsize=1024)
 def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
-    """Shifts and masks that find the first free (base, offset) in a
-    column mask for a signal of this period and payload.
+    """A first-fit request: shifts and masks that find the first free
+    (base, offset) in a column mask for a signal of this period and
+    payload within `bases`, the base a fresh slot takes and the request id.
 
     Folding the mask onto `period` cycles ORs the occurrences of every base
     together; bit (base - 1) * h + offset of the free-run mask is set when
     bytes offset..offset+payload-1 are free in all of them.  `pattern`
-    shifted to that bit is the bytes the signal covers in a column mask."""
+    shifted to that bit is the bytes the signal covers in a column mask.
+
+    The id keys first fit's refusal memory.  The cache returns one tuple
+    for equal arguments, so equal requests share an id.  Ids are never
+    reused, so a request evicted from the cache comes back under a new id
+    and loses only its refusal memory, never takes another's."""
     fold, width = [], HYPERPERIOD_CYCLES * h
     while width > period * h:
         width //= 2
@@ -229,7 +239,8 @@ def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
     starts = (1 << max(h - payload + 1, 0)) - 1
     allowed = sum(starts << (b - 1) * h for b in bases)
     pattern = _cycle_pattern(period, h) * ((1 << payload) - 1)
-    return tuple(fold), (1 << width) - 1, tuple(runs), allowed, pattern
+    return (tuple(fold), (1 << width) - 1, tuple(runs), allowed, pattern, bases[0],
+            next(_request_ids))
 
 
 def _checked_bases(sig: Signal, config: NetworkConfig,
@@ -260,17 +271,14 @@ def _checked_bases(sig: Signal, config: NetworkConfig,
 
 def placement_plan(inst: Instance) -> list[tuple]:
     """What placing each signal needs that depends only on the instance:
-    one row (signal, one-port endpoints, signal_volume, checked base
-    cycles, their _fit_plan, request id) per signal in `sort_signals`
-    order.  Signals of one period, payload, release and deadline share
-    the last four, computed once; the request id is a small integer per
-    distinct (period, payload, base cycles), the key of first fit's
-    refusal memory.  Raises what `place_to_schedule` raises for the first
-    signal it cannot place."""
+    one row (signal, one-port endpoints, signal_volume, _fit_plan of its
+    checked base cycles) per signal in `sort_signals` order.  Signals of
+    one period, payload, release and deadline share the last two, computed
+    once.  Raises what `place_to_schedule` raises for the first signal it
+    cannot place."""
     h = inst.config.slot_payload_bytes
     one_port = inst.one_port_ids
     shared: dict[tuple, tuple] = {}
-    ids: dict[tuple, int] = {}
     plan = []
     for sig in sort_signals(inst.signals):
         key = (sig.period_cycles, sig.payload_bytes, sig.release_ms, sig.deadline_ms)
@@ -278,26 +286,22 @@ def placement_plan(inst: Instance) -> list[tuple]:
         if row is None:
             bases = _checked_bases(sig, inst.config)
             row = shared[key] = (
-                signal_volume(sig), bases,
-                _fit_plan(sig.period_cycles, h, sig.payload_bytes, bases),
-                ids.setdefault((sig.period_cycles, sig.payload_bytes, bases), len(ids)))
+                signal_volume(sig), _fit_plan(sig.period_cycles, h, sig.payload_bytes, bases))
         tx = sig.transmitter
         ports = ((tx,) if tx in one_port else ()) + tuple(sig.receivers & one_port)
         plan.append((sig, ports, *row))
     return plan
 
 
-def _place(lane: _Lane, sig: Signal, bases: tuple[int, ...], fit: tuple,
-           key) -> tuple[int, int, int]:
-    """First fit of all occurrences of `sig` within `bases`, whose fit plan
-    is `fit`, onto the columns of `lane` or the next id of its channel; no
-    argument is checked.  `key` names the request in the lane's refusal
-    memory: equal keys must mean equal period, payload and `bases`.
-    Returns the slot, base cycle and offset taken."""
+def _place(lane: _Lane, sig: Signal, fit: tuple) -> tuple[int, int, int]:
+    """First fit of all occurrences of `sig` by its request `fit`, a
+    _fit_plan, onto the columns of `lane` or the next id of its channel;
+    no argument is checked.  Returns the slot, base cycle and offset
+    taken."""
     h = lane.h
     masks = lane.masks
     own = lane.open
-    fold, width_mask, runs, allowed, pattern = fit
+    fold, width_mask, runs, allowed, pattern, fresh_base, key = fit
     start = bisect_left(own, lane.taken.get(key, 0))
     for i in range(start, len(own)):
         slot = own[i]
@@ -317,7 +321,7 @@ def _place(lane: _Lane, sig: Signal, bases: tuple[int, ...], fit: tuple,
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
         lane.probes += len(own) - start
-        slot, base, offset = len(masks) + 1, bases[0], 0
+        slot, base, offset = len(masks) + 1, fresh_base, 0
         masks[slot] = 0
         own.append(slot)
         col = lane.cols[slot] = SlotColumn(lane.owner, lane.is_gateway)
@@ -347,7 +351,8 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     packed column mask.  A signal on both channels is placed on A, then
     on B.  Any other target is a ValueError, and so is a first placement
     onto a schedule that is not empty (read back, renumbered or built by
-    hand); neither changes anything.
+    hand); neither changes anything.  The counters are then recounted as
+    the builders count them.
     """
     if target not in CHANNELS:
         raise ValueError(f"target {target!r} is not channel {CH_A} or {CH_B}")
@@ -359,14 +364,8 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
                              "from empty; this one holds columns placed otherwise")
         idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes, sched.columns)
     fit = _fit_plan(sig.period_cycles, idx.h, sig.payload_bytes, bases)
-    lane = idx[target, owner, is_image]
-    opened, probes = len(lane.masks), lane.probes
-    slot, base, offset = _place(lane, sig, bases, fit,
-                                (sig.period_cycles, sig.payload_bytes, bases))
-    sched.place_calls += 1
-    sched.fresh_slots += len(lane.masks) - opened
-    sched.scan_depth += slot
-    sched.probes += lane.probes - probes
+    slot, base, offset = _place(idx[target, owner, is_image], sig, fit)
+    idx.count(sched)
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
@@ -404,7 +403,7 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
     lanes = sched._index = _SlotIndex(h, sched.columns)
     load_a = load_b = 0
     gw = inst.gateway.id
-    for sig, ports, volume, bases, fit, rid in plan:
+    for sig, ports, volume, fit in plan:
         tx = sig.transmitter
         if sig.fault_tolerant:
             ch = BOTH
@@ -413,21 +412,20 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
         else:
             ch = CH_A if b_side.isdisjoint(ports) else BOTH
         if ch != BOTH:
-            _place(lanes[ch, tx, False], sig, bases, fit, rid)
+            _place(lanes[ch, tx, False], sig, fit)
             if ch == CH_A:
                 load_a += volume
             else:
                 load_b += volume
             continue
         if tx not in ports:  # a common transmitter, as for every fault-tolerant signal
-            _place(lanes[CH_A, tx, False], sig, bases, fit, rid)
-            _place(lanes[CH_B, tx, False], sig, bases, fit, rid)
+            _place(lanes[CH_A, tx, False], sig, fit)
+            _place(lanes[CH_B, tx, False], sig, fit)
         else:
             home, away = (CH_A, CH_B) if tx in a_side else (CH_B, CH_A)
-            base = _place(lanes[home, tx, False], sig, bases, fit, rid)[1]
-            _place(lanes[away, gw, True], sig, (base,),
-                   _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)),
-                   (sig.period_cycles, sig.payload_bytes, base))
+            base = _place(lanes[home, tx, False], sig, fit)[1]
+            _place(lanes[away, gw, True], sig,
+                   _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)))
         load_a += volume
         load_b += volume
 
@@ -472,8 +470,8 @@ def schedule_single_channel(inst: Instance) -> Schedule:
     Walks `placement_plan(inst)` onto channel A of an empty schedule."""
     sched = Schedule(config=inst.config)
     lanes = sched._index = _SlotIndex(inst.config.slot_payload_bytes, sched.columns)
-    for sig, _, _, bases, fit, rid in placement_plan(inst):
-        _place(lanes[CH_A, sig.transmitter, False], sig, bases, fit, rid)
+    for sig, _, _, fit in placement_plan(inst):
+        _place(lanes[CH_A, sig.transmitter, False], sig, fit)
     lanes.count(sched)
     return sched
 

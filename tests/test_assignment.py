@@ -32,7 +32,7 @@ from flexseg.assignment import (
     solve_exact,
     solve_ga,
 )
-from flexseg.generator import generate, reduce_partition, sae_profile
+from flexseg.generator import GeneratorProfile, generate, reduce_partition, sae_profile
 from flexseg.hypergraph import Hypergraph, build_hypergraph
 from flexseg.model import Signal
 
@@ -100,6 +100,19 @@ def test_evaluate_missing_ecu(example1):
     hg = build_hypergraph(example1)
     with pytest.raises(ValueError, match="ECU 5"):
         evaluate_criterion(hg, {3: "A", 4: "A"}, CriterionParams(alpha=0.0))
+
+
+def test_evaluate_refuses_a_channel_other_than_a_or_b():
+    # a channel that is neither A nor B is not read as B
+    inst = generate(GeneratorProfile(name="eight", ecu_count=8, signal_count=40), 1)
+    hg = build_hypergraph(inst)
+    params = CriterionParams(alpha=0.01)
+    all_b = {u: "B" for u in hg.free_ecus}
+    evaluate_criterion(hg, all_b, params)
+    u = hg.free_ecus[0]
+    for other in ("C", None):
+        with pytest.raises(ValueError, match=rf"other than A or B: \{{{u}: {other!r}\}}"):
+            evaluate_criterion(hg, {**all_b, u: other}, params)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

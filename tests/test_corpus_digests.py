@@ -7,6 +7,13 @@ FIBEX bytes of the driver run, its log CSV rows, the `place_calls`,
 `fresh_slots` and `scan_depth` of its schedule, and the columns of
 `schedule_single_channel`.  Update a digest only with a change that is
 meant to alter results and says so.
+
+The summed `probes` of the driver's schedules and of the single-channel
+schedules are pinned apart from the digests.  Both builders take their
+request ids from `_fit_plan`, so comparing one with a replay through
+`place_to_schedule` does not check how requests share refusal memory;
+these totals do, since sharing it differently moves them and leaves
+every placement alone.
 """
 from __future__ import annotations
 
@@ -63,9 +70,20 @@ DIGESTS = {
 }
 
 
+PROBES = {
+    ("sae500", "CAH"): (41_938, 19_764),
+    ("sae500", "GA"): (41_938, 19_764),
+    ("realcase", "CAH"): (10_167, 5_452),
+    ("realcase", "GA"): (10_609, 5_452),
+    ("exact", "EXACT"): (5_066, 2_192),
+    ("exact", "GA"): (5_103, 2_192),
+}
+
+
 @pytest.mark.parametrize("workload, solver", list(DIGESTS))
 def test_corpus_digest_pinned(tmp_path, workload, solver):
     digest = hashlib.sha256()
+    probes = [0, 0]
     path = tmp_path / "out.xml"
     for stem, inst in instances(workload):
         result = run(inst, DriverConfig(assignment_solver=solver))
@@ -75,5 +93,9 @@ def test_corpus_digest_pinned(tmp_path, workload, solver):
         digest.update("\n".join(map(",".join, log_to_csv_rows(result.log))).encode())
         digest.update(repr((sched.place_calls, sched.fresh_slots,
                             sched.scan_depth)).encode())
-        digest.update(columns_text(schedule_single_channel(inst)).encode())
+        single = schedule_single_channel(inst)
+        digest.update(columns_text(single).encode())
+        probes[0] += sched.probes
+        probes[1] += single.probes
     assert digest.hexdigest()[:16] == DIGESTS[workload, solver]
+    assert tuple(probes) == PROBES[workload, solver]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexseg import scheduler as scheduler_mod
 from flexseg.assignment import (
     CH_A,
     CH_B,
@@ -251,6 +252,28 @@ def test_slot_exclusive_to_owner():
     assert placement.slot == 2  # slot 1 belongs to ECU 2
 
 
+def test_request_evicted_from_the_fit_plan_cache_places_alike():
+    # an evicted request comes back under a new id: it loses its refusal
+    # memory, so it may test more columns, but it takes the same places
+    def place_eleven(evict):
+        sched = empty_schedule()
+        placed = []
+        for sid in range(1, 12):
+            if evict:
+                scheduler_mod._fit_plan.cache_clear()
+            sig = make_signal(sid, 2, period=2, payload=3, deadline=64.0)
+            placed += place_to_schedule(sched, sig, CH_A, owner=2)
+        return sched, placed
+
+    kept, kept_placed = place_eleven(False)
+    evicted, evicted_placed = place_eleven(True)
+    assert evicted_placed == kept_placed
+    assert evicted.columns == kept.columns
+    assert (evicted.place_calls, evicted.fresh_slots, evicted.scan_depth) == (
+        kept.place_calls, kept.fresh_slots, kept.scan_depth)
+    assert evicted.probes >= kept.probes
+
+
 def test_place_refuses_a_schedule_it_did_not_build(tmp_path, example1):
     # first fit keeps its index from the first placement onto an empty
     # schedule; a read-back or renumbered schedule holds columns it never
@@ -340,7 +363,9 @@ def test_schedule_channels_matches_replay_through_place_to_schedule(
     assert built.columns == replayed.columns
     assert (built.place_calls, built.fresh_slots, built.scan_depth) == (
         counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
-    # the plan's request ids split requests as place_to_schedule's keys do
+    # both sides take their request ids from _fit_plan, so equal probes
+    # check the counting, not how requests share refusal memory; the
+    # corpus probe pins in test_corpus_digests.py check that
     assert built.probes == replayed.probes
     # every placement that opens no slot tests at least one column
     assert built.probes >= built.place_calls - built.fresh_slots
