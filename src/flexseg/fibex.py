@@ -6,12 +6,15 @@ element per occupied (channel, slot, base-cycle) triple, and signal
 instances with bit offsets and cycle repetitions.  Element order is
 deterministic so identical inputs yield byte-identical files.  The writer
 emits the text directly, one line per element, in the layout of an
-indented ElementTree document; the reader parses it with ElementTree.
+indented ElementTree document.  The reader makes one pass over the expat
+parser's start and end events and keeps no element tree, so its memory
+peak is about the schedule it returns and the cyclic garbage collector
+has no tree to trace.
 """
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.parsers import expat
 
 from .assignment import ChannelAssignment
 from .model import (
@@ -85,18 +88,54 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     """Parse an exported file back into a Schedule plus the one-port
     ECU-to-channel map embedded in the ecu elements.  An element out of
     the writer's layout (another tag, a missing or repeated part, a
-    repeated channel, frame or ECU, a frame without signal instances) is
-    a ValueError naming it."""
+    repeated channel, frame or ECU, a frame without signal instances, a
+    child element of a cluster, ecu or signal-instance) is a ValueError
+    naming it.
+
+    One pass over the parser's start and end events builds the schedule
+    as the elements arrive, with no element tree: the reader's memory
+    peak is about the schedule it returns, and the cyclic garbage
+    collector has only the schedule's own records to trace.  Of several
+    faults, the one refused comes first in this order: a syntax error
+    anywhere, then, from the root inward, each element's attributes
+    before its child tags and its child tags before anything inside its
+    children."""
     return read_fibex_ecus(path)[:2]
 
 
 def read_fibex_ecus(path: str | Path) -> tuple[Schedule, dict[int, str], dict[int, str]]:
     """What read_fibex returns, and the class of each ECU of the file by id."""
+    reader = _Reader()
+    # with namespace processing, a prefixed or namespaced tag is never read
+    # as one of the layout's tags
+    parser = expat.ParserCreate(None, "}")
+    parser.StartElementHandler = reader.start
+    parser.EndElementHandler = reader.end
+
+    # An entity the parser cannot expand would drop its text, or elements,
+    # from the file unseen.
+    def undefined(name: str) -> None:
+        raise expat.ExpatError(f"undefined entity &{name};: line {parser.ErrorLineNumber}, "
+                               f"column {parser.ErrorColumnNumber}")
+    parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined(name)
+    # the context lists namespace bindings and open entities, the referenced one last
+    parser.ExternalEntityRefHandler = \
+        lambda context, *ids: undefined(context.rpartition("\f")[2])
+    # A LookupError or ValueError out of the parse is a declared encoding
+    # the parser does not know or cannot decode; the reader's handlers keep
+    # their refusals.
     try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
+        with open(path, "rb") as file:
+            parser.ParseFile(file)
+    except (expat.ExpatError, LookupError, ValueError) as exc:
         raise ValueError(f"{path} is not a schedule file: {exc}") from exc
-    return _read_parsed(root)
+    finally:
+        # the entity handlers refer to the parser; without them, reference
+        # counting frees it, not the collector
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+    if reader.refusal is not None:
+        raise reader.refusal
+    return reader.sched, reader.channel_of, reader.classes
 
 
 _PARSED_AS = {parse_int: "an integer", float: "a number"}
@@ -142,47 +181,175 @@ def _occurrence(a: dict[str, str]) -> Occupancy:
     return Occupancy(signal, bit_offset // 8, payload, image == "true", rep)
 
 
-def _children(el: ET.Element, tag: str, where: str) -> ET.Element:
-    """`el`, whose child elements must all be `tag` elements; ValueError
-    names the first that is not, and `where` it stands."""
-    for child in el:
-        if child.tag != tag:
-            raise ValueError(f"{where}: element <{child.tag}> is not <{tag}>")
-    return el
+_PARTS = ["cluster", "ecus", "channels"]
+# The one child tag each element below the root admits; cluster, ecu and
+# signal-instance admit none.
+_CHILD = {"ecus": "ecu", "channels": "channel", "channel": "slot", "slot": "frame",
+          "frame": "signal-instance"}
 
 
-def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str], dict[int, str]]:
-    if root.tag != "flexray-schedule":
-        raise ValueError(f"root element <{root.tag}> is not flexray-schedule")
-    if root.get("format") != "simplified-1":
-        raise ValueError(f"flexray-schedule: format {root.get('format')!r} is not simplified-1")
-    parts = [el.tag for el in root]
-    if parts != ["cluster", "ecus", "channels"]:
-        raise ValueError(f"flexray-schedule: child elements {parts} are not "
-                         f"['cluster', 'ecus', 'channels']")
-    cluster_el, ecus_el, channels_el = root
-    cluster = cluster_el.attrib
-    hyperperiod = _field(cluster, "hyperperiod-cycles", "cluster: ")
-    if hyperperiod != HYPERPERIOD_CYCLES:
-        raise ValueError(f"cluster: hyperperiod-cycles {hyperperiod} is not "
-                         f"{HYPERPERIOD_CYCLES}")
-    duration = _field(cluster, "cycle-duration-ms", "cluster: ", float)
-    # the writer spells a float only as its repr
-    if repr(duration) != cluster["cycle-duration-ms"]:
-        raise ValueError(f"cluster: cycle-duration-ms {cluster['cycle-duration-ms']!r} "
-                         f"is not spelled as {duration!r}")
-    config = NetworkConfig(
-        cycle_duration_ms=duration,
-        slot_payload_bytes=_field(cluster, "slot-payload-bytes", "cluster: "),
-    )
-    validate_config(config)
-    channel_of: dict[int, str] = {}
-    classes: dict[int, str] = {}
-    for ecu_el in _children(ecus_el, "ecu", "ecus"):
-        a = ecu_el.attrib
+def _shown(tag: str) -> str:
+    """`tag` as messages spell it: a namespace the parser reports as
+    `uri}name` in braces, `{uri}name`."""
+    return "{" + tag if "}" in tag else tag
+
+
+class _Reader:
+    """One pass over the start and end events of a schedule file.
+
+    Ranks order the refusals by depth (root 0, cluster, ecus and channels
+    1, ecu and channel 2, slot 3, frame 4, signal-instance 5).  A fault in
+    an element at depth d has rank d, and a child tag its parent does not
+    admit has its parent's rank.  After the first refusal the reader only
+    skips, watching for a misplaced child of an element that was open at
+    the refusal and lies above its rank: that child comes first in the
+    refusal order of read_fibex and takes its place."""
+
+    def __init__(self) -> None:
+        self.stack = [""]  # the open tags, above one for the root's parent
+        self.parts: list[str] = []  # the root's child tags
+        self.sched: Schedule | None = None
+        self.channel_of: dict[int, str] = {}
+        self.classes: dict[int, str] = {}
+        self.names: list[str] = []  # the channels read
+        # the open ecu, channel, slot and frame
+        self.ecu = 0
+        self.ch = ""
+        self.max_slot = 0
+        self.slot_where = ""
+        self.col: SlotColumn | None = None
+        self.base = 0
+        self.occs: list[Occupancy] = []
+        # None while skipping means the root's children are out of order,
+        # which the root's end words once it has seen them all
+        self.refusal: ValueError | None = None
+        self.rank = 0
+        self.skipping = False
+        # the deepest element still open from before the refusal whose
+        # misplaced children would rank below it
+        self.limit = 0
+
+    def refuse(self, exc: ValueError | None, rank: int) -> None:
+        # without its traceback, the stored error does not hold the
+        # handlers' frames, and through them the reader
+        self.refusal = None if exc is None else exc.with_traceback(None)
+        self.rank = rank
+        self.limit = rank - 1
+        self.skipping = True
+
+    def start(self, tag: str, a: dict[str, str]) -> None:
+        stack = self.stack
+        parent = stack[-1]
+        stack.append(tag)
+        depth = len(stack) - 2
+        if self.skipping:
+            if depth == 1:
+                self.parts.append(_shown(tag))
+            elif depth <= self.limit + 1 and _CHILD.get(parent) != tag:
+                self.refuse(ValueError(self.misplaced(parent, tag)), depth - 1)
+            return
+        if parent == "frame" and tag == "signal-instance":
+            try:
+                self.occs.append(_occurrence(a))
+            except ValueError as exc:
+                who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
+                self.refuse(ValueError(f"{who} in {self.slot_where}: {exc}"), depth)
+            return
+        if depth == 1:
+            parts = self.parts
+            parts.append(_shown(tag))
+            if parts != _PARTS[:len(parts)]:
+                self.refuse(None, 0)
+                return
+        elif depth and _CHILD.get(parent) != tag:
+            self.refuse(ValueError(self.misplaced(parent, tag)), depth - 1)
+            return
+        try:
+            if depth == 0:
+                self.root(tag, a)
+            elif tag == "frame":
+                self.frame(a)
+            elif tag == "slot":
+                self.slot(a)
+            elif tag == "ecu":
+                self.ecu_element(a)
+            elif tag == "channel":
+                self.channel(a)
+            elif tag == "cluster":
+                self.cluster(a)
+        except ValueError as exc:
+            self.refuse(exc, depth)
+
+    def end(self, tag: str) -> None:
+        stack = self.stack
+        stack.pop()
+        depth = len(stack) - 1
+        if self.skipping:
+            if depth <= self.limit:
+                self.limit = depth - 1
+        elif tag == "frame":
+            if not self.occs:
+                self.refuse(ValueError(f"frame {self.base} in {self.slot_where} "
+                                       f"holds no signal-instance"), depth)
+        elif tag == "channel":
+            highest = self.sched.max_slot(self.ch)
+            if self.max_slot != highest:
+                self.refuse(ValueError(f"channel {self.ch}: max-slot {self.max_slot} is not "
+                                       f"the highest slot id {highest}"), depth)
+        if depth == 0 and self.parts != _PARTS and (self.refusal is None or self.rank > 0):
+            self.refusal = ValueError(f"flexray-schedule: child elements {self.parts} are not "
+                                      f"{_PARTS}")
+
+    def misplaced(self, parent: str, tag: str) -> str:
+        """The refusal of a `tag` element inside the open `parent`."""
+        if parent == "ecu":
+            where = f"ecu {self.ecu}"
+        elif parent == "channel":
+            where = f"channel {self.ch}"
+        elif parent == "slot":
+            where = self.slot_where
+        elif parent == "frame":
+            where = f"frame {self.base} in {self.slot_where}"
+        elif parent == "signal-instance":
+            where = f"signal {self.occs[-1].signal} in {self.slot_where}"
+        else:
+            where = parent
+        child = _CHILD.get(parent)
+        if child is None:
+            return f"{where}: element <{_shown(tag)}> is not allowed, as <{parent}> " \
+                   f"holds no elements"
+        return f"{where}: element <{_shown(tag)}> is not <{child}>"
+
+    def root(self, tag: str, a: dict[str, str]) -> None:
+        if tag != "flexray-schedule":
+            raise ValueError(f"root element <{_shown(tag)}> is not flexray-schedule")
+        if a.get("format") != "simplified-1":
+            raise ValueError(f"flexray-schedule: format {a.get('format')!r} is not "
+                             f"simplified-1")
+
+    def cluster(self, a: dict[str, str]) -> None:
+        hyperperiod = _field(a, "hyperperiod-cycles", "cluster: ")
+        if hyperperiod != HYPERPERIOD_CYCLES:
+            raise ValueError(f"cluster: hyperperiod-cycles {hyperperiod} is not "
+                             f"{HYPERPERIOD_CYCLES}")
+        duration = _field(a, "cycle-duration-ms", "cluster: ", float)
+        # the writer spells a float only as its repr
+        if repr(duration) != a["cycle-duration-ms"]:
+            raise ValueError(f"cluster: cycle-duration-ms {a['cycle-duration-ms']!r} "
+                             f"is not spelled as {duration!r}")
+        config = NetworkConfig(
+            cycle_duration_ms=duration,
+            slot_payload_bytes=_field(a, "slot-payload-bytes", "cluster: "),
+        )
+        validate_config(config)
+        self.sched = Schedule(config=config)
+
+    def ecu_element(self, a: dict[str, str]) -> None:
         ecu = _field(a, "id", "ecu element: ")
+        classes = self.classes
         if ecu in classes:
             raise ValueError(f"ecus: ecu id {ecu} appears twice")
+        self.ecu = ecu
         classes[ecu] = kind = _field(a, "class", f"ecu {ecu}: ", str)
         if kind not in _ECU_CLASSES:
             raise ValueError(f"ecu {ecu}: class {kind!r} is not GATEWAY, COMMON or ONE_PORT")
@@ -193,49 +360,39 @@ def _read_parsed(root: ET.Element) -> tuple[Schedule, dict[int, str], dict[int, 
         if kind == EcuKind.ONE_PORT.value and ch:
             if ch not in CHANNELS:
                 raise ValueError(f"ecu {ecu}: channels {ch!r} is not A or B")
-            channel_of[ecu] = ch
+            self.channel_of[ecu] = ch
 
-    sched = Schedule(config=config)
-    names: list[str] = []
-    for ch_el in _children(channels_el, "channel", "channels"):
-        ch = ch_el.get("name")
+    def channel(self, a: dict[str, str]) -> None:
+        ch = a.get("name")
         if ch not in CHANNELS:
             raise ValueError(f"channel element: name {ch!r} is not A or B")
-        if ch in names:
+        if ch in self.names:
             raise ValueError(f"channels: channel {ch} appears twice")
-        names.append(ch)
-        max_slot = _field(ch_el.attrib, "max-slot", f"channel {ch}: ")
-        for slot_el in _children(ch_el, "slot", f"channel {ch}"):
-            a = slot_el.attrib
-            slot = _field(a, "id", f"slot element on channel {ch}: ")
-            if slot in sched.columns[ch]:
-                raise ValueError(f"channel {ch}: slot id {slot} appears twice")
-            where = f"slot {slot} on channel {ch}"
-            gateway = a.get("gateway")
-            if gateway not in ("true", "false"):
-                raise ValueError(f"{where}: gateway {gateway!r} is not true or false")
-            col = SlotColumn(owner=_field(a, "owner", f"{where}: "),
-                             is_gateway=gateway == "true")
-            sched.columns[ch][slot] = col
-            for frame_el in _children(slot_el, "frame", where):
-                base = _field(frame_el.attrib, "base-cycle", f"frame in {where}: ")
-                if not 1 <= base <= HYPERPERIOD_CYCLES:
-                    raise ValueError(f"frame in {where}: base-cycle "
-                                     f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
-                if base in col.frames:
-                    raise ValueError(f"{where}: frame base-cycle {base} appears twice")
-                instances = _children(frame_el, "signal-instance", f"frame {base} in {where}")
-                if not len(instances):
-                    raise ValueError(f"frame {base} in {where} holds no signal-instance")
-                for inst_el in instances:
-                    a = inst_el.attrib
-                    try:
-                        occ = _occurrence(a)
-                    except ValueError as exc:
-                        who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
-                        raise ValueError(f"{who} in {where}: {exc}") from None
-                    col.add(base, occ)
-        if max_slot != sched.max_slot(ch):
-            raise ValueError(f"channel {ch}: max-slot {max_slot} is not the highest "
-                             f"slot id {sched.max_slot(ch)}")
-    return sched, channel_of, classes
+        self.names.append(ch)
+        self.ch = ch
+        self.max_slot = _field(a, "max-slot", f"channel {ch}: ")
+
+    def slot(self, a: dict[str, str]) -> None:
+        ch = self.ch
+        slot = _field(a, "id", f"slot element on channel {ch}: ")
+        columns = self.sched.columns[ch]
+        if slot in columns:
+            raise ValueError(f"channel {ch}: slot id {slot} appears twice")
+        self.slot_where = where = f"slot {slot} on channel {ch}"
+        gateway = a.get("gateway")
+        if gateway not in ("true", "false"):
+            raise ValueError(f"{where}: gateway {gateway!r} is not true or false")
+        self.col = columns[slot] = SlotColumn(owner=_field(a, "owner", f"{where}: "),
+                                              is_gateway=gateway == "true")
+
+    def frame(self, a: dict[str, str]) -> None:
+        where = self.slot_where
+        base = _field(a, "base-cycle", f"frame in {where}: ")
+        if not 1 <= base <= HYPERPERIOD_CYCLES:
+            raise ValueError(f"frame in {where}: base-cycle "
+                             f"{base} is outside 1..{HYPERPERIOD_CYCLES}")
+        frames = self.col.frames
+        if base in frames:
+            raise ValueError(f"{where}: frame base-cycle {base} appears twice")
+        self.base = base
+        self.occs = frames[base] = []

@@ -41,7 +41,7 @@ def _every(step: int, width: int = 1) -> int:
     return sum(1 << k * width for k in range(0, HYPERPERIOD_CYCLES, step))
 
 
-def _last_offsets(parts: list[tuple[int, int]]) -> set[int]:
+def _last_offsets(parts: tuple[tuple[int, int], ...]) -> set[int]:
     """The offsets of the (offset, cycles) instances of one group that are
     the last to reach some cycle: the offsets its frames hold."""
     offsets = set()
@@ -102,8 +102,10 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
 
     # Each stored signal instance's cycles as a set, bit (cycle - 1), in
     # its occurrence group: (signal, channel, slot, is_image) ->
-    # [union of the cycles so far, [(offset, cycles) of each instance]]
-    groups: dict[tuple[int, str, int, bool], list] = {}
+    # (union of the cycles so far, ((offset, cycles) of each instance)).
+    # Ints and tuples only, rebuilt on the rare repeat, so the collector
+    # stops tracking a group at its first young collection.
+    groups: dict[tuple[int, str, int, bool], tuple[int, tuple[tuple[int, int], ...]]] = {}
     ecu_ids = {e.id for e in inst.ecus}
     one_port = inst.one_port_ids
     channel_of = asg.channel_of
@@ -177,17 +179,17 @@ def validate(inst: Instance, asg: ChannelAssignment, sched: Schedule) -> list[Vi
                     key = (occ.signal, ch, slot, occ.is_image)
                     group = groups.get(key)
                     if group is None:
-                        groups[key] = [cycles, [(lo, cycles)]]
+                        groups[key] = (cycles, ((lo, cycles),))
                         continue
-                    twice = group[0] & cycles
+                    union, parts = group
+                    twice = union & cycles
                     while twice:
                         low = twice & -twice
                         out.append(Violation(
                             "V2", f"signal {sig.id} twice in frame "
                                   f"({ch},{slot},{low.bit_length()})"))
                         twice ^= low
-                    group[0] |= cycles
-                    group[1].append((lo, cycles))
+                    groups[key] = (union | cycles, parts + ((lo, cycles),))
             if clash:
                 out.extend(_frame_clashes(ch, slot, col.frames, signals, h))
 

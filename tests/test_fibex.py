@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import re
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from flexseg.assignment import (
 from flexseg.cli import main
 from flexseg.driver import DriverConfig, run
 from flexseg.fibex import export_fibex, read_fibex
-from flexseg.generator import sae_profile, generate
+from flexseg.generator import generate, realcase_profile, sae_profile
 from flexseg.hypergraph import build_hypergraph
 from conftest import example1_instance
 from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, save_instance
@@ -338,6 +340,26 @@ def _empty_frame(root):
     slot.insert(0, ET.Element("frame", slot.find("frame").attrib))
 
 
+def _lift_instance(root):
+    # slot 1's only signal instance moves out of its frame to follow it
+    slot = root.find("channels/channel[@name='A']/slot[@id='1']")
+    frame = slot.find("frame")
+    moved = frame.find("signal-instance")
+    frame.remove(moved)
+    slot.append(moved)
+
+
+def _ecus_first(root):
+    cluster, ecus, channels = root
+    root[:] = [ecus, cluster, channels]
+
+
+def _child(path, tag):
+    def mutate(root):
+        ET.SubElement(root.find(path), tag)
+    return mutate
+
+
 PARTS = "['cluster', 'ecus', 'channels']"
 
 
@@ -362,9 +384,22 @@ PARTS = "['cluster', 'ecus', 'channels']"
     (_split_frame, "slot 3 on channel A: frame base-cycle 1 appears twice"),
     (_repeat_ecu, "ecus: ecu id 3 appears twice"),
     (_empty_frame, "frame 1 in slot 1 on channel A holds no signal-instance"),
+    # slot 1's frame, left empty, closes before the lifted instance opens,
+    # yet the slot's misplaced child comes first in the refusal order
+    (_lift_instance, "slot 1 on channel A: element <signal-instance> is not <frame>"),
+    (_ecus_first, f"flexray-schedule: child elements ['ecus', 'cluster', 'channels'] are "
+     f"not {PARTS}"),
+    (_child("cluster", "slot"),
+     "cluster: element <slot> is not allowed, as <cluster> holds no elements"),
+    (_child("ecus/ecu", "frame"),
+     "ecu 0: element <frame> is not allowed, as <ecu> holds no elements"),
+    (_child(FRAME + "/signal-instance", "bogus"),
+     "signal 1 in slot 1 on channel A: element <bogus> is not allowed, as "
+     "<signal-instance> holds no elements"),
 ], ids=["format", "root", "no-cluster", "no-ecus", "two-channels", "ecu-tag", "channel-tag",
         "slot-tag", "frame-tag", "instance-tag", "split-channel", "split-frame", "repeated-ecu",
-        "empty-frame"])
+        "empty-frame", "instance-in-slot", "ecus-first", "cluster-child", "ecu-child",
+        "instance-child"])
 def test_reader_refuses_misplaced_or_repeated_elements(tmp_path, example1, capsys,
                                                         mutate, message):
     # an element out of the writer's layout is an error naming it, not
@@ -487,6 +522,25 @@ def test_bytes_past_the_frame_are_v2(tmp_path, example1, capsys, attr, value):
     save_instance(example1, inst_file)
     assert main(["validate", str(inst_file), str(path)]) == 1
     assert '"V2"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("encoding, message", [
+    ("bogus", "unknown encoding: bogus"),
+    ("shift_jis", "multi-byte encodings are not supported"),
+])
+def test_file_in_an_encoding_the_parser_cannot_read_exits_2(tmp_path, example1, capsys,
+                                                             encoding, message):
+    # a refusal naming the file, not an uncaught lookup or a bare message
+    asg, sched = solved_example1(example1)
+    path = tmp_path / "example1.xml"
+    export_fibex(example1, asg, sched, path)
+    path.write_text(path.read_text().replace("encoding='utf-8'", f"encoding='{encoding}'", 1))
+    with pytest.raises(ValueError, match=f"is not a schedule file: {message}"):
+        read_fibex(path)
+    inst_file = tmp_path / "example1.json"
+    save_instance(example1, inst_file)
+    assert main(["validate", str(inst_file), str(path)]) == 2
+    assert f"{path} is not a schedule file" in capsys.readouterr().err
 
 
 def test_base_cycle_above_repetition_is_v4(tmp_path, example1, capsys):
@@ -625,3 +679,105 @@ def test_reader_takes_only_the_integer_grammar(index, respelling):
         else:
             element.set(attr, str(value))
             assert got == reading(tree, path)
+
+
+def reference_reading(root: ET.Element):
+    """What an ElementTree walk reads from an export whose elements were
+    moved, duplicated or dropped, in the shape `reading` returns, or None
+    where an element breaks the writer's layout.  Every attribute value is
+    the writer's, so int() and float() read it."""
+    def holds(el: ET.Element, tag: str) -> bool:
+        return all(child.tag == tag for child in el)
+
+    if [el.tag for el in root] != ["cluster", "ecus", "channels"]:
+        return None
+    cluster, ecus, channels = root
+    if len(cluster) or not holds(ecus, "ecu") or not holds(channels, "channel"):
+        return None
+    ecu_ids = [ecu.get("id") for ecu in ecus]
+    names = [channel.get("name") for channel in channels]
+    if len(set(ecu_ids)) < len(ecu_ids) or len(set(names)) < len(names) \
+            or any(len(ecu) for ecu in ecus):
+        return None
+    channel_of = {int(ecu.get("id")): ecu.get("channels") for ecu in ecus
+                  if ecu.get("class") == "ONE_PORT" and ecu.get("channels")}
+    columns = {}
+    for channel in channels:
+        if not holds(channel, "slot"):
+            return None
+        slot_ids = [int(slot.get("id")) for slot in channel]
+        if len(set(slot_ids)) < len(slot_ids) \
+                or int(channel.get("max-slot")) != max(slot_ids, default=0):
+            return None
+        for slot in channel:
+            if not holds(slot, "frame"):
+                return None
+            frames = {}
+            for frame in slot:
+                base = int(frame.get("base-cycle"))
+                if base in frames or not len(frame) or not holds(frame, "signal-instance") \
+                        or any(len(si) for si in frame):
+                    return None
+                frames[base] = sorted(
+                    (int(si.get("signal")), int(si.get("bit-offset")) // 8,
+                     int(si.get("payload-bytes")), si.get("image") == "true",
+                     int(si.get("repetition"))) for si in frame)
+            columns[(channel.get("name"), int(slot.get("id")))] = (
+                int(slot.get("owner")), slot.get("gateway") == "true", frames)
+    config = NetworkConfig(float(cluster.get("cycle-duration-ms")),
+                           int(cluster.get("slot-payload-bytes")))
+    return config, channel_of, columns
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_moved_duplicated_or_dropped_elements_read_as_an_elementtree_walk(data):
+    # one element of an export lifted into its grandparent (a signal
+    # instance into its slot, a frame into its channel, ...), duplicated
+    # or dropped, or the root's children reordered: the one-pass reader
+    # reads what the tree walk reads, or both refuse
+    root = ET.fromstring(EXPORTED)
+    kind = data.draw(st.sampled_from(["lift", "duplicate", "drop", "reorder"]))
+    parent_of = {child: parent for parent in root.iter() for child in parent}
+    if kind == "reorder":
+        root[:] = data.draw(st.permutations(list(root)))
+    else:
+        child = data.draw(st.sampled_from([el for el in parent_of
+                                           if kind != "lift" or parent_of[el] is not root]))
+        parent = parent_of[child]
+        if kind == "drop":
+            parent.remove(child)
+        elif kind == "duplicate":
+            parent.insert(data.draw(st.integers(0, len(parent))), copy.deepcopy(child))
+        else:
+            grandparent = parent_of[parent]
+            parent.remove(child)
+            grandparent.insert(data.draw(st.integers(0, len(grandparent))), child)
+    expected = reference_reading(root)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = reading(ET.ElementTree(root), Path(tmp, "mutated.xml"))
+    if expected is None:
+        assert isinstance(got, str)
+    else:
+        assert got == expected
+
+
+def test_read_peak_stays_near_what_the_schedule_retains(tmp_path):
+    # with no element tree, the memory the reader allocates while it reads
+    # a realcase-sized export stays within twice what its schedule keeps
+    inst = generate(realcase_profile(), seed=0)
+    hg = build_hypergraph(inst)
+    asg = solve_cah(hg, CriterionParams(alpha=default_alpha(hg)), tries_count=5, rng_seed=0)
+    path = tmp_path / "realcase.xml"
+    export_fibex(inst, asg, schedule_channels(inst, asg), path)
+    read_fibex(path)  # the first read fills the parser's and model's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        readback = read_fibex(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert readback[0].frame_count() > 1000
+    assert peak - before < 2 * (retained - before)
