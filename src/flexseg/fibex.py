@@ -6,13 +6,17 @@ element per occupied (channel, slot, base-cycle) triple, and signal
 instances with bit offsets and cycle repetitions.  Element order is
 deterministic so identical inputs yield byte-identical files.  The writer
 emits the text directly, one line per element, in the layout of an
-indented ElementTree document.  The reader makes one pass over the expat
-parser's start and end events and keeps no element tree, so its memory
-peak is about the schedule it returns and the cyclic garbage collector
-has no tree to trace.
+indented ElementTree document.  The reader keeps no element tree: one
+`_Reader` takes the file's start and end events as they come and alone
+holds the rules a schedule file must keep, so the read's memory peak is
+about the schedule it returns and the cyclic garbage collector has no
+tree to trace.  A file in the writer's line layout is tokenized line by
+line; any other file, from its first line outside that layout, is read
+again from the start by the expat parser, which words syntax errors.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from xml.parsers import expat
 
@@ -92,19 +96,118 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     child element of a cluster, ecu or signal-instance) is a ValueError
     naming it.
 
-    One pass over the parser's start and end events builds the schedule
-    as the elements arrive, with no element tree: the reader's memory
-    peak is about the schedule it returns, and the cyclic garbage
-    collector has only the schedule's own records to trace.  Of several
-    faults, the one refused comes first in this order: a syntax error
-    anywhere, then, from the root inward, each element's attributes
-    before its child tags and its child tags before anything inside its
-    children."""
+    One pass over the file's start and end events builds the schedule as
+    the elements arrive, with no element tree: the reader's memory peak is
+    about the schedule it returns, and the cyclic garbage collector has
+    only the schedule's own records to trace.  The events of a file in
+    the writer's line layout (its declaration line, then one element tag
+    per line, with names in [a-z-] and values in printable ASCII) come
+    from a line tokenizer; those of any other file come from expat, and
+    either feeds the same reader.  Of several faults, the one refused
+    comes first in this order: a syntax error anywhere, then, from the
+    root inward, each element's attributes before its child tags and its
+    child tags before anything inside its children."""
     return read_fibex_ecus(path)[:2]
 
 
 def read_fibex_ecus(path: str | Path) -> tuple[Schedule, dict[int, str], dict[int, str]]:
     """What read_fibex returns, and the class of each ECU of the file by id."""
+    # A LookupError or ValueError out of the parse is a declared encoding
+    # the parser does not know or cannot decode; the reader's handlers keep
+    # their refusals.
+    try:
+        with open(path, "rb") as file:
+            reader = None
+            # a pipe cannot be read a second time
+            if file.seekable():
+                reader = _read_lines(file)
+                file.seek(0)
+            if reader is None:
+                reader = _read_expat(file)
+    except (expat.ExpatError, LookupError, ValueError) as exc:
+        raise ValueError(f"{path} is not a schedule file: {exc}") from exc
+    if reader.refusal is not None:
+        raise reader.refusal
+    return reader.sched, reader.channel_of, reader.classes
+
+
+# The writer's declaration line, and the lines of its layout that expat
+# reads as one start, end or empty element tag with the names and values
+# written: names of [a-z-] not starting with '-', values in printable
+# ASCII without '"', '&' or '<', so that expat neither normalises nor
+# decodes them.  The root's end line may lack its newline.
+_DECLARATION = b"<?xml version='1.0' encoding='utf-8'?>\n"
+_LINE = re.compile(r' *<(/?)([a-z][a-z-]*)((?: [a-z][a-z-]*="[ !#-%\'-;=-~]*")*)( /)?>\n?')
+_ATTRIBUTE = re.compile(r' ([a-z-]+)="([^"]*)"')
+# The writer's signal-instance and frame lines, with each integer in the
+# one spelling parse_int reads and few enough digits for int()
+_INSTANCE = re.compile(rb' *<signal-instance signal="(-?[0-9]{1,18})" '
+                       rb'bit-offset="([0-9]{1,18})" payload-bytes="([0-9]{1,18})" '
+                       rb'repetition="([0-9]{1,2})" image="(true|false)" />\n')
+_FRAME = re.compile(rb' *<frame base-cycle="([0-9]{1,2})">\n')
+
+
+def _read_lines(file) -> _Reader | None:
+    """A reader fed, line by line, the start and end events expat gives
+    for `file`, or None at the first line outside the writer's layout.
+
+    A signal instance of an open frame whose values _occurrence takes, a
+    frame of a new base cycle in 1..64 opening in a slot and the end of a
+    frame holding instances skip the handlers and do what they would."""
+    if file.readline(len(_DECLARATION)) != _DECLARATION:
+        return None
+    reader = _Reader()
+    stack = reader.stack
+    done = False
+    for line in file:
+        if done:
+            return None
+        top = stack[-1]
+        if top == "frame" and not reader.skipping:
+            match = _INSTANCE.match(line)
+            if match is not None:
+                signal, bit_offset, payload, rep, image = match.groups()
+                bit_offset, payload, rep = int(bit_offset), int(payload), int(rep)
+                if not bit_offset % 8 and payload and rep in ALLOWED_PERIOD_CYCLES:
+                    reader.occs.append(Occupancy(int(signal), bit_offset // 8, payload,
+                                                 image == b"true", rep))
+                    continue
+            elif reader.occs and line.lstrip(b" ") == b"</frame>\n":
+                stack.pop()
+                continue
+        elif top == "slot" and not reader.skipping:
+            match = _FRAME.match(line)
+            if match is not None:
+                base = int(match[1])
+                frames = reader.col.frames
+                if 1 <= base <= HYPERPERIOD_CYCLES and base not in frames:
+                    stack.append("frame")
+                    reader.base = base
+                    reader.occs = frames[base] = []
+                    continue
+        match = _LINE.fullmatch(line.decode("latin-1"))
+        if match is None:
+            return None
+        close, tag, attrs, empty = match.groups()
+        if close:
+            if attrs or empty or tag != top:
+                return None
+        else:
+            pairs = _ATTRIBUTE.findall(attrs)
+            a = dict(pairs)
+            # expat refuses a repeated attribute and reads xmlns as a namespace
+            if len(a) < len(pairs) or "xmlns" in a:
+                return None
+            reader.start(tag, a)
+            if not empty:
+                continue
+        reader.end(tag)
+        done = len(stack) == 1
+    return reader if done else None
+
+
+def _read_expat(file) -> _Reader:
+    """A reader fed the start and end events of `file` by expat."""
     reader = _Reader()
     # with namespace processing, a prefixed or namespaced tag is never read
     # as one of the layout's tags
@@ -121,21 +224,13 @@ def read_fibex_ecus(path: str | Path) -> tuple[Schedule, dict[int, str], dict[in
     # the context lists namespace bindings and open entities, the referenced one last
     parser.ExternalEntityRefHandler = \
         lambda context, *ids: undefined(context.rpartition("\f")[2])
-    # A LookupError or ValueError out of the parse is a declared encoding
-    # the parser does not know or cannot decode; the reader's handlers keep
-    # their refusals.
     try:
-        with open(path, "rb") as file:
-            parser.ParseFile(file)
-    except (expat.ExpatError, LookupError, ValueError) as exc:
-        raise ValueError(f"{path} is not a schedule file: {exc}") from exc
+        parser.ParseFile(file)
     finally:
         # the entity handlers refer to the parser; without them, reference
         # counting frees it, not the collector
         parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
-    if reader.refusal is not None:
-        raise reader.refusal
-    return reader.sched, reader.channel_of, reader.classes
+    return reader
 
 
 _PARSED_AS = {parse_int: "an integer", float: "a number"}

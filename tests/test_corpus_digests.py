@@ -14,6 +14,10 @@ request ids from `_fit_plan`, so comparing one with a replay through
 `place_to_schedule` does not check how requests share refusal memory;
 these totals do, since sharing it differently moves them and leaves
 every placement alone.
+
+Each export must also be read line by line, with no fallback to expat
+and no refusal: a change to the writer's layout that left the line
+reader's would otherwise only slow the read.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from functools import lru_cache
 import pytest
 
 from flexseg.driver import DriverConfig, log_to_csv_rows, run
-from flexseg.fibex import export_fibex
+from flexseg.fibex import _read_lines, export_fibex
 from flexseg.generator import generate, realcase_profile, sae_profile
 from flexseg.scheduler import CHANNELS, schedule_single_channel
 
@@ -90,6 +94,9 @@ def test_corpus_digest_pinned(tmp_path, workload, solver):
         export_fibex(inst, result.assignment, result.schedule, path)
         sched = result.schedule
         digest.update(stem.encode() + b"\0" + path.read_bytes())
+        with open(path, "rb") as file:
+            reader = _read_lines(file)
+        assert reader is not None and reader.refusal is None, stem
         digest.update("\n".join(map(",".join, log_to_csv_rows(result.log))).encode())
         digest.update(repr((sched.place_calls, sched.fresh_slots,
                             sched.scan_depth)).encode())

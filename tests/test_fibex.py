@@ -3,11 +3,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +25,14 @@ from flexseg.assignment import (
 )
 from flexseg.cli import main
 from flexseg.driver import DriverConfig, run
-from flexseg.fibex import export_fibex, read_fibex
+from flexseg import fibex
+from flexseg.fibex import export_fibex, read_fibex, read_fibex_ecus
 from flexseg.generator import generate, realcase_profile, sae_profile
 from flexseg.hypergraph import build_hypergraph
 from conftest import example1_instance
 from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, save_instance
 from flexseg.scheduler import (
+    CHANNELS,
     Occupancy,
     Schedule,
     SlotColumn,
@@ -640,8 +645,10 @@ INTEGER_FIELDS = [(i, attr) for i, el in enumerate(ET.fromstring(EXPORTED).iter(
 
 def reading(tree: ET.ElementTree, path: Path):
     """What read_fibex makes of `tree` written to `path`: its error message,
-    or the cluster, the channel map and every column's stored frames."""
-    tree.write(path)
+    or the cluster, the channel map and every column's stored frames.  The
+    file starts with the writer's declaration and keeps the export's lines,
+    so read_fibex reads it line by line unless an edit left the layout."""
+    tree.write(path, xml_declaration=True, encoding="utf-8")
     try:
         sched, channel_of = read_fibex(path)
     except ValueError as exc:
@@ -762,14 +769,133 @@ def test_moved_duplicated_or_dropped_elements_read_as_an_elementtree_walk(data):
         assert got == expected
 
 
-def test_read_peak_stays_near_what_the_schedule_retains(tmp_path):
-    # with no element tree, the memory the reader allocates while it reads
-    # a realcase-sized export stays within twice what its schedule keeps
-    inst = generate(realcase_profile(), seed=0)
+def solved_export(inst: Instance) -> bytes:
     hg = build_hypergraph(inst)
     asg = solve_cah(hg, CriterionParams(alpha=default_alpha(hg)), tries_count=5, rng_seed=0)
-    path = tmp_path / "realcase.xml"
-    export_fibex(inst, asg, schedule_channels(inst, asg), path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "export.xml")
+        export_fibex(inst, asg, schedule_channels(inst, asg), path)
+        return path.read_bytes()
+
+
+def read_outcome(path: Path):
+    """What read_fibex_ecus makes of `path`: its error message, or the
+    cluster, each channel's columns with their frames in the order read,
+    the channel map and the ECU classes."""
+    try:
+        sched, channel_of, classes = read_fibex_ecus(path)
+    except ValueError as exc:
+        return str(exc)
+    return sched.config, [
+        [(slot, col.owner, col.is_gateway, list(col.frames.items()))
+         for slot, col in sched.columns[ch].items()] for ch in CHANNELS
+    ], list(channel_of.items()), list(classes.items())
+
+
+# What an edit inserts into an attribute value or before a name: what the
+# integer grammar refuses, what expat normalises (a tab), decodes (a
+# non-ASCII letter, a character or entity reference) or reads as is.
+INSERTS = ("\t", "0", "-", "+", "_", " ", "é", "&#52;", "&amp;")
+
+
+def edit_lines(data, lines: list[bytes]) -> None:
+    """Apply one line edit, drawn from `data`, to the lines of a file."""
+    kind = data.draw(st.sampled_from(["insert", "attribute", "drop", "duplicate", "swap",
+                                      "move", "crlf", "space"]))
+    if kind == "insert":
+        # a position in a value, or the first letter of a tag or attribute name
+        spots = [(i, at) for i, line in enumerate(lines)
+                 for m in re.finditer(rb'="([^"]*)"|(?<=[< /])[a-z]', line)
+                 for at in (range(m.start(1), m.end(1) + 1) if m[1] is not None
+                            else (m.start(),))]
+        i, at = data.draw(st.sampled_from(spots))
+        lines[i] = lines[i][:at] + data.draw(st.sampled_from(INSERTS)).encode() + lines[i][at:]
+        return
+    if kind == "attribute":
+        # xmlns, or a second copy of the tag's first attribute
+        tags = [(i, m.end(), m[1]) for i, line in enumerate(lines)
+                for m in [re.match(rb' *<[a-z-]+( [a-z-]+="[^"]*")?', line)] if m]
+        i, at, first = data.draw(st.sampled_from(tags))
+        extra = data.draw(st.sampled_from([b' xmlns="u"'] + [first] * (first is not None)))
+        lines[i] = lines[i][:at] + extra + lines[i][at:]
+        return
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "move":
+        line = lines.pop(i)
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    else:
+        lines[i] = lines[i].rstrip(b"\n") + (b"\r\n" if kind == "crlf" else b" \n")
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.one_of(st.none(), windowed_instances()), st.integers(1, 3), st.data())
+def test_line_edits_read_as_the_expat_pass(inst, edits, data):
+    # an export of example1 or of a windowed instance after 1-3 line edits
+    # (a line dropped, duplicated, swapped or moved, ended by CRLF or a
+    # space, given one character in a value or before a name, or its tag
+    # an xmlns or a repeated attribute) reads as the expat pass reads it:
+    # the same schedule, channel map and classes, or the same message,
+    # whichever path the file takes
+    lines = (EXPORTED if inst is None else solved_export(inst)).splitlines(keepends=True)
+    for _ in range(edits):
+        edit_lines(data, lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "edited.xml")
+        path.write_bytes(b"".join(lines))
+        got = read_outcome(path)
+        with mock.patch.object(fibex, "_read_lines", lambda file: None):
+            assert got == read_outcome(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b'<ecu ', b'<-ecu ', "not well-formed (invalid token)"),
+    (b'signal="1"', b'signal="\t1"', "signal ' 1' is not an integer"),
+    (b'<frame base-cycle="1"', b'<frame base-cycle="1" base-cycle="2"', "duplicate attribute"),
+], ids=["name-dash", "value-tab", "repeated-attribute"])
+def test_line_reader_leaves_what_expat_reads_otherwise(tmp_path, old, new, message):
+    # a name expat refuses, a value it normalises and an attribute it
+    # refuses to repeat are left to expat, which words the refusal
+    path = tmp_path / "edited.xml"
+    path.write_bytes(EXPORTED.replace(old, new, 1))
+    with open(path, "rb") as file:
+        assert fibex._read_lines(file) is None
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_fibex(path)
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_file_read_from_a_pipe_reads_as_from_disk(tmp_path, line_end):
+    # a pipe cannot be read twice, so expat alone reads it, in the writer's
+    # line layout or not
+    data = EXPORTED.replace(b"\n", line_end)
+    path, pipe = tmp_path / "export.xml", tmp_path / "pipe"
+    path.write_bytes(data)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    got = read_outcome(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == read_outcome(path)
+
+
+@pytest.fixture(scope="module")
+def realcase_export(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("realcase") / "realcase.xml"
+    path.write_bytes(solved_export(generate(realcase_profile(), seed=0)))
+    return path
+
+
+def read_peak(path: Path) -> tuple[int, int]:
+    """The tracemalloc peak of reading `path`, and what its schedule keeps,
+    both above what was allocated before the read."""
     read_fibex(path)  # the first read fills the parser's and model's caches
     gc.collect()
     tracemalloc.start()
@@ -780,4 +906,22 @@ def test_read_peak_stays_near_what_the_schedule_retains(tmp_path):
     finally:
         tracemalloc.stop()
     assert readback[0].frame_count() > 1000
-    assert peak - before < 2 * (retained - before)
+    return peak - before, retained - before
+
+
+def test_read_peak_stays_near_what_the_schedule_retains(realcase_export):
+    # with no element tree, the memory the reader allocates while it reads
+    # a realcase-sized export stays within twice what its schedule keeps;
+    # the line path streams the file
+    peak, retained = read_peak(realcase_export)
+    assert peak < 2 * retained
+
+
+def test_read_peak_of_a_crlf_copy_stays_near_what_the_schedule_retains(realcase_export):
+    # CRLF line ends leave the writer's layout, so expat reads this copy
+    path = realcase_export.with_name("realcase-crlf.xml")
+    path.write_bytes(realcase_export.read_bytes().replace(b"\n", b"\r\n"))
+    with open(path, "rb") as file:
+        assert fibex._read_lines(file) is None
+    peak, retained = read_peak(path)
+    assert peak < 2 * retained
