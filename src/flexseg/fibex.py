@@ -17,6 +17,7 @@ again from the start by the expat parser, which words syntax errors.
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
 from xml.parsers import expat
 
@@ -145,6 +146,10 @@ _INSTANCE = re.compile(rb' *<signal-instance signal="(-?[0-9]{1,18})" '
                        rb'bit-offset="([0-9]{1,18})" payload-bytes="([0-9]{1,18})" '
                        rb'repetition="([0-9]{1,2})" image="(true|false)" />\n')
 _FRAME = re.compile(rb' *<frame base-cycle="([0-9]{1,2})">\n')
+# Longer than any line the writer emits.  A longer line is read in pieces
+# of this size; a piece that is not whole tags leaves the layout, so the
+# file falls back to expat with no more than one piece held.
+_LINE_LIMIT = 1 << 10
 
 
 def _read_lines(file) -> _Reader | None:
@@ -153,13 +158,15 @@ def _read_lines(file) -> _Reader | None:
 
     A signal instance of an open frame whose values _occurrence takes, a
     frame of a new base cycle in 1..64 opening in a slot and the end of a
-    frame holding instances skip the handlers and do what they would."""
+    frame holding instances skip the handlers and do what they would.
+    Lines are read at most _LINE_LIMIT bytes at a time, so a file on few
+    long lines falls back before a whole line is held."""
     if file.readline(len(_DECLARATION)) != _DECLARATION:
         return None
     reader = _Reader()
     stack = reader.stack
     done = False
-    for line in file:
+    for line in iter(partial(file.readline, _LINE_LIMIT), b""):
         if done:
             return None
         top = stack[-1]

@@ -7,6 +7,13 @@ A, then on B.  Fault-tolerant signals sort first, so they occupy identical
 positions on both channels; cross-channel signals get a gateway-
 retransmitted image on the opposite channel, placed in the same base cycle
 and pushed to a strictly later slot by the final reordering pass.
+
+A one-port transmitter sends every signal of its own from one lane, its
+home lane, whatever channel the map gives it, and first fit in a lane
+depends only on the lane's own requests.  So each home lane is packed
+once per placement plan, and every schedule built from that plan shares
+its columns, numbered on the transmitter's channel in the order they
+opened.
 """
 from __future__ import annotations
 
@@ -84,7 +91,8 @@ class _Lane:
 
     `open` holds the ascending ids of the lane's columns that are not
     full; `masks` and `cols` are the channel's column masks and columns,
-    shared by every lane of the channel.  `taken` maps a request id to
+    shared by every lane of the channel, or the lane's own for a home
+    lane packed apart.  `taken` maps a request id to
     the slot the last such request took in this lane.  Every candidate
     below that slot refused it, and masks only grow, so an identical
     request starts its scan there.  `probes` counts the columns the lane's
@@ -106,12 +114,14 @@ class _SlotIndex(dict):
     request.  It starts empty on an empty schedule, made by either
     schedule builder or by `place_to_schedule` at its first placement, and
     is kept in step by `_place`, whose fallback to the next id is the only
-    place a slot opens.
+    place a slot opens, but for the shared home-lane columns that
+    `schedule_channels` takes as the next id.
 
-    `masks[ch][slot]` holds the occupied bytes of a column, all cycles as
-    one int, bit (cycle - 1) * h + byte; `full` is the mask of a full
-    column.  Each channel's columns are slots 1..len(masks[ch]), so only
-    the open columns of a lane and the next id can take a placement."""
+    `masks[ch][slot]` holds the occupied bytes of a column that `_place`
+    opened here, all cycles as one int, bit (cycle - 1) * h + byte; `full`
+    is the mask of a full column.  Each channel's columns are slots
+    1..len(columns[ch]), so only the open columns of a lane and the next
+    id can take a placement."""
 
     def __init__(self, h: int, columns: dict[str, dict[int, SlotColumn]]) -> None:
         super().__init__()
@@ -269,7 +279,14 @@ def _checked_bases(sig: Signal, config: NetworkConfig,
     return bases
 
 
-def placement_plan(inst: Instance) -> list[tuple]:
+class Plan(list):
+    """The rows of `placement_plan`, and `homes`, its home lanes packed by
+    `_pack_home_lanes` at the first `schedule_channels` call that walks
+    it."""
+    homes: tuple[list, int] | None = None
+
+
+def placement_plan(inst: Instance) -> Plan:
     """What placing each signal needs that depends only on the instance:
     one row (signal, one-port endpoints, signal_volume, _fit_plan of its
     checked base cycles) per signal in `sort_signals` order.  Signals of
@@ -279,7 +296,7 @@ def placement_plan(inst: Instance) -> list[tuple]:
     h = inst.config.slot_payload_bytes
     one_port = inst.one_port_ids
     shared: dict[tuple, tuple] = {}
-    plan = []
+    plan = Plan()
     for sig in sort_signals(inst.signals):
         key = (sig.period_cycles, sig.payload_bytes, sig.release_ms, sig.deadline_ms)
         row = shared.get(key)
@@ -321,7 +338,7 @@ def _place(lane: _Lane, sig: Signal, fit: tuple) -> tuple[int, int, int]:
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
         lane.probes += len(own) - start
-        slot, base, offset = len(masks) + 1, fresh_base, 0
+        slot, base, offset = len(lane.cols) + 1, fresh_base, 0
         masks[slot] = 0
         own.append(slot)
         col = lane.cols[slot] = SlotColumn(lane.owner, lane.is_gateway)
@@ -369,21 +386,55 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
+def _pack_home_lanes(plan: Plan, h: int) -> tuple[list, int]:
+    """First fit of every one-port transmitter's signals onto its home
+    lane, a lane of its own with ids from 1, in plan order.
+
+    Every signal of a one-port transmitter goes to that lane on the
+    transmitter's channel under any map, and first fit in a lane reads
+    only the lane, so the columns, bases and offsets are those of any
+    schedule built from `plan`.  Returns, per plan row, None for a common
+    transmitter, or else the column the row opened (None if it opened
+    none) and the _fit_plan of the row's gateway image, which takes its
+    original's base; and the probes of all home lanes."""
+    full = (1 << HYPERPERIOD_CYCLES * h) - 1
+    lanes: dict[int, _Lane] = {}
+    homes = []
+    for sig, ports, _, fit in plan:
+        tx = sig.transmitter
+        if tx not in ports:
+            homes.append(None)
+            continue
+        lane = lanes.get(tx)
+        if lane is None:
+            lane = lanes[tx] = _Lane(tx, False, h, full, {}, {})
+        opened = len(lane.cols)
+        slot, base, _ = _place(lane, sig, fit)
+        homes.append((lane.cols[slot] if slot > opened else None,
+                      _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,))))
+    return homes, sum(lane.probes for lane in lanes.values())
+
+
 def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
-                      plan: list[tuple] | None = None) -> Schedule:
+                      plan: Plan | None = None) -> Schedule:
     """Build both channel schedules for an instance under an assignment.
 
     Walks `plan`, `placement_plan(inst)` (built here when not given), onto
-    an empty schedule.  A signal on both channels is placed on A, then on
-    B.  Fault-tolerant signals sort first, so each lands at one position
-    on both channels, in slots 1..k, a common prefix that renumbering
-    keeps.  Each other signal goes to the channels of its one-port
-    endpoints, or, when it has none, to the channel with less volume so
-    far; a one-port transmitter whose receivers span the channels
-    additionally gets a gateway image on the opposite channel, while a
-    common transmitter simply transmits on both channels itself.  A map
-    that leaves a one-port ECU without channel A or B is a ValueError,
-    raised before anything is placed.
+    an empty schedule.  The home lanes of the one-port transmitters are
+    packed at the first call with a plan; this and every later call with
+    it take each home column as the next id of the transmitter's channel
+    when the row that opened it comes, so the schedules built from one
+    plan share those columns, and each call counts their placements and
+    probes as if it had made them.  A signal on both channels is placed
+    on A, then on B.  Fault-tolerant signals sort first, so each lands at
+    one position on both channels, in slots 1..k, a common prefix that
+    renumbering keeps.  Each other signal goes to the channels of its
+    one-port endpoints, or, when it has none, to the channel with less
+    volume so far; a one-port transmitter whose receivers span the
+    channels additionally gets a gateway image on the opposite channel,
+    while a common transmitter simply transmits on both channels itself.
+    A map that leaves a one-port ECU without channel A or B is a
+    ValueError, raised before anything is placed.
     """
     one_port = inst.one_port_ids
     channel_of = asg.channel_of
@@ -396,14 +447,17 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
                          f"{CH_A} or {CH_B}: {bad}")
     a_side = frozenset(u for u in one_port if channel_of[u] == CH_A)
     b_side = one_port - a_side
+    h = inst.config.slot_payload_bytes
     if plan is None:
         plan = placement_plan(inst)
-    h = inst.config.slot_payload_bytes
+    if plan.homes is None:
+        plan.homes = _pack_home_lanes(plan, h)
+    homes, home_probes = plan.homes
     sched = Schedule(config=inst.config)
     lanes = sched._index = _SlotIndex(h, sched.columns)
     load_a = load_b = 0
     gw = inst.gateway.id
-    for sig, ports, volume, fit in plan:
+    for (sig, ports, volume, fit), home in zip(plan, homes):
         tx = sig.transmitter
         if sig.fault_tolerant:
             ch = BOTH
@@ -411,25 +465,26 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
             ch = CH_A if b_side.isdisjoint(ports) and load_a <= load_b else CH_B
         else:
             ch = CH_A if b_side.isdisjoint(ports) else BOTH
-        if ch != BOTH:
-            _place(lanes[ch, tx, False], sig, fit)
-            if ch == CH_A:
-                load_a += volume
-            else:
-                load_b += volume
-            continue
-        if tx not in ports:  # a common transmitter, as for every fault-tolerant signal
+        if home is not None:  # a one-port transmitter, placed on its own channel
+            col, image_fit = home
+            own, away = (CH_A, CH_B) if tx in a_side else (CH_B, CH_A)
+            if col is not None:
+                cols = sched.columns[own]
+                cols[len(cols) + 1] = col
+            if ch == BOTH:
+                _place(lanes[away, gw, True], sig, image_fit)
+        elif ch == BOTH:  # as for every fault-tolerant signal
             _place(lanes[CH_A, tx, False], sig, fit)
             _place(lanes[CH_B, tx, False], sig, fit)
         else:
-            home, away = (CH_A, CH_B) if tx in a_side else (CH_B, CH_A)
-            base = _place(lanes[home, tx, False], sig, fit)[1]
-            _place(lanes[away, gw, True], sig,
-                   _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)))
-        load_a += volume
-        load_b += volume
+            _place(lanes[ch, tx, False], sig, fit)
+        if ch != CH_B:
+            load_a += volume
+        if ch != CH_A:
+            load_b += volume
 
     lanes.count(sched)
+    sched.probes += home_probes
     return reorder_slots(sched)
 
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from flexseg.assignment import CH_A, CH_B
 from flexseg.hypergraph import Hypergraph
 from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, Signal
+from flexseg.scheduler import Schedule, place_to_schedule, reorder_slots, sort_signals
 
 
 def example1_instance() -> Instance:
@@ -149,3 +153,56 @@ def spearman_rho(xs: list[float], ys: list[float]) -> float:
     if var_x == 0 or var_y == 0:
         return 1.0
     return cov / (var_x * var_y) ** 0.5
+
+
+def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str]):
+    """schedule_channels' routing, replayed signal by signal through the
+    public place_to_schedule and then reorder_slots.  Also returns what a
+    tracer wrapping each call counts: calls, slots above the highest id of
+    the target channel before the call, and the slot ids taken."""
+    sched = Schedule(config=inst.config)
+    counts = Counter()
+
+    def place(sig, target, owner, **kwargs):
+        highest = sched.max_slot(target)
+        (placed,) = place_to_schedule(sched, sig, target, owner, **kwargs)
+        counts["place_calls"] += 1
+        counts["fresh_slots"] += placed.slot > highest
+        counts["scan_depth"] += placed.slot
+        return placed
+
+    one_port, gateway = inst.one_port_ids, inst.gateway.id
+    loads = {CH_A: 0, CH_B: 0}
+    for sig in sort_signals(inst.signals):
+        tx = sig.transmitter
+        required = {channel_of[u] for u in {tx, *sig.receivers} & one_port}
+        reached = (CH_A, CH_B)
+        if len(required) < 2 and not sig.fault_tolerant:
+            (ch,) = required or {CH_A if loads[CH_A] <= loads[CH_B] else CH_B}
+            place(sig, ch, tx)
+            reached = (ch,)
+        elif sig.fault_tolerant or tx not in one_port:
+            place(sig, CH_A, tx)
+            place(sig, CH_B, tx)
+        else:
+            home = channel_of[tx]
+            original = place(sig, home, tx)
+            place(sig, CH_B if home == CH_A else CH_A, gateway, is_image=True,
+                  fixed_base_cycle=original.base_cycle)
+        for ch in reached:
+            loads[ch] += sig.payload_bytes * (64 // sig.period_cycles)
+    return reorder_slots(sched), counts
+
+
+def narrow_windows(inst: Instance, rng) -> Instance:
+    """About half the signals get a window of cycles lo..hi within their
+    period."""
+    m = inst.config.cycle_duration_ms
+    narrowed = []
+    for sig in inst.signals:
+        if rng.random() < 0.5:
+            lo = rng.randint(1, sig.period_cycles)
+            hi = rng.randint(lo, sig.period_cycles)
+            sig = dataclasses.replace(sig, release_ms=(lo - 1) * m, deadline_ms=hi * m)
+        narrowed.append(sig)
+    return dataclasses.replace(inst, signals=tuple(narrowed))

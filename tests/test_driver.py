@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 import flexseg.assignment as asg_mod
 import flexseg.driver as driver_mod
+import flexseg.scheduler as scheduler_mod
 from flexseg.assignment import CH_A, CH_B, CriterionParams, evaluate_criterion, solve_cah
 from flexseg.driver import BETA_MAX, BETA_MIN, DriverConfig, log_to_csv_rows, run
 from flexseg.generator import GeneratorProfile, generate, sae_profile
 from flexseg.hypergraph import build_hypergraph
-from flexseg.model import Instance
-from flexseg.scheduler import placement_plan, schedule_channels
+from flexseg.model import Instance, validate_instance
+from flexseg.scheduler import place_to_schedule, placement_plan, schedule_channels
 from flexseg.validator import validate
 
-from conftest import random_hypergraph
+from conftest import narrow_windows, random_hypergraph, replay_through_place_to_schedule
 
 
 def test_config_validation():
@@ -143,17 +144,24 @@ def test_repeated_map_is_not_scheduled_again(monkeypatch):
 
 def test_run_builds_the_placement_plan_once(monkeypatch):
     inst = loop_instance()
-    built, given = [], []
+    built, given, packed, scheduled = [], [], [], []
+    pack = scheduler_mod._pack_home_lanes
 
     def counting_plan(inst):
         built.append(placement_plan(inst))
         return built[-1]
 
+    def counting_pack(plan, h):
+        packed.append(plan)
+        return pack(plan, h)
+
     def recording_schedule(inst, asg, *, plan=None):
         given.append(plan)
-        return schedule_channels(inst, asg, plan=plan)
+        scheduled.append(schedule_channels(inst, asg, plan=plan))
+        return scheduled[-1]
 
     monkeypatch.setattr(driver_mod, "placement_plan", counting_plan)
+    monkeypatch.setattr(scheduler_mod, "_pack_home_lanes", counting_pack)
     monkeypatch.setattr(driver_mod, "schedule_channels", recording_schedule)
     result = run(inst, DriverConfig(cah_tries=5, rng_seed=0))
     monkeypatch.undo()
@@ -161,6 +169,15 @@ def test_run_builds_the_placement_plan_once(monkeypatch):
     assert len(given) == 4 < len(result.log)
     assert len(built) == 1
     assert all(plan is built[0] for plan in given)
+    # the home lanes are packed once, at the first schedule, and every
+    # schedule of the run holds the same home columns
+    assert packed == [built[0]]
+    rows = built[0].homes[0]
+    homes = [id(row[0]) for row in rows if row is not None and row[0] is not None]
+    assert homes
+    for sched in scheduled:
+        held = {id(col) for cols in sched.columns.values() for col in cols.values()}
+        assert held.issuperset(homes)
 
 
 @pytest.mark.parametrize("n", range(1, asg_mod.STOP_MAX_ECUS + 1))
@@ -189,9 +206,10 @@ def test_driver_takes_the_lowest_least_map(n, seed, alpha, beta, rng_seed):
         hg, params, tries_count=cfg.cah_tries, rng_seed=rng_seed).criterion
 
 
-def reference_run(inst: Instance, cfg: DriverConfig):
-    """The beta loop that schedules every iteration's map, repeats included.
-    Returns the log rows as tuples and the best (assignment, schedule)."""
+def reference_run(inst: Instance, cfg: DriverConfig, schedule=schedule_channels):
+    """The beta loop that schedules every iteration's map, repeats
+    included, by `schedule(inst, asg)`.  Returns the log rows as tuples and
+    the best (assignment, schedule)."""
     hg = build_hypergraph(inst)
     alpha = cfg.alpha if cfg.alpha is not None else asg_mod.default_alpha(hg)
     seeds = random.Random(cfg.rng_seed)
@@ -200,7 +218,7 @@ def reference_run(inst: Instance, cfg: DriverConfig):
         asg = driver_mod._solve(cfg.assignment_solver, hg,
                                 CriterionParams(alpha=alpha, beta=beta), cfg,
                                 seeds.randrange(2**32))
-        sched = schedule_channels(inst, asg)
+        sched = schedule(inst, asg)
         a, b = sched.max_slot(CH_A), sched.max_slot(CH_B)
         rows.append((iteration, beta, asg.criterion, a, b, sched.gateway_slot_count()))
         key = (sched.allocated_slots(), sched.gateway_slot_count(), sched.frame_count())
@@ -235,6 +253,57 @@ def test_run_matches_loop_scheduling_every_iteration(level, ecus, signals, ft, s
     assert result.assignment.channel_of == asg.channel_of
     assert result.schedule.columns == sched.columns
     assert result.schedule.placements == sched.placements
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 60),
+       st.sampled_from([0.0, 0.2]), st.integers(0, 2**16), st.integers(0, 2**16),
+       st.randoms(use_true_random=False))
+def test_run_matches_loop_replaying_every_iteration(level, ecus, signals, ft, gen_seed,
+                                                    rng_seed, rng):
+    # the replay routes and places every signal of every iteration through
+    # place_to_schedule, so it never sees the home lanes the driver's
+    # schedules share across iterations
+    inst = narrow_windows(generate(sae_profile(level, ecu_count=ecus, signal_count=signals,
+                                               fault_tolerant_fraction=ft), gen_seed), rng)
+    validate_instance(inst)
+    cfg = DriverConfig(cah_tries=5, max_iterations=6, rng_seed=rng_seed)
+    replays = []
+
+    def replay(inst, asg):
+        replays.append(replay_through_place_to_schedule(inst, asg.channel_of))
+        return replays[-1][0]
+
+    result = run(inst, cfg)
+    rows, asg, sched = reference_run(inst, cfg, replay)
+    assert [(r.iteration, r.beta, r.criterion, r.slots_a, r.slots_b, r.gw_slots)
+            for r in result.log] == rows
+    assert result.assignment.channel_of == asg.channel_of
+    got = result.schedule
+    assert got.columns == sched.columns
+    counts = next(counts for replayed, counts in replays if replayed is sched)
+    assert (got.place_calls, got.fresh_slots, got.scan_depth) == (
+        counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
+    assert got.probes == sched.probes
+
+
+def test_run_schedule_is_refused_and_equals_a_fresh_one():
+    # the kept schedule shares its home columns with every schedule of the
+    # run; place_to_schedule must refuse to extend it, and it must hold and
+    # count what a schedule built alone from its map does
+    inst = loop_instance()
+    result = run(inst, DriverConfig(cah_tries=5, rng_seed=0))
+    sched = result.schedule
+    sig = next(s for s in inst.signals if s.transmitter in inst.one_port_ids)
+    before = repr(sched.columns)
+    with pytest.raises(ValueError, match="holds columns placed otherwise"):
+        place_to_schedule(sched, sig, result.assignment.channel_of[sig.transmitter],
+                          sig.transmitter)
+    assert repr(sched.columns) == before
+    fresh = schedule_channels(inst, result.assignment)
+    assert sched.columns == fresh.columns
+    assert (sched.place_calls, sched.fresh_slots, sched.scan_depth, sched.probes) == (
+        fresh.place_calls, fresh.fresh_slots, fresh.scan_depth, fresh.probes)
 
 
 @pytest.mark.parametrize("solver, name", [("EXACT", "solve_exact"), ("GA", "solve_ga")])

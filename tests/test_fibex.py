@@ -925,3 +925,17 @@ def test_read_peak_of_a_crlf_copy_stays_near_what_the_schedule_retains(realcase_
         assert fibex._read_lines(file) is None
     peak, retained = read_peak(path)
     assert peak < 2 * retained
+
+
+def test_read_peak_of_a_one_line_copy_stays_near_what_the_schedule_retains(realcase_export):
+    # the whole document on the line after the writer's declaration: the
+    # line reader gives up within its first piece of that line, so the
+    # file is not held whole before expat reads it
+    declaration, body = realcase_export.read_bytes().split(b"\n", 1)
+    path = realcase_export.with_name("realcase-one-line.xml")
+    path.write_bytes(declaration + b"\n" + body.replace(b"\n", b""))
+    with open(path, "rb") as file:
+        assert fibex._read_lines(file) is None
+        assert file.tell() == len(fibex._DECLARATION) + fibex._LINE_LIMIT
+    peak, retained = read_peak(path)
+    assert peak < 2 * retained

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +44,8 @@ from flexseg.scheduler import (
     sort_signals,
 )
 from flexseg.validator import validate
+
+from conftest import narrow_windows, replay_through_place_to_schedule
 
 
 def make_signal(sid, tx, period=1, payload=4, release=0.0, deadline=None,
@@ -292,59 +293,6 @@ def test_place_refuses_a_schedule_it_did_not_build(tmp_path, example1):
 
 
 # --- full channel scheduling ------------------------------------------------
-
-def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str]):
-    """schedule_channels' routing, replayed signal by signal through the
-    public place_to_schedule and then reorder_slots.  Also returns what a
-    tracer wrapping each call counts: calls, slots above the highest id of
-    the target channel before the call, and the slot ids taken."""
-    sched = Schedule(config=inst.config)
-    counts = Counter()
-
-    def place(sig, target, owner, **kwargs):
-        highest = sched.max_slot(target)
-        (placed,) = place_to_schedule(sched, sig, target, owner, **kwargs)
-        counts["place_calls"] += 1
-        counts["fresh_slots"] += placed.slot > highest
-        counts["scan_depth"] += placed.slot
-        return placed
-
-    one_port, gateway = inst.one_port_ids, inst.gateway.id
-    loads = {CH_A: 0, CH_B: 0}
-    for sig in sort_signals(inst.signals):
-        tx = sig.transmitter
-        required = {channel_of[u] for u in {tx, *sig.receivers} & one_port}
-        reached = (CH_A, CH_B)
-        if len(required) < 2 and not sig.fault_tolerant:
-            (ch,) = required or {CH_A if loads[CH_A] <= loads[CH_B] else CH_B}
-            place(sig, ch, tx)
-            reached = (ch,)
-        elif sig.fault_tolerant or tx not in one_port:
-            place(sig, CH_A, tx)
-            place(sig, CH_B, tx)
-        else:
-            home = channel_of[tx]
-            original = place(sig, home, tx)
-            place(sig, CH_B if home == CH_A else CH_A, gateway, is_image=True,
-                  fixed_base_cycle=original.base_cycle)
-        for ch in reached:
-            loads[ch] += sig.payload_bytes * (64 // sig.period_cycles)
-    return reorder_slots(sched), counts
-
-
-def narrow_windows(inst: Instance, rng) -> Instance:
-    """About half the signals get a window of cycles lo..hi within their
-    period."""
-    m = inst.config.cycle_duration_ms
-    narrowed = []
-    for sig in inst.signals:
-        if rng.random() < 0.5:
-            lo = rng.randint(1, sig.period_cycles)
-            hi = rng.randint(lo, sig.period_cycles)
-            sig = dataclasses.replace(sig, release_ms=(lo - 1) * m, deadline_ms=hi * m)
-        narrowed.append(sig)
-    return dataclasses.replace(inst, signals=tuple(narrowed))
-
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(1, 7), st.integers(5, 12), st.integers(0, 80),
