@@ -8,12 +8,15 @@ positions on both channels; cross-channel signals get a gateway-
 retransmitted image on the opposite channel, placed in the same base cycle
 and pushed to a strictly later slot by the final reordering pass.
 
-A one-port transmitter sends every signal of its own from one lane, its
-home lane, whatever channel the map gives it, and first fit in a lane
-depends only on the lane's own requests.  So each home lane is packed
-once per placement plan, and every schedule built from that plan shares
-its columns, numbered on the transmitter's channel in the order they
-opened.
+Every slot has one owner, so first fit is a set of independent lanes,
+one per (channel, owner, gateway flag), each owning its columns.  A
+one-port transmitter sends every signal of its own from one lane, its
+home lane, whatever channel the map gives it and in either builder.  So
+the placement plan packs each home lane once, and every schedule built
+from the plan, by either builder, shares its columns, numbered on the
+transmitter's channel at the rows that opened them.  The builders run
+first fit only for the lanes of common transmitters and the gateway, and
+`place_to_schedule` keeps lanes of its own.
 """
 from __future__ import annotations
 
@@ -89,66 +92,55 @@ class _Lane:
     """The columns of one owner and gateway flag on one channel: where
     first fit looks for a request of that owner and flag.
 
-    `open` holds the ascending ids of the lane's columns that are not
-    full; `masks` and `cols` are the channel's column masks and columns,
-    shared by every lane of the channel, or the lane's own for a home
-    lane packed apart.  `taken` maps a request id to
-    the slot the last such request took in this lane.  Every candidate
-    below that slot refused it, and masks only grow, so an identical
-    request starts its scan there.  `probes` counts the columns the lane's
-    placements tested."""
+    The lane owns its columns, `cols`, and their masks, `masks`, in the
+    order it opened them, indexed from 0.  A mask holds the occupied bytes
+    of its column, all cycles as one int, bit (cycle - 1) * h + byte.  A
+    column the lane opens takes the next id of `channel`, the schedule's
+    columns of its channel; a home lane has no channel, and a builder
+    numbers its columns.  Ids on a channel rise in the order columns
+    open, so index order is id order.  `open` holds the ascending indices
+    of the columns that are not full.  `taken` maps a request id to the
+    index the last such request took.  Every candidate below it refused
+    it, and masks only grow, so an identical request starts its scan
+    there.  `probes` counts the columns the lane's placements tested."""
     owner: int
     is_gateway: bool
-    h: int
-    full: int
-    masks: dict[int, int]
-    cols: dict[int, SlotColumn]
+    channel: dict[int, SlotColumn] | None
+    cols: list[SlotColumn] = field(default_factory=list)
+    masks: list[int] = field(default_factory=list)
     open: list[int] = field(default_factory=list)
     taken: dict = field(default_factory=dict)
     probes: int = 0
 
 
-class _SlotIndex(dict):
-    """Where first fit looks on each channel and what it finds there: the
-    lanes, keyed by (channel, owner, gateway flag) and made at their first
-    request.  It starts empty on an empty schedule, made by either
-    schedule builder or by `place_to_schedule` at its first placement, and
-    is kept in step by `_place`, whose fallback to the next id is the only
-    place a slot opens, but for the shared home-lane columns that
-    `schedule_channels` takes as the next id.
+class _Lanes(dict):
+    """The lanes of one schedule, keyed by (channel, owner, gateway flag)
+    and made at their first request, each opening its columns on its
+    channel of `columns`."""
 
-    `masks[ch][slot]` holds the occupied bytes of a column that `_place`
-    opened here, all cycles as one int, bit (cycle - 1) * h + byte; `full`
-    is the mask of a full column.  Each channel's columns are slots
-    1..len(columns[ch]), so only the open columns of a lane and the next
-    id can take a placement."""
-
-    def __init__(self, h: int, columns: dict[str, dict[int, SlotColumn]]) -> None:
+    def __init__(self, columns: dict[str, dict[int, SlotColumn]]) -> None:
         super().__init__()
-        self.h = h
-        self.full = (1 << HYPERPERIOD_CYCLES * h) - 1
         self.columns = columns
-        self.masks: dict[str, dict[int, int]] = {ch: {} for ch in CHANNELS}
 
     def __missing__(self, key: tuple[str, int, bool]) -> _Lane:
         target, owner, is_gateway = key
-        lane = self[key] = _Lane(owner, is_gateway, self.h, self.full,
-                                 self.masks[target], self.columns[target])
+        lane = self[key] = _Lane(owner, is_gateway, self.columns[target])
         return lane
 
-    def count(self, sched: Schedule) -> None:
-        """Write first fit's counters to `sched`, placed from empty by the
-        caller.  Each placement stores one signal instance, and the
-        fallback to the next id is the only place a slot opens, so all but
-        the probes are read off the columns."""
-        sched.place_calls = sched.scan_depth = 0
-        for cols in self.columns.values():
-            for slot, col in cols.items():
-                placed = sum(map(len, col.frames.values()))
-                sched.place_calls += placed
-                sched.scan_depth += slot * placed
-        sched.fresh_slots = sum(map(len, self.columns.values()))
-        sched.probes = sum(lane.probes for lane in self.values())
+
+def _count(sched: Schedule, probes: int) -> None:
+    """Write first fit's counters to `sched`, placed from empty, with
+    `probes` the columns its placements tested.  Each placement stores
+    one signal instance, and a slot opens only where a placement fell back
+    to the next id, so the rest are read off the columns."""
+    sched.place_calls = sched.scan_depth = 0
+    for cols in sched.columns.values():
+        for slot, col in cols.items():
+            placed = sum(map(len, col.frames.values()))
+            sched.place_calls += placed
+            sched.scan_depth += slot * placed
+    sched.fresh_slots = sum(map(len, sched.columns.values()))
+    sched.probes = probes
 
 
 @dataclass
@@ -156,8 +148,9 @@ class Schedule:
     config: NetworkConfig
     columns: dict[str, dict[int, SlotColumn]] = field(
         default_factory=lambda: {CH_A: {}, CH_B: {}})
-    _index: _SlotIndex | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    # place_to_schedule's lanes, made at its first placement
+    _lanes: _Lanes | None = field(default=None, init=False, repr=False,
+                                  compare=False)
     # First fit's counters over the placements that built the columns:
     # calls, fallbacks to a fresh slot, the sum of the slot ids taken
     # before renumbering, and the candidate columns tested (the fallback
@@ -226,7 +219,8 @@ _request_ids = count()
 def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
     """A first-fit request: shifts and masks that find the first free
     (base, offset) in a column mask for a signal of this period and
-    payload within `bases`, the base a fresh slot takes and the request id.
+    payload within `bases`, the base a fresh slot takes, the slot's bytes
+    `h`, the mask of a full column and the request id.
 
     Folding the mask onto `period` cycles ORs the occurrences of every base
     together; bit (base - 1) * h + offset of the free-run mask is set when
@@ -250,7 +244,7 @@ def _fit_plan(period: int, h: int, payload: int, bases: tuple[int, ...]):
     allowed = sum(starts << (b - 1) * h for b in bases)
     pattern = _cycle_pattern(period, h) * ((1 << payload) - 1)
     return (tuple(fold), (1 << width) - 1, tuple(runs), allowed, pattern, bases[0],
-            next(_request_ids))
+            h, (1 << HYPERPERIOD_CYCLES * h) - 1, next(_request_ids))
 
 
 def _checked_bases(sig: Signal, config: NetworkConfig,
@@ -279,24 +273,25 @@ def _checked_bases(sig: Signal, config: NetworkConfig,
     return bases
 
 
-class Plan(list):
-    """The rows of `placement_plan`, and `homes`, its home lanes packed by
-    `_pack_home_lanes` at the first `schedule_channels` call that walks
-    it."""
-    homes: tuple[list, int] | None = None
-
-
-def placement_plan(inst: Instance) -> Plan:
+def placement_plan(inst: Instance) -> list[tuple]:
     """What placing each signal needs that depends only on the instance:
     one row (signal, one-port endpoints, signal_volume, _fit_plan of its
-    checked base cycles) per signal in `sort_signals` order.  Signals of
-    one period, payload, release and deadline share the last two, computed
-    once.  Raises what `place_to_schedule` raises for the first signal it
-    cannot place."""
+    checked base cycles, home) per signal in `sort_signals` order.  Signals
+    of one period, payload, release and deadline share the volume and
+    request, computed once.  Raises what `place_to_schedule` raises for
+    the first signal it cannot place.
+
+    A one-port transmitter's home lane gets every signal it sends, under
+    any map and in either builder, and first fit in a lane reads only the
+    lane, so each home lane is packed here, once.  `home` is None for a
+    common transmitter, and otherwise the column the row opened (or None),
+    the _fit_plan of the row's gateway image at its original's base, and
+    the columns the row probed."""
     h = inst.config.slot_payload_bytes
     one_port = inst.one_port_ids
     shared: dict[tuple, tuple] = {}
-    plan = Plan()
+    homes: dict[int, _Lane] = {}
+    plan = []
     for sig in sort_signals(inst.signals):
         key = (sig.period_cycles, sig.payload_bytes, sig.release_ms, sig.deadline_ms)
         row = shared.get(key)
@@ -305,24 +300,34 @@ def placement_plan(inst: Instance) -> Plan:
             row = shared[key] = (
                 signal_volume(sig), _fit_plan(sig.period_cycles, h, sig.payload_bytes, bases))
         tx = sig.transmitter
-        ports = ((tx,) if tx in one_port else ()) + tuple(sig.receivers & one_port)
-        plan.append((sig, ports, *row))
+        ports = tuple(sig.receivers & one_port)
+        home = None
+        if tx in one_port:
+            ports = (tx,) + ports
+            lane = homes.get(tx)
+            if lane is None:
+                lane = homes[tx] = _Lane(tx, False, None)
+            opened, probes = len(lane.cols), lane.probes
+            k, base, _ = _place(lane, sig, row[1])
+            home = (lane.cols[k] if k == opened else None,
+                    _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,)),
+                    lane.probes - probes)
+        plan.append((sig, ports, *row, home))
     return plan
 
 
 def _place(lane: _Lane, sig: Signal, fit: tuple) -> tuple[int, int, int]:
     """First fit of all occurrences of `sig` by its request `fit`, a
-    _fit_plan, onto the columns of `lane` or the next id of its channel;
-    no argument is checked.  Returns the slot, base cycle and offset
-    taken."""
-    h = lane.h
+    _fit_plan, onto the open columns of `lane` or a column it opens; no
+    argument is checked.  Returns the lane's index of the column, and the
+    base cycle and offset taken."""
     masks = lane.masks
     own = lane.open
-    fold, width_mask, runs, allowed, pattern, fresh_base, key = fit
+    fold, width_mask, runs, allowed, pattern, fresh_base, h, full, key = fit
     start = bisect_left(own, lane.taken.get(key, 0))
     for i in range(start, len(own)):
-        slot = own[i]
-        mask = masks[slot]
+        k = own[i]
+        mask = masks[k]
         for shift in fold:
             mask |= mask >> shift
         free = ~mask & width_mask
@@ -332,25 +337,27 @@ def _place(lane: _Lane, sig: Signal, fit: tuple) -> tuple[int, int, int]:
         if free:
             base, offset = divmod((free & -free).bit_length() - 1, h)
             base += 1
-            col = lane.cols[slot]
             lane.probes += i - start + 1
             break
     else:
         # A fresh slot always has room; use the earliest feasible cycle.
         lane.probes += len(own) - start
-        slot, base, offset = len(lane.cols) + 1, fresh_base, 0
-        masks[slot] = 0
-        own.append(slot)
-        col = lane.cols[slot] = SlotColumn(lane.owner, lane.is_gateway)
+        k, base, offset = len(masks), fresh_base, 0
+        masks.append(0)
+        own.append(k)
+        col = SlotColumn(lane.owner, lane.is_gateway)
+        lane.cols.append(col)
+        if lane.channel is not None:
+            lane.channel[len(lane.channel) + 1] = col
 
-    lane.taken[key] = slot
-    col.add(base, Occupancy(sig.id, offset, sig.payload_bytes, lane.is_gateway,
-                            sig.period_cycles))
+    lane.taken[key] = k
+    lane.cols[k].add(base, Occupancy(sig.id, offset, sig.payload_bytes, lane.is_gateway,
+                                     sig.period_cycles))
     # base lies in 1..period, so the shifted pattern stays within the column
-    masks[slot] = mask = masks[slot] | pattern << (base - 1) * h + offset
-    if mask == lane.full:
-        del own[bisect_left(own, slot)]
-    return slot, base, offset
+    masks[k] = mask = masks[k] | pattern << (base - 1) * h + offset
+    if mask == full:
+        del own[bisect_left(own, k)]
+    return k, base, offset
 
 
 def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
@@ -367,74 +374,48 @@ def place_to_schedule(sched: Schedule, sig: Signal, target: str, owner: int, *,
     request last took, and each is tested with a few operations on its
     packed column mask.  A signal on both channels is placed on A, then
     on B.  Any other target is a ValueError, and so is a first placement
-    onto a schedule that is not empty (read back, renumbered or built by
-    hand); neither changes anything.  The counters are then recounted as
-    the builders count them.
+    onto a schedule that is not empty (built by a builder, read back,
+    renumbered or built by hand): the lanes are this function's own, made
+    at its first placement.  Neither changes anything.  The counters are
+    then recounted as the builders count them.
     """
     if target not in CHANNELS:
         raise ValueError(f"target {target!r} is not channel {CH_A} or {CH_B}")
     bases = _checked_bases(sig, sched.config, fixed_base_cycle)
-    idx = sched._index
-    if idx is None:
+    lanes = sched._lanes
+    if lanes is None:
         if sched.columns[CH_A] or sched.columns[CH_B]:
             raise ValueError("place_to_schedule extends only a schedule it placed "
                              "from empty; this one holds columns placed otherwise")
-        idx = sched._index = _SlotIndex(sched.config.slot_payload_bytes, sched.columns)
-    fit = _fit_plan(sig.period_cycles, idx.h, sig.payload_bytes, bases)
-    slot, base, offset = _place(idx[target, owner, is_image], sig, fit)
-    idx.count(sched)
+        lanes = sched._lanes = _Lanes(sched.columns)
+    fit = _fit_plan(sig.period_cycles, sched.config.slot_payload_bytes,
+                    sig.payload_bytes, bases)
+    lane = lanes[target, owner, is_image]
+    k, base, offset = _place(lane, sig, fit)
+    slot = next(t for t, col in sched.columns[target].items() if col is lane.cols[k])
+    _count(sched, sum(each.probes for each in lanes.values()))
     return [Placement(sig.id, target, base, slot, offset, is_image)]
 
 
-def _pack_home_lanes(plan: Plan, h: int) -> tuple[list, int]:
-    """First fit of every one-port transmitter's signals onto its home
-    lane, a lane of its own with ids from 1, in plan order.
-
-    Every signal of a one-port transmitter goes to that lane on the
-    transmitter's channel under any map, and first fit in a lane reads
-    only the lane, so the columns, bases and offsets are those of any
-    schedule built from `plan`.  Returns, per plan row, None for a common
-    transmitter, or else the column the row opened (None if it opened
-    none) and the _fit_plan of the row's gateway image, which takes its
-    original's base; and the probes of all home lanes."""
-    full = (1 << HYPERPERIOD_CYCLES * h) - 1
-    lanes: dict[int, _Lane] = {}
-    homes = []
-    for sig, ports, _, fit in plan:
-        tx = sig.transmitter
-        if tx not in ports:
-            homes.append(None)
-            continue
-        lane = lanes.get(tx)
-        if lane is None:
-            lane = lanes[tx] = _Lane(tx, False, h, full, {}, {})
-        opened = len(lane.cols)
-        slot, base, _ = _place(lane, sig, fit)
-        homes.append((lane.cols[slot] if slot > opened else None,
-                      _fit_plan(sig.period_cycles, h, sig.payload_bytes, (base,))))
-    return homes, sum(lane.probes for lane in lanes.values())
-
-
 def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
-                      plan: Plan | None = None) -> Schedule:
+                      plan: list[tuple] | None = None) -> Schedule:
     """Build both channel schedules for an instance under an assignment.
 
     Walks `plan`, `placement_plan(inst)` (built here when not given), onto
-    an empty schedule.  The home lanes of the one-port transmitters are
-    packed at the first call with a plan; this and every later call with
-    it take each home column as the next id of the transmitter's channel
-    when the row that opened it comes, so the schedules built from one
-    plan share those columns, and each call counts their placements and
-    probes as if it had made them.  A signal on both channels is placed
-    on A, then on B.  Fault-tolerant signals sort first, so each lands at
-    one position on both channels, in slots 1..k, a common prefix that
-    renumbering keeps.  Each other signal goes to the channels of its
-    one-port endpoints, or, when it has none, to the channel with less
-    volume so far; a one-port transmitter whose receivers span the
-    channels additionally gets a gateway image on the opposite channel,
-    while a common transmitter simply transmits on both channels itself.
-    A map that leaves a one-port ECU without channel A or B is a
-    ValueError, raised before anything is placed.
+    an empty schedule.  First fit runs only for the lanes of common
+    transmitters and the gateway; at the row that opened a home column,
+    that column takes the next id of its transmitter's channel.  So the
+    schedules built from one plan share the home columns, and each counts
+    their placements and probes as if it had made them.  A signal on both
+    channels is placed on A, then on B.  Fault-tolerant signals sort
+    first, so each lands at one position on both channels, in slots 1..k,
+    a common prefix that renumbering keeps.  Each other signal goes to the
+    channels of its one-port endpoints, or, when it has none, to the
+    channel with less volume so far; a one-port transmitter whose
+    receivers span the channels additionally gets a gateway image on the
+    opposite channel, while a common transmitter simply transmits on both
+    channels itself.  A map that leaves a one-port ECU without channel A
+    or B is a ValueError, raised before anything is placed.
     """
     one_port = inst.one_port_ids
     channel_of = asg.channel_of
@@ -447,17 +428,13 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
                          f"{CH_A} or {CH_B}: {bad}")
     a_side = frozenset(u for u in one_port if channel_of[u] == CH_A)
     b_side = one_port - a_side
-    h = inst.config.slot_payload_bytes
     if plan is None:
         plan = placement_plan(inst)
-    if plan.homes is None:
-        plan.homes = _pack_home_lanes(plan, h)
-    homes, home_probes = plan.homes
     sched = Schedule(config=inst.config)
-    lanes = sched._index = _SlotIndex(h, sched.columns)
-    load_a = load_b = 0
+    lanes = _Lanes(sched.columns)
+    load_a = load_b = probes = 0
     gw = inst.gateway.id
-    for (sig, ports, volume, fit), home in zip(plan, homes):
+    for sig, ports, volume, fit, home in plan:
         tx = sig.transmitter
         if sig.fault_tolerant:
             ch = BOTH
@@ -466,7 +443,8 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
         else:
             ch = CH_A if b_side.isdisjoint(ports) else BOTH
         if home is not None:  # a one-port transmitter, placed on its own channel
-            col, image_fit = home
+            col, image_fit, probed = home
+            probes += probed
             own, away = (CH_A, CH_B) if tx in a_side else (CH_B, CH_A)
             if col is not None:
                 cols = sched.columns[own]
@@ -483,8 +461,7 @@ def schedule_channels(inst: Instance, asg: ChannelAssignment, *,
         if ch != CH_A:
             load_b += volume
 
-    lanes.count(sched)
-    sched.probes += home_probes
+    _count(sched, probes + sum(lane.probes for lane in lanes.values()))
     return reorder_slots(sched)
 
 
@@ -522,12 +499,23 @@ def reorder_slots(sched: Schedule) -> Schedule:
 def schedule_single_channel(inst: Instance) -> Schedule:
     """Schedule every signal onto one channel (mirrored-channels semantics:
     no assignment, no images); the baseline for bandwidth comparisons.
-    Walks `placement_plan(inst)` onto channel A of an empty schedule."""
+    Walks `placement_plan(inst)` onto channel A of an empty schedule as
+    `schedule_channels` walks it, every lane owned by a transmitter: a
+    home column takes the next id at the row that opened it, and first
+    fit runs only for common transmitters."""
     sched = Schedule(config=inst.config)
-    lanes = sched._index = _SlotIndex(inst.config.slot_payload_bytes, sched.columns)
-    for sig, _, _, fit in placement_plan(inst):
-        _place(lanes[CH_A, sig.transmitter, False], sig, fit)
-    lanes.count(sched)
+    cols = sched.columns[CH_A]
+    lanes = _Lanes(sched.columns)
+    probes = 0
+    for sig, _, _, fit, home in placement_plan(inst):
+        if home is None:
+            _place(lanes[CH_A, sig.transmitter, False], sig, fit)
+        else:
+            col, _, probed = home
+            probes += probed
+            if col is not None:
+                cols[len(cols) + 1] = col
+    _count(sched, probes + sum(lane.probes for lane in lanes.values()))
     return sched
 
 

@@ -9,8 +9,24 @@ import pytest
 
 from flexseg.assignment import CH_A, CH_B
 from flexseg.hypergraph import Hypergraph
-from flexseg.model import Ecu, EcuKind, Instance, NetworkConfig, Signal
-from flexseg.scheduler import Schedule, place_to_schedule, reorder_slots, sort_signals
+from flexseg.model import (
+    Ecu,
+    EcuKind,
+    Instance,
+    NetworkConfig,
+    Signal,
+    base_cycle_window,
+)
+from flexseg.scheduler import (
+    InfeasibleWindowError,
+    Occupancy,
+    Placement,
+    Schedule,
+    SlotColumn,
+    place_to_schedule,
+    reorder_slots,
+    sort_signals,
+)
 
 
 def example1_instance() -> Instance:
@@ -155,22 +171,79 @@ def spearman_rho(xs: list[float], ys: list[float]) -> float:
     return cov / (var_x * var_y) ** 0.5
 
 
-def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str]):
-    """schedule_channels' routing, replayed signal by signal through the
-    public place_to_schedule and then reorder_slots.  Also returns what a
-    tracer wrapping each call counts: calls, slots above the highest id of
-    the target channel before the call, and the slot ids taken."""
-    sched = Schedule(config=inst.config)
-    counts = Counter()
+def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
+                 is_image: bool = False,
+                 fixed_base_cycle: int | None = None) -> list[Placement]:
+    """Linear first-fit scan: slot ids ascending from 1, base cycles
+    ascending within the window, offsets ascending; a fresh slot at
+    max_slot+1 when nothing fits.  It expands the stored instances of each
+    column (base cycle plus repetition) to their cycles itself, so it
+    shares neither the lanes nor the packed column masks of the
+    scheduler."""
+    h = sched.config.slot_payload_bytes
+    cols = sched.columns[target]
+    if fixed_base_cycle is not None:
+        bases = [fixed_base_cycle]
+    else:
+        bases = base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
+                                  sched.config.cycle_duration_ms)
+        if not bases:
+            raise InfeasibleWindowError(f"signal {sig.id}")
+    probe = (1 << sig.payload_bytes) - 1
 
-    def place(sig, target, owner, **kwargs):
+    limit = sched.max_slot(target) + 1
+    chosen = None
+    for slot in range(1, limit + 1):
+        col = cols.get(slot)
+        if col is not None and (col.owner != owner or col.is_gateway != is_image):
+            continue
+        for base in bases:
+            cycles = set(range(base, 65, sig.period_cycles))
+            used = 0
+            for stored_base, entries in col.frames.items() if col else ():
+                for occ in entries:
+                    if cycles & set(range(stored_base, 65, occ.repetition)):
+                        used |= ((1 << occ.payload) - 1) << occ.offset
+            offset = next((o for o in range(h - sig.payload_bytes + 1)
+                           if not used & probe << o), None)
+            if offset is not None:
+                chosen = (slot, base, offset)
+                break
+        if chosen:
+            break
+    if chosen is None:
+        chosen = (limit, bases[0], 0)
+
+    slot, base, offset = chosen
+    occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
+                    is_image=is_image, repetition=sig.period_cycles)
+    cols.setdefault(slot, SlotColumn(owner=owner, is_gateway=is_image)).add(base, occ)
+    return [Placement(signal=sig.id, channel=target, base_cycle=base,
+                      slot=slot, offset_bytes=offset, is_image=is_image)]
+
+
+def counting(sched: Schedule, place, counts: Counter):
+    """`place` onto `sched`, counting what a tracer wrapping each call
+    counts: calls, slots above the highest id of the target channel before
+    the call, and the slot ids taken."""
+    def counted(sig, target, owner, **kwargs):
         highest = sched.max_slot(target)
-        (placed,) = place_to_schedule(sched, sig, target, owner, **kwargs)
+        (placed,) = place(sched, sig, target, owner, **kwargs)
         counts["place_calls"] += 1
         counts["fresh_slots"] += placed.slot > highest
         counts["scan_depth"] += placed.slot
         return placed
+    return counted
 
+
+def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str],
+                                     place=place_to_schedule):
+    """schedule_channels' routing, replayed signal by signal through
+    `place`, the public place_to_schedule unless given, and then
+    reorder_slots.  Also returns the counts of `counting`."""
+    sched = Schedule(config=inst.config)
+    counts = Counter()
+    place = counting(sched, place, counts)
     one_port, gateway = inst.one_port_ids, inst.gateway.id
     loads = {CH_A: 0, CH_B: 0}
     for sig in sort_signals(inst.signals):
@@ -192,6 +265,18 @@ def replay_through_place_to_schedule(inst: Instance, channel_of: dict[int, str])
         for ch in reached:
             loads[ch] += sig.payload_bytes * (64 // sig.period_cycles)
     return reorder_slots(sched), counts
+
+
+def replay_single_channel(inst: Instance, place=place_to_schedule):
+    """schedule_single_channel replayed: every signal in placement order
+    through `place` on channel A for its transmitter.  Returns the
+    schedule and the counts of `counting`."""
+    sched = Schedule(config=inst.config)
+    counts = Counter()
+    place = counting(sched, place, counts)
+    for sig in sort_signals(inst.signals):
+        place(sig, CH_A, sig.transmitter)
+    return sched, counts
 
 
 def narrow_windows(inst: Instance, rng) -> Instance:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import flexseg.assignment as asg_mod
 import flexseg.driver as driver_mod
-import flexseg.scheduler as scheduler_mod
 from flexseg.assignment import CH_A, CH_B, CriterionParams, evaluate_criterion, solve_cah
 from flexseg.driver import BETA_MAX, BETA_MIN, DriverConfig, log_to_csv_rows, run
 from flexseg.generator import GeneratorProfile, generate, sae_profile
@@ -18,7 +17,12 @@ from flexseg.model import Instance, validate_instance
 from flexseg.scheduler import place_to_schedule, placement_plan, schedule_channels
 from flexseg.validator import validate
 
-from conftest import narrow_windows, random_hypergraph, replay_through_place_to_schedule
+from conftest import (
+    narrow_windows,
+    oracle_place,
+    random_hypergraph,
+    replay_through_place_to_schedule,
+)
 
 
 def test_config_validation():
@@ -144,16 +148,11 @@ def test_repeated_map_is_not_scheduled_again(monkeypatch):
 
 def test_run_builds_the_placement_plan_once(monkeypatch):
     inst = loop_instance()
-    built, given, packed, scheduled = [], [], [], []
-    pack = scheduler_mod._pack_home_lanes
+    built, given, scheduled = [], [], []
 
     def counting_plan(inst):
         built.append(placement_plan(inst))
         return built[-1]
-
-    def counting_pack(plan, h):
-        packed.append(plan)
-        return pack(plan, h)
 
     def recording_schedule(inst, asg, *, plan=None):
         given.append(plan)
@@ -161,7 +160,6 @@ def test_run_builds_the_placement_plan_once(monkeypatch):
         return scheduled[-1]
 
     monkeypatch.setattr(driver_mod, "placement_plan", counting_plan)
-    monkeypatch.setattr(scheduler_mod, "_pack_home_lanes", counting_pack)
     monkeypatch.setattr(driver_mod, "schedule_channels", recording_schedule)
     result = run(inst, DriverConfig(cah_tries=5, rng_seed=0))
     monkeypatch.undo()
@@ -169,11 +167,9 @@ def test_run_builds_the_placement_plan_once(monkeypatch):
     assert len(given) == 4 < len(result.log)
     assert len(built) == 1
     assert all(plan is built[0] for plan in given)
-    # the home lanes are packed once, at the first schedule, and every
-    # schedule of the run holds the same home columns
-    assert packed == [built[0]]
-    rows = built[0].homes[0]
-    homes = [id(row[0]) for row in rows if row is not None and row[0] is not None]
+    # the plan packs the home lanes, and every schedule of the run holds
+    # the plan's home column objects
+    homes = [id(home[0]) for *_, home in built[0] if home is not None and home[0] is not None]
     assert homes
     for sched in scheduled:
         held = {id(col) for cols in sched.columns.values() for col in cols.values()}
@@ -285,6 +281,11 @@ def test_run_matches_loop_replaying_every_iteration(level, ecus, signals, ft, ge
     assert (got.place_calls, got.fresh_slots, got.scan_depth) == (
         counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
     assert got.probes == sched.probes
+    # the kept schedule is also the linear scan's under the kept map
+    scanned, counts = replay_through_place_to_schedule(inst, asg.channel_of, oracle_place)
+    assert got.columns == scanned.columns
+    assert (got.place_calls, got.fresh_slots, got.scan_depth) == (
+        counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
 
 
 def test_run_schedule_is_refused_and_equals_a_fresh_one():

@@ -1,13 +1,13 @@
 """place_to_schedule against a plain linear first-fit scan.
 
-The oracle visits every slot id from 1, every feasible base cycle and
-every offset, and expands the stored instances of each column (base cycle
-plus repetition) to their cycles itself, so it shares neither the owner
-index nor the packed column masks of the scheduler.  Random sequences of
-placements (originals on channel A or B, gateway images, and requests
-repeated with a new signal id) must yield the same placements and frames,
-and the index the scheduler keeps placement by placement must equal one
-expanded here from the frames.
+The oracle (`oracle_place` in conftest.py) visits every slot id from 1,
+every feasible base cycle and every offset, and expands the stored
+instances of each column (base cycle plus repetition) to their cycles
+itself, so it shares neither the lanes nor the packed column masks of the
+scheduler.  Random sequences of placements (originals on channel A or B,
+gateway images, and requests repeated with a new signal id) must yield
+the same placements and frames, and the lanes the scheduler keeps
+placement by placement must equal lanes expanded here from the frames.
 """
 from __future__ import annotations
 
@@ -16,71 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexseg.assignment import CH_A, CH_B
-from flexseg.model import (
-    ALLOWED_PERIOD_CYCLES,
-    NetworkConfig,
-    Signal,
-    base_cycle_window,
-)
-from flexseg.scheduler import (
-    CHANNELS,
-    InfeasibleWindowError,
-    Occupancy,
-    Placement,
-    Schedule,
-    SlotColumn,
-    place_to_schedule,
-)
+from flexseg.model import ALLOWED_PERIOD_CYCLES, NetworkConfig, Signal
+from flexseg.scheduler import CHANNELS, InfeasibleWindowError, Schedule, place_to_schedule
+
+from conftest import oracle_place
 
 GATEWAY = 0
-
-
-def oracle_place(sched: Schedule, sig: Signal, target: str, owner: int, *,
-                 is_image: bool = False,
-                 fixed_base_cycle: int | None = None) -> list[Placement]:
-    """Linear first-fit scan: slot ids ascending from 1, base cycles
-    ascending within the window, offsets ascending; a fresh slot at
-    max_slot+1 when nothing fits."""
-    h = sched.config.slot_payload_bytes
-    cols = sched.columns[target]
-    if fixed_base_cycle is not None:
-        bases = [fixed_base_cycle]
-    else:
-        bases = base_cycle_window(sig.period_cycles, sig.release_ms, sig.deadline_ms,
-                                  sched.config.cycle_duration_ms)
-        if not bases:
-            raise InfeasibleWindowError(f"signal {sig.id}")
-    probe = (1 << sig.payload_bytes) - 1
-
-    limit = sched.max_slot(target) + 1
-    chosen = None
-    for slot in range(1, limit + 1):
-        col = cols.get(slot)
-        if col is not None and (col.owner != owner or col.is_gateway != is_image):
-            continue
-        for base in bases:
-            cycles = set(range(base, 65, sig.period_cycles))
-            used = 0
-            for stored_base, entries in col.frames.items() if col else ():
-                for occ in entries:
-                    if cycles & set(range(stored_base, 65, occ.repetition)):
-                        used |= ((1 << occ.payload) - 1) << occ.offset
-            offset = next((o for o in range(h - sig.payload_bytes + 1)
-                           if not used & probe << o), None)
-            if offset is not None:
-                chosen = (slot, base, offset)
-                break
-        if chosen:
-            break
-    if chosen is None:
-        chosen = (limit, bases[0], 0)
-
-    slot, base, offset = chosen
-    occ = Occupancy(signal=sig.id, offset=offset, payload=sig.payload_bytes,
-                    is_image=is_image, repetition=sig.period_cycles)
-    cols.setdefault(slot, SlotColumn(owner=owner, is_gateway=is_image)).add(base, occ)
-    return [Placement(signal=sig.id, channel=target, base_cycle=base,
-                      slot=slot, offset_bytes=offset, is_image=is_image)]
 
 
 def grids(sched: Schedule):
@@ -89,18 +30,18 @@ def grids(sched: Schedule):
             for ch in CHANNELS}
 
 
-def expected_index(sched: Schedule, h: int):
-    """(open, masks) of a first-fit index, expanded from the frames: each
-    instance sets bit (cycle - 1) * h + byte for every cycle from its base
-    cycle on in steps of its repetition and every byte it covers; a column
-    is open while some bit of its 64 * h is clear.  Asserts that each
-    channel's columns are slots 1..len."""
+def expected_lanes(sched: Schedule, h: int):
+    """(open, masks) of each first-fit lane, expanded from the frames.  A
+    lane's columns are those of one (channel, owner, gateway flag) in id
+    order, indexed from 0.  Each instance sets bit (cycle - 1) * h + byte
+    for every cycle from its base cycle on in steps of its repetition and
+    every byte it covers; a column is open while some bit of its 64 * h
+    is clear.  Asserts that each channel's columns are slots 1..len."""
     full = (1 << 64 * h) - 1
-    open_, masks = {}, {}
+    lanes = {}
     for ch in CHANNELS:
         cols = sched.columns[ch]
         assert sorted(cols) == list(range(1, len(cols) + 1)), ch
-        masks[ch] = {}
         for t in sorted(cols):
             mask = 0
             for base, entries in cols[t].frames.items():
@@ -108,10 +49,12 @@ def expected_index(sched: Schedule, h: int):
                     for cycle in range(base, 65, occ.repetition):
                         for byte in range(occ.offset, occ.offset + occ.payload):
                             mask |= 1 << (cycle - 1) * h + byte
-            masks[ch][t] = mask
+            open_, masks = lanes.setdefault((ch, cols[t].owner, cols[t].is_gateway),
+                                            ([], []))
             if mask != full:
-                open_.setdefault((ch, cols[t].owner, cols[t].is_gateway), []).append(t)
-    return open_, masks
+                open_.append(len(masks))
+            masks.append(mask)
+    return lanes
 
 
 @st.composite
@@ -170,11 +113,10 @@ def play(h: int, steps) -> Schedule:
                 outcome.append("infeasible")
         assert outcome[0] == outcome[1], step
         assert grids(fast) == grids(slow), step
-        # the index kept placement by placement is the one of the frames
-        if fast._index is not None:
-            idx = fast._index
-            kept_open = {key: lane.open for key, lane in idx.items() if lane.open}
-            assert (kept_open, idx.masks) == expected_index(fast, h), step
+        # the lanes kept placement by placement are those of the frames
+        if fast._lanes is not None:
+            kept = {key: (lane.open, lane.masks) for key, lane in fast._lanes.items()}
+            assert kept == expected_lanes(fast, h), step
     assert fast.placements == slow.placements
     return fast
 
@@ -187,17 +129,17 @@ def test_first_fit_matches_linear_scan(scenario):
 
 def test_target_other_than_one_channel_refused():
     # first fit places on channel A or B; any other target is refused
-    # before anything changes, even before the index is made
+    # before anything changes, even before the lanes are made
     sig = Signal(9, 2, 2, 2, 0.0, 2.0, False, frozenset({9}))
     empty = Schedule(config=NetworkConfig(1.0, 8))
     placed = play(8, [("place", 1, 8, 0.0, 1.0, CH_A, 1, False, None),
                       ("place", 2, 2, 0.0, 2.0, CH_B, 2, False, None),
                       ("place", 2, 4, 0.0, 2.0, CH_A, GATEWAY, True, 1)])
-    idx = placed._index
 
     def state():
-        return (repr(placed.columns), {ch: dict(m) for ch, m in idx.masks.items()},
-                {key: (list(lane.open), dict(lane.taken)) for key, lane in idx.items()},
+        return (repr(placed.columns),
+                {key: (list(lane.open), list(lane.masks), dict(lane.taken))
+                 for key, lane in placed._lanes.items()},
                 placed.place_calls, placed.fresh_slots, placed.scan_depth, placed.probes)
 
     before = state()
@@ -205,7 +147,7 @@ def test_target_other_than_one_channel_refused():
         for sched in (empty, placed):
             with pytest.raises(ValueError, match=f"target '{target}'"):
                 place_to_schedule(sched, sig, target, 2)
-        assert empty._index is None
+        assert empty._lanes is None
         assert empty.columns == {CH_A: {}, CH_B: {}}
         assert state() == before
 

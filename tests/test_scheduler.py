@@ -45,7 +45,12 @@ from flexseg.scheduler import (
 )
 from flexseg.validator import validate
 
-from conftest import narrow_windows, replay_through_place_to_schedule
+from conftest import (
+    narrow_windows,
+    oracle_place,
+    replay_single_channel,
+    replay_through_place_to_schedule,
+)
 
 
 def make_signal(sid, tx, period=1, payload=4, release=0.0, deadline=None,
@@ -276,20 +281,24 @@ def test_request_evicted_from_the_fit_plan_cache_places_alike():
 
 
 def test_place_refuses_a_schedule_it_did_not_build(tmp_path, example1):
-    # first fit keeps its index from the first placement onto an empty
-    # schedule; a read-back or renumbered schedule holds columns it never
-    # placed, so placing there is refused and changes nothing
+    # place_to_schedule keeps lanes of its own from its first placement
+    # onto an empty schedule; a schedule built by either builder, read back
+    # or renumbered holds columns it never placed, so placing there is
+    # refused and changes nothing
     asg = assignment_for(example1, {3: "B", 4: "B", 5: "A"})
     built = schedule_channels(example1, asg)
     path = tmp_path / "example1.xml"
     export_fibex(example1, asg, built, path)
     readback, _ = read_fibex(path)
+    single = schedule_single_channel(example1)
     sig = make_signal(101, 2, period=2, payload=4, deadline=2.0)
-    for sched in (built, readback):
-        before = repr(sched.columns)
+    for sched in (built, readback, single):
+        before = (repr(sched.columns), sched.place_calls, sched.fresh_slots,
+                  sched.scan_depth, sched.probes)
         with pytest.raises(ValueError, match="holds columns placed otherwise"):
             place_to_schedule(sched, sig, CH_A, owner=2)
-        assert repr(sched.columns) == before
+        assert (repr(sched.columns), sched.place_calls, sched.fresh_slots,
+                sched.scan_depth, sched.probes) == before
 
 
 # --- full channel scheduling ------------------------------------------------
@@ -317,6 +326,11 @@ def test_schedule_channels_matches_replay_through_place_to_schedule(
     assert built.probes == replayed.probes
     # every placement that opens no slot tests at least one column
     assert built.probes >= built.place_calls - built.fresh_slots
+    # and to the linear scan, which shares no code with first fit
+    scanned, counts = replay_through_place_to_schedule(inst, channel_of, oracle_place)
+    assert built.columns == scanned.columns
+    assert (built.place_calls, built.fresh_slots, built.scan_depth) == (
+        counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
     again = schedule_channels(inst, asg, plan=placement_plan(inst))
     assert again.columns == built.columns
     assert (again.place_calls, again.fresh_slots, again.scan_depth, again.probes) == (
@@ -636,10 +650,8 @@ def test_single_channel_matches_placement_through_place_to_schedule(
             inst, signals=inst.signals[:k] + (sig,) + inst.signals[k + 1:])
     # the reference: every signal in placement order, through the public
     # place_to_schedule, on channel A for its transmitter
-    expected = Schedule(config=inst.config)
     try:
-        for sig in sort_signals(inst.signals):
-            place_to_schedule(expected, sig, CH_A, owner=sig.transmitter)
+        expected, _ = replay_single_channel(inst)
     except ValueError as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             schedule_single_channel(inst)
@@ -647,8 +659,13 @@ def test_single_channel_matches_placement_through_place_to_schedule(
     single = schedule_single_channel(inst)
     assert single.columns == expected.columns
     assert single.placements == expected.placements
+    assert (single.place_calls, single.fresh_slots, single.scan_depth, single.probes) == (
+        expected.place_calls, expected.fresh_slots, expected.scan_depth, expected.probes)
+    # and the same replay through the linear scan
+    scanned, counts = replay_single_channel(inst, oracle_place)
+    assert single.columns == scanned.columns
     assert (single.place_calls, single.fresh_slots, single.scan_depth) == (
-        expected.place_calls, expected.fresh_slots, expected.scan_depth)
+        counts["place_calls"], counts["fresh_slots"], counts["scan_depth"])
 
 
 def test_single_channel_empty():
