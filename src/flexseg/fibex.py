@@ -13,6 +13,7 @@ about the schedule it returns and the cyclic garbage collector has no
 tree to trace.  A file in the writer's line layout is tokenized line by
 line; any other file, from its first line outside that layout, is read
 again from the start by the expat parser, which words syntax errors.
+Either path stops at the first fault in the file.
 """
 from __future__ import annotations
 
@@ -95,7 +96,7 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     the writer's layout (another tag, a missing or repeated part, a
     repeated channel, frame or ECU, a frame without signal instances, a
     child element of a cluster, ecu or signal-instance) is a ValueError
-    naming it.
+    naming it, and so is a document type declaration.
 
     One pass over the file's start and end events builds the schedule as
     the elements arrive, with no element tree: the reader's memory peak is
@@ -104,18 +105,16 @@ def read_fibex(path: str | Path) -> tuple[Schedule, dict[int, str]]:
     the writer's line layout (its declaration line, then one element tag
     per line, with names in [a-z-] and values in printable ASCII) come
     from a line tokenizer; those of any other file come from expat, and
-    either feeds the same reader.  Of several faults, the one refused
-    comes first in this order: a syntax error anywhere, then, from the
-    root inward, each element's attributes before its child tags and its
-    child tags before anything inside its children."""
+    either feeds the same reader.  Of several faults, the one refused is
+    the first in the file, a syntax error or a content fault."""
     return read_fibex_ecus(path)[:2]
 
 
 def read_fibex_ecus(path: str | Path) -> tuple[Schedule, dict[int, str], dict[int, str]]:
     """What read_fibex returns, and the class of each ECU of the file by id."""
-    # A LookupError or ValueError out of the parse is a declared encoding
-    # the parser does not know or cannot decode; the reader's handlers keep
-    # their refusals.
+    # Besides the reader's refusals, a LookupError or ValueError out of the
+    # parse is a declared encoding the parser does not know or cannot
+    # decode, or a document type declaration.
     try:
         with open(path, "rb") as file:
             reader = None
@@ -125,10 +124,10 @@ def read_fibex_ecus(path: str | Path) -> tuple[Schedule, dict[int, str], dict[in
                 file.seek(0)
             if reader is None:
                 reader = _read_expat(file)
+    except _Refusal:
+        raise
     except (expat.ExpatError, LookupError, ValueError) as exc:
         raise ValueError(f"{path} is not a schedule file: {exc}") from exc
-    if reader.refusal is not None:
-        raise reader.refusal
     return reader.sched, reader.channel_of, reader.classes
 
 
@@ -170,7 +169,7 @@ def _read_lines(file) -> _Reader | None:
         if done:
             return None
         top = stack[-1]
-        if top == "frame" and not reader.skipping:
+        if top == "frame":
             match = _INSTANCE.match(line)
             if match is not None:
                 signal, bit_offset, payload, rep, image = match.groups()
@@ -182,7 +181,7 @@ def _read_lines(file) -> _Reader | None:
             elif reader.occs and line.lstrip(b" ") == b"</frame>\n":
                 stack.pop()
                 continue
-        elif top == "slot" and not reader.skipping:
+        elif top == "slot":
             match = _FRAME.match(line)
             if match is not None:
                 base = int(match[1])
@@ -221,23 +220,16 @@ def _read_expat(file) -> _Reader:
     parser = expat.ParserCreate(None, "}")
     parser.StartElementHandler = reader.start
     parser.EndElementHandler = reader.end
-
-    # An entity the parser cannot expand would drop its text, or elements,
-    # from the file unseen.
-    def undefined(name: str) -> None:
-        raise expat.ExpatError(f"undefined entity &{name};: line {parser.ErrorLineNumber}, "
-                               f"column {parser.ErrorColumnNumber}")
-    parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined(name)
-    # the context lists namespace bindings and open entities, the referenced one last
-    parser.ExternalEntityRefHandler = \
-        lambda context, *ids: undefined(context.rpartition("\f")[2])
-    try:
-        parser.ParseFile(file)
-    finally:
-        # the entity handlers refer to the parser; without them, reference
-        # counting frees it, not the collector
-        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+    # Without a DTD, expat refuses every entity reference but the five
+    # predefined ones and character references; under one, it may drop an
+    # undefined entity, and its text, unseen.
+    parser.StartDoctypeDeclHandler = _refuse_doctype
+    parser.ParseFile(file)
     return reader
+
+
+def _refuse_doctype(name: str, *ids) -> None:
+    raise ValueError(f"document type declaration <!DOCTYPE {name}> is not allowed")
 
 
 _PARSED_AS = {parse_int: "an integer", float: "a number"}
@@ -296,16 +288,13 @@ def _shown(tag: str) -> str:
     return "{" + tag if "}" in tag else tag
 
 
-class _Reader:
-    """One pass over the start and end events of a schedule file.
+class _Refusal(ValueError):
+    """A content fault of a schedule file, which read_fibex raises as is."""
 
-    Ranks order the refusals by depth (root 0, cluster, ecus and channels
-    1, ecu and channel 2, slot 3, frame 4, signal-instance 5).  A fault in
-    an element at depth d has rank d, and a child tag its parent does not
-    admit has its parent's rank.  After the first refusal the reader only
-    skips, watching for a misplaced child of an element that was open at
-    the refusal and lies above its rank: that child comes first in the
-    refusal order of read_fibex and takes its place."""
+
+class _Reader:
+    """One pass over the start and end events of a schedule file, which
+    raises _Refusal at the first event that shows a fault."""
 
     def __init__(self) -> None:
         self.stack = [""]  # the open tags, above one for the root's parent
@@ -322,85 +311,50 @@ class _Reader:
         self.col: SlotColumn | None = None
         self.base = 0
         self.occs: list[Occupancy] = []
-        # None while skipping means the root's children are out of order,
-        # which the root's end words once it has seen them all
-        self.refusal: ValueError | None = None
-        self.rank = 0
-        self.skipping = False
-        # the deepest element still open from before the refusal whose
-        # misplaced children would rank below it
-        self.limit = 0
-
-    def refuse(self, exc: ValueError | None, rank: int) -> None:
-        # without its traceback, the stored error does not hold the
-        # handlers' frames, and through them the reader
-        self.refusal = None if exc is None else exc.with_traceback(None)
-        self.rank = rank
-        self.limit = rank - 1
-        self.skipping = True
 
     def start(self, tag: str, a: dict[str, str]) -> None:
         stack = self.stack
         parent = stack[-1]
         stack.append(tag)
         depth = len(stack) - 2
-        if self.skipping:
-            if depth == 1:
-                self.parts.append(_shown(tag))
-            elif depth <= self.limit + 1 and _CHILD.get(parent) != tag:
-                self.refuse(ValueError(self.misplaced(parent, tag)), depth - 1)
-            return
-        if parent == "frame" and tag == "signal-instance":
-            try:
-                self.occs.append(_occurrence(a))
-            except ValueError as exc:
-                who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
-                self.refuse(ValueError(f"{who} in {self.slot_where}: {exc}"), depth)
-            return
-        if depth == 1:
-            parts = self.parts
-            parts.append(_shown(tag))
-            if parts != _PARTS[:len(parts)]:
-                self.refuse(None, 0)
-                return
-        elif depth and _CHILD.get(parent) != tag:
-            self.refuse(ValueError(self.misplaced(parent, tag)), depth - 1)
-            return
         try:
-            if depth == 0:
+            if parent == "frame" and tag == "signal-instance":
+                self.occs.append(_occurrence(a))
+            elif depth == 0:
                 self.root(tag, a)
+            elif depth == 1:
+                self.part(tag, a)
+            elif _CHILD.get(parent) != tag:
+                raise ValueError(self.misplaced(parent, tag))
             elif tag == "frame":
                 self.frame(a)
             elif tag == "slot":
                 self.slot(a)
             elif tag == "ecu":
                 self.ecu_element(a)
-            elif tag == "channel":
+            else:
                 self.channel(a)
-            elif tag == "cluster":
-                self.cluster(a)
         except ValueError as exc:
-            self.refuse(exc, depth)
+            message = str(exc)
+            if tag == "signal-instance" and parent == "frame":
+                who = f"signal {a['signal']}" if "signal" in a else "signal-instance"
+                message = f"{who} in {self.slot_where}: {message}"
+            raise _Refusal(message) from None
 
     def end(self, tag: str) -> None:
         stack = self.stack
         stack.pop()
-        depth = len(stack) - 1
-        if self.skipping:
-            if depth <= self.limit:
-                self.limit = depth - 1
-        elif tag == "frame":
+        if tag == "frame":
             if not self.occs:
-                self.refuse(ValueError(f"frame {self.base} in {self.slot_where} "
-                                       f"holds no signal-instance"), depth)
+                raise _Refusal(f"frame {self.base} in {self.slot_where} "
+                               f"holds no signal-instance")
         elif tag == "channel":
             highest = self.sched.max_slot(self.ch)
             if self.max_slot != highest:
-                self.refuse(ValueError(f"channel {self.ch}: max-slot {self.max_slot} is not "
-                                       f"the highest slot id {highest}"), depth)
-        if depth == 0 and self.parts != _PARTS and (self.refusal is None or self.rank > 0):
-            self.refusal = ValueError(f"flexray-schedule: child elements {self.parts} are not "
-                                      f"{_PARTS}")
+                raise _Refusal(f"channel {self.ch}: max-slot {self.max_slot} is not "
+                               f"the highest slot id {highest}")
+        elif len(stack) == 1 and self.parts != _PARTS:
+            raise _Refusal(f"flexray-schedule: child elements {self.parts} are not {_PARTS}")
 
     def misplaced(self, parent: str, tag: str) -> str:
         """The refusal of a `tag` element inside the open `parent`."""
@@ -428,6 +382,16 @@ class _Reader:
         if a.get("format") != "simplified-1":
             raise ValueError(f"flexray-schedule: format {a.get('format')!r} is not "
                              f"simplified-1")
+
+    def part(self, tag: str, a: dict[str, str]) -> None:
+        """A child of the root, refused at the first that breaks the order
+        of the writer's three."""
+        parts = self.parts
+        parts.append(_shown(tag))
+        if parts != _PARTS[:len(parts)]:
+            raise ValueError(f"flexray-schedule: child elements {parts} are not {_PARTS}")
+        if tag == "cluster":
+            self.cluster(a)
 
     def cluster(self, a: dict[str, str]) -> None:
         hyperperiod = _field(a, "hyperperiod-cycles", "cluster: ")

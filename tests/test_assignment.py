@@ -260,6 +260,32 @@ def test_exact_time_limit_returns_incumbent():
     assert set(result.channel_of) == set(hg.free_ecus)
 
 
+def test_exact_deadline_inside_the_search_returns_incumbent(monkeypatch):
+    # the clock reads 0 for the deadline and the check before the search,
+    # then far past the deadline: the search stops at its first in-search
+    # check (node 64) and returns the best map it reached, all ECUs on a
+    # channel and the pinned one on A
+    hg = random_hypergraph(random.Random(5), max_free=16, min_free=16, max_edges=40)
+    assert len(hg.free_ecus) == 16
+    calls = 0
+
+    def monotonic() -> float:
+        nonlocal calls
+        calls += 1
+        return 0.0 if calls <= 2 else 1e9
+
+    monkeypatch.setattr(asg_mod, "time", mock.Mock(monotonic=monotonic))
+    params = CriterionParams(alpha=0.01, beta=1.0)
+    result = solve_exact(hg, params, time_limit_ms=1000)
+    assert calls == 3
+    assert not result.optimal
+    assert set(result.channel_of) == set(hg.free_ecus)
+    assert set(result.channel_of.values()) <= {"A", "B"}
+    assert result.channel_of[pinned_ecu(hg)] == "A"
+    assert (result.payload_a, result.payload_b, result.payload_gw,
+            result.criterion) == evaluate_criterion(hg, result.channel_of, params)
+
+
 def test_bound_admissible_on_partial_assignments():
     rng = random.Random(17)
     params = CriterionParams(alpha=0.05, beta=1.3)

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexseg.assignment import (
@@ -373,8 +373,8 @@ PARTS = "['cluster', 'ecus', 'channels']"
      "flexray-schedule: format 'other-9' is not simplified-1"),
     (lambda root: setattr(root, "tag", "schedule"),
      "root element <schedule> is not flexray-schedule"),
-    (_remove("cluster"),
-     f"flexray-schedule: child elements ['ecus', 'channels'] are not {PARTS}"),
+    # the root's children are refused at the first out of order
+    (_remove("cluster"), f"flexray-schedule: child elements ['ecus'] are not {PARTS}"),
     (_remove("ecus"),
      f"flexray-schedule: child elements ['cluster', 'channels'] are not {PARTS}"),
     (_repeat("channels"), "flexray-schedule: child elements "
@@ -389,11 +389,9 @@ PARTS = "['cluster', 'ecus', 'channels']"
     (_split_frame, "slot 3 on channel A: frame base-cycle 1 appears twice"),
     (_repeat_ecu, "ecus: ecu id 3 appears twice"),
     (_empty_frame, "frame 1 in slot 1 on channel A holds no signal-instance"),
-    # slot 1's frame, left empty, closes before the lifted instance opens,
-    # yet the slot's misplaced child comes first in the refusal order
-    (_lift_instance, "slot 1 on channel A: element <signal-instance> is not <frame>"),
-    (_ecus_first, f"flexray-schedule: child elements ['ecus', 'cluster', 'channels'] are "
-     f"not {PARTS}"),
+    # slot 1's frame, left empty, closes before the lifted instance opens
+    (_lift_instance, "frame 1 in slot 1 on channel A holds no signal-instance"),
+    (_ecus_first, f"flexray-schedule: child elements ['ecus'] are not {PARTS}"),
     (_child("cluster", "slot"),
      "cluster: element <slot> is not allowed, as <cluster> holds no elements"),
     (_child("ecus/ecu", "frame"),
@@ -867,6 +865,135 @@ def test_line_reader_leaves_what_expat_reads_otherwise(tmp_path, old, new, messa
     with open(path, "rb") as file:
         assert fibex._read_lines(file) is None
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_fibex(path)
+
+
+# Line edits, each refused at its own line whatever follows it: an integer
+# attribute respelled as "x", a <bogus /> element inserted before a line,
+# and an end tag that matches no open element inserted before a line.
+FAULTS = ("value", "bogus", "break")
+
+
+def fault_spots(lines: list[bytes], kind: str) -> list[int]:
+    """The indices of the lines an edit of `kind` can change, or insert
+    before (len(lines) for after the last)."""
+    if kind == "value":
+        return [i for i, line in enumerate(lines) if re.search(rb'="-?[0-9]+"', line)]
+    return list(range(1, len(lines) + 1))
+
+
+def line_fault(lines: list[bytes], kind: str, i: int) -> None:
+    if kind == "value":
+        lines[i] = re.sub(rb'="-?[0-9]+"', b'="x"', lines[i], count=1)
+    else:
+        lines.insert(i, b"<bogus />\n" if kind == "bogus" else b"</bogus>\n")
+
+
+def assert_first_fault_refused(lines: list[bytes], first: tuple[str, int],
+                               second: tuple[str, int]) -> None:
+    """`lines` with the edits `first` and `second`, `first` at the earlier
+    line, read as `lines` with `first` alone: the same refusal by the line
+    path and by expat."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "edited.xml")
+
+        def outcomes(*edits):
+            edited = list(lines)
+            for kind, i in sorted(edits, key=lambda edit: -edit[1]):
+                line_fault(edited, kind, i)
+            path.write_bytes(b"".join(edited))
+            got = read_outcome(path)
+            with mock.patch.object(fibex, "_read_lines", lambda file: None):
+                return got, read_outcome(path)
+
+        alone = outcomes(first)
+        assert isinstance(alone[0], str) and alone[0] == alone[1]
+        assert isinstance(outcomes(second)[0], str)
+        assert outcomes(first, second) == alone
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(FAULTS), st.sampled_from(FAULTS), st.data())
+def test_first_fault_in_the_file_is_refused(first, second, data):
+    # of two faults in an export, at lines i < j, the refusal is the one
+    # the fault at line i gives alone, on the line path and by expat
+    lines = EXPORTED.splitlines(keepends=True)
+    i = data.draw(st.sampled_from(fault_spots(lines, first)))
+    later = [j for j in fault_spots(lines, second) if j > i]
+    assume(later)
+    assert_first_fault_refused(lines, (first, i), (second, data.draw(st.sampled_from(later))))
+
+
+@pytest.mark.parametrize("first, second", [
+    # a fault in a frame, then an element where channel A holds only slots
+    (("value", rb' *<frame '), ("bogus", rb' *<slot id="2"')),
+    # a fault in a signal instance, then one where its slot holds only frames
+    (("value", rb' *<signal-instance '), ("bogus", rb' *</slot>')),
+    # a fault in a frame, then one where channels holds only channels
+    (("value", rb' *<frame '), ("bogus", rb' *</channels>')),
+    # a fault in the cluster, then a line that breaks the XML
+    (("value", rb' *<cluster '), ("break", rb'</flexray-schedule>')),
+    # a misplaced element, then a line that breaks the XML
+    (("bogus", rb' *<ecu '), ("break", rb' *<channel ')),
+], ids=["frame-then-channel-child", "instance-then-slot-child",
+        "frame-then-channels-child", "cluster-then-syntax", "element-then-syntax"])
+def test_first_fault_is_refused_over_a_later_one_nearer_the_root(first, second):
+    # the second fault lies nearer the root, or is a syntax error, yet the
+    # first in the file is the one refused
+    lines = EXPORTED.splitlines(keepends=True)
+
+    def at(kind: str, pattern: bytes) -> tuple[str, int]:
+        return kind, next(i for i, line in enumerate(lines) if re.match(pattern, line))
+
+    assert_first_fault_refused(lines, at(*first), at(*second))
+
+
+def test_content_fault_is_refused_without_the_file_name(tmp_path):
+    # the reader words a content fault alone; a parser failure names the file
+    path = tmp_path / "edited.xml"
+    path.write_bytes(re.sub(rb'<frame base-cycle="[0-9]+"', b'<frame base-cycle="x"',
+                            EXPORTED, count=1))
+    with pytest.raises(ValueError) as refusal:
+        read_fibex(path)
+    assert str(refusal.value) == "frame in slot 1 on channel A: base-cycle 'x' is not an integer"
+
+
+DOCTYPE = b'<!DOCTYPE flexray-schedule SYSTEM "x.dtd">\n'
+
+
+@pytest.mark.parametrize("doctype, old, new", [
+    (DOCTYPE, b'owner="', b'owner="&x;'),
+    (DOCTYPE, b'channels="', b'channels="&x;'),
+    (DOCTYPE, b'image="', b'image="&x;'),
+    (DOCTYPE, b'<signal-instance ', b'&x;<signal-instance '),
+    (b'<!DOCTYPE flexray-schedule [<!ENTITY x SYSTEM "x.xml">]>\n', b'<signal-instance ',
+     b'&x;<signal-instance '),
+    (b'<!DOCTYPE flexray-schedule>\n', b'', b''),
+], ids=["owner", "channels", "image", "content", "external-entity", "bare"])
+def test_document_type_declaration_exits_2(tmp_path, example1, capsys, doctype, old, new):
+    # under a DTD expat may drop an entity it cannot expand, so a file
+    # with one is refused, whatever it declares or references
+    path = tmp_path / "doctype.xml"
+    path.write_bytes(EXPORTED.replace(fibex._DECLARATION, fibex._DECLARATION + doctype, 1)
+                     .replace(old, new, 1))
+    message = "is not a schedule file: document type declaration <!DOCTYPE " \
+              "flexray-schedule> is not allowed"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_fibex(path)
+    inst_file = tmp_path / "example1.json"
+    save_instance(example1, inst_file)
+    assert main(["validate", str(inst_file), str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'owner="', b'owner="&x;'),
+    (b'<signal-instance ', b'&x;<signal-instance '),
+], ids=["attribute", "content"])
+def test_undefined_entity_without_a_dtd_is_expats_refusal(tmp_path, old, new):
+    path = tmp_path / "entity.xml"
+    path.write_bytes(EXPORTED.replace(old, new, 1))
+    with pytest.raises(ValueError, match="is not a schedule file: undefined entity: line"):
         read_fibex(path)
 
 
