@@ -85,10 +85,18 @@ class _State:
     score.  `saved` and `restore` undo any run of changes.  Only the
     scoring has two backings: `_TableState` reads the hypergraph's coverage
     table, `_WalkState` walks the incident edges of the ECU that changes.
+
+    Each backing builds its scorer once, when it is constructed:
+    `split(bit, mask_a, mask_b, sum_a, sum_b, sum_float)` is the
+    `add_split` score of the ECU with that bit under any partial map with
+    those masks and sums.  `add_split` is `split` of the map held here,
+    and `solve_exact` calls `split` on the maps it passes down its search.
+    `bound_at` is the bound closure `_bound`, which the search calls
+    directly.
     """
 
     __slots__ = ("bit", "full", "ft", "total", "mask_a", "mask_b",
-                 "sum_a", "sum_b", "sum_g", "sum_float")
+                 "sum_a", "sum_b", "sum_g", "sum_float", "split")
 
     def __init__(self, hg: Hypergraph):
         self.bit = {u: 1 << i for i, u in enumerate(hg.free_ecus)}
@@ -162,25 +170,51 @@ class _State:
         payload excluded, as in `sum_a`/`sum_b`)."""
         return max(params.beta * (sum_a + self.ft), sum_b + self.ft) + params.alpha * sum_g
 
+    def add_split(self, ecu: int) -> tuple[int, int, int]:
+        """Incident weight of an unassigned ECU that is (floating, on B
+        only, on A only).  Assigning it to A adds floating + on-B-only to
+        P_A and on-B-only to P_G; to B, floating + on-A-only to P_B and
+        on-A-only to P_G.  Either takes the floating weight off the pool."""
+        return self.split(self.bit[ecu], self.mask_a, self.mask_b,
+                          self.sum_a, self.sum_b, self.sum_float)
+
     def bound_at(self, params: CriterionParams, sum_a: int, sum_b: int, sum_g: int,
                  pool: int) -> float:
         """Admissible lower bound over all completions of a partial map with
-        these edge sums and `pool` weight on edges with no assigned endpoint.
+        these edge sums and `pool` weight on edges with no assigned endpoint:
+        `_bound`, the bound `solve_exact` reads."""
+        return _bound(self.ft, params)(sum_a, sum_b, sum_g, pool)
 
-        Decided edge weights count fully; the pooled weight is split
-        fractionally between the channels at the balance point, which can
-        only undercut any integral completion.
-        """
-        beta = params.beta
-        fa = sum_a + self.ft
-        fb = sum_b + self.ft
+
+def _bound(ft: int, params: CriterionParams):
+    """The lower bound of `_State.bound_at` for this fault-tolerant payload
+    and these weights, as a function of (sum_a, sum_b, sum_g, pool).
+
+    Decided edge weights count fully; the pooled weight is split
+    fractionally between the channels at the balance point, which can
+    only undercut any integral completion.  The conditionals stand for
+    min and max and keep the operand they would keep on a tie.
+    """
+    alpha, beta = params.alpha, params.beta
+    one_beta = 1.0 + beta
+
+    def bound(sum_a: int, sum_b: int, sum_g: int, pool: int) -> float:
+        fa = sum_a + ft
+        fb = sum_b + ft
         if pool:
-            split = (fb + pool - beta * fa) / (1.0 + beta)
-            split = min(max(split, 0.0), float(pool))
-            m = max(beta * (fa + split), fb + pool - split)
+            split = (fb + pool - beta * fa) / one_beta
+            if split < 0.0:
+                split = 0.0
+            elif pool < split:
+                split = float(pool)
+            on_a = beta * (fa + split)
+            on_b = fb + pool - split
         else:
-            m = max(beta * fa, fb)
-        return m + params.alpha * sum_g
+            on_a = beta * fa
+            on_b = fb
+        return (on_b if on_b > on_a else on_a) + alpha * sum_g
+
+    return bound
 
 
 class _TableState(_State):
@@ -192,8 +226,18 @@ class _TableState(_State):
     __slots__ = ("uncovered",)
 
     def __init__(self, hg: Hypergraph):
-        self.uncovered = hg.uncovered
+        self.uncovered = u = hg.uncovered
         super().__init__(hg)
+        total = self.total
+
+        def split(b: int, mask_a: int, mask_b: int, sum_a: int, sum_b: int,
+                  sum_float: int) -> tuple[int, int, int]:
+            floating = sum_float - u[mask_a | mask_b | b]
+            return (floating,
+                    total - u[mask_a | b] - sum_a - floating,
+                    total - u[mask_b | b] - sum_b - floating)
+
+        self.split = split
 
     def load(self, mask: int) -> None:
         """Assign every ECU: bit set = channel A."""
@@ -203,17 +247,6 @@ class _TableState(_State):
         self.sum_b = total - u[self.mask_b]
         self.sum_float = u[self.full]
         self.sum_g = self.sum_a + self.sum_b - total + self.sum_float
-
-    def add_split(self, ecu: int) -> tuple[int, int, int]:
-        """Incident weight of an unassigned ECU that is (floating, on B
-        only, on A only).  Assigning it to A adds floating + on-B-only to
-        P_A and on-B-only to P_G; to B, floating + on-A-only to P_B and
-        on-A-only to P_G.  Either takes the floating weight off the pool."""
-        b, u = self.bit[ecu], self.uncovered
-        floating = self.sum_float - u[self.mask_a | self.mask_b | b]
-        return (floating,
-                self.total - u[self.mask_a | b] - self.sum_a - floating,
-                self.total - u[self.mask_b | b] - self.sum_b - floating)
 
     def move_delta(self, ecu: int) -> tuple[int, int, int]:
         """(dA, dB, dG) that flipping an assigned ECU's channel would make
@@ -235,28 +268,29 @@ class _WalkState(_State):
     def __init__(self, hg: Hypergraph):
         super().__init__(hg)
         bit = self.bit
-        self.incident = incident = {u: [] for u in bit}
+        self.incident = incident = {b: [] for b in bit.values()}
         for ends, w in hg.edges.items():
             mask = 0
             for u in ends:
                 mask |= bit[u]
             edge = (mask, w)
             for u in ends:
-                incident[u].append(edge)
+                incident[bit[u]].append(edge)
 
-    def add_split(self, ecu: int) -> tuple[int, int, int]:
-        """As `_TableState.add_split`, in one walk."""
-        mask_a, mask_b = self.mask_a, self.mask_b
-        floating = on_b = on_a = 0
-        for m, w in self.incident[ecu]:
-            if m & mask_a:
-                if not m & mask_b:
-                    on_a += w
-            elif m & mask_b:
-                on_b += w
-            else:
-                floating += w
-        return floating, on_b, on_a
+        def split(b: int, mask_a: int, mask_b: int, sum_a: int, sum_b: int,
+                  sum_float: int) -> tuple[int, int, int]:
+            floating = on_b = on_a = 0
+            for m, w in incident[b]:
+                if m & mask_a:
+                    if not m & mask_b:
+                        on_a += w
+                elif m & mask_b:
+                    on_b += w
+                else:
+                    floating += w
+            return floating, on_b, on_a
+
+        self.split = split
 
     def move_delta(self, ecu: int) -> tuple[int, int, int]:
         """(dA, dB, dG) that flipping an assigned ECU's channel would make
@@ -268,7 +302,7 @@ class _WalkState(_State):
         # the ECU's other endpoints on its channel, and the target channel
         rest, to = (self.mask_a ^ b, self.mask_b) if on_a else (self.mask_b ^ b, self.mask_a)
         d_from = d_to = d_g = 0
-        for m, w in self.incident[ecu]:
+        for m, w in self.incident[b]:
             if not m & rest:
                 d_from -= w
                 if m & to:
@@ -385,6 +419,12 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
     explored cheaper-bound first and pruned against the incumbent.  On
     time-limit expiry the incumbent is returned flagged non-optimal.
 
+    A node is its call's arguments: depth, A-mask, B-mask, the edge sums
+    and the floating pool.  One call of the evaluator's scorer `split`
+    gives both children's sums, `_bound` their bounds, and each child gets
+    its own sums as arguments, so nothing is applied to the evaluator or
+    undone; a leaf is scored by `criterion_at` from its sums.
+
     The pin only removes mirror images: swapping the channels of a map
     swaps P_A and P_B, which leaves max(beta*P_A, P_B) unchanged at
     beta = 1 alone.  At any other beta the optimum may need the pinned ECU
@@ -395,14 +435,17 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
     if not hg.free_ecus:
         return _finish(st, params, optimal=True)
 
-    order = _branch_order(hg)
+    bits = [st.bit[u] for u in _branch_order(hg)]
+    leaf = len(bits)
+    split, bound, criterion_at = st.split, _bound(st.ft, params), st.criterion_at
     deadline = time.monotonic() + time_limit_ms / 1000.0
     best_crit = float("inf")
     best_a: int | None = None
     nodes = 0
     timed_out = False
 
-    def dfs(depth: int) -> None:
+    def dfs(depth: int, mask_a: int, mask_b: int, sum_a: int, sum_b: int, sum_g: int,
+            pool: int) -> None:
         nonlocal best_crit, best_a, nodes, timed_out
         if timed_out:
             return
@@ -410,37 +453,41 @@ def solve_exact(hg: Hypergraph, params: CriterionParams,
         if nodes & 63 == 0 and time.monotonic() > deadline:
             timed_out = True
             return
-        if depth == len(order):
-            crit = st.criterion(params)
+        if depth == leaf:
+            crit = criterion_at(params, sum_a, sum_b, sum_g)
             if crit < best_crit:
                 best_crit = crit
-                best_a = st.mask_a
+                best_a = mask_a
             return
-        # Both child bounds from one add_split; a child is assigned only when
+        # Both child bounds from one split; a child is searched only when
         # its bound survives the incumbent found so far.
-        ecu = order[depth]
-        split = floating, on_b, on_a = st.add_split(ecu)
-        pool = st.sum_float - floating
-        bound_a = st.bound_at(params, st.sum_a + floating + on_b, st.sum_b,
-                              st.sum_g + on_b, pool)
-        if depth == 0:
-            children = ((bound_a, CH_A),)
+        b = bits[depth]
+        floating, on_b, on_a = split(b, mask_a, mask_b, sum_a, sum_b, pool)
+        pool -= floating
+        depth += 1
+        a_sum, a_g = sum_a + floating + on_b, sum_g + on_b
+        bound_a = bound(a_sum, sum_b, a_g, pool)
+        if depth == 1:  # the pin
+            if not bound_a > best_crit:
+                dfs(depth, mask_a | b, mask_b, a_sum, sum_b, a_g, pool)
+            return
+        b_sum, b_g = sum_b + floating + on_a, sum_g + on_a
+        bound_b = bound(sum_a, b_sum, b_g, pool)
+        if bound_b < bound_a:
+            if not bound_b > best_crit:
+                dfs(depth, mask_a, mask_b | b, sum_a, b_sum, b_g, pool)
+            if not bound_a > best_crit:
+                dfs(depth, mask_a | b, mask_b, a_sum, sum_b, a_g, pool)
         else:
-            bound_b = st.bound_at(params, st.sum_a, st.sum_b + floating + on_a,
-                                  st.sum_g + on_a, pool)
-            children = ((bound_b, CH_B), (bound_a, CH_A)) if bound_b < bound_a \
-                else ((bound_a, CH_A), (bound_b, CH_B))
-        before = st.saved()
-        for bound, ch in children:
-            if not bound > best_crit:
-                st.assign(ecu, ch, split)
-                dfs(depth + 1)
-                st.restore(before)
+            if not bound_a > best_crit:
+                dfs(depth, mask_a | b, mask_b, a_sum, sum_b, a_g, pool)
+            if not bound_b > best_crit:
+                dfs(depth, mask_a, mask_b | b, sum_a, b_sum, b_g, pool)
 
     if time.monotonic() > deadline:
         timed_out = True
     else:
-        dfs(0)
+        dfs(0, 0, 0, 0, 0, 0, st.sum_float)
     if best_a is None:
         # Expired before reaching any leaf: fall back to everything on A.
         best_a = st.full

@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from flexseg.assignment import CH_A, CH_B
+from flexseg import assignment as asg_mod
+from flexseg.assignment import CH_A, CH_B, ChannelAssignment, CriterionParams
 from flexseg.hypergraph import Hypergraph
 from flexseg.model import (
     Ecu,
@@ -99,6 +100,87 @@ def oracle_minimum(hg: Hypergraph, alpha: float, beta: float,
     return best
 
 
+def reference_bound(st: asg_mod._State, params: CriterionParams, sum_a: int, sum_b: int,
+                    sum_g: int, pool: int) -> float:
+    """The branch-and-bound bound written with min and max: decided
+    weights count fully and the pool is split fractionally at the balance
+    point, clamped to [0, pool]."""
+    beta = params.beta
+    fa = sum_a + st.ft
+    fb = sum_b + st.ft
+    if pool:
+        split = (fb + pool - beta * fa) / (1.0 + beta)
+        split = min(max(split, 0.0), float(pool))
+        m = max(beta * (fa + split), fb + pool - split)
+    else:
+        m = max(beta * fa, fb)
+    return m + params.alpha * sum_g
+
+
+def reference_solve_exact(hg: Hypergraph, params: CriterionParams,
+                          time_limit_ms: int = 60_000) -> ChannelAssignment:
+    """`solve_exact` as a search over one held map: each child is applied
+    with `_State.assign`, undone with `saved`/`restore`, and bounded by
+    `reference_bound`.  Its decisions are the solver's: the branch order,
+    the first ECU pinned to A, B first only on a strictly lower bound, a
+    child searched when its bound is not above the incumbent, the
+    incumbent replaced on a strictly lower criterion, every call counted
+    as a node and the clock read through `assignment.time` at every 64th,
+    and all on A when no leaf was reached."""
+    st = asg_mod._new_state(hg)
+    if not hg.free_ecus:
+        return asg_mod._finish(st, params, optimal=True)
+    order = asg_mod._branch_order(hg)
+    deadline = asg_mod.time.monotonic() + time_limit_ms / 1000.0
+    best_crit = float("inf")
+    best_a = None
+    nodes = 0
+    timed_out = False
+
+    def dfs(depth: int) -> None:
+        nonlocal best_crit, best_a, nodes, timed_out
+        if timed_out:
+            return
+        nodes += 1
+        if nodes & 63 == 0 and asg_mod.time.monotonic() > deadline:
+            timed_out = True
+            return
+        if depth == len(order):
+            crit = st.criterion(params)
+            if crit < best_crit:
+                best_crit = crit
+                best_a = st.mask_a
+            return
+        ecu = order[depth]
+        split = floating, on_b, on_a = st.add_split(ecu)
+        pool = st.sum_float - floating
+        bound_a = reference_bound(st, params, st.sum_a + floating + on_b, st.sum_b,
+                                  st.sum_g + on_b, pool)
+        if depth == 0:
+            children = ((bound_a, CH_A),)
+        else:
+            bound_b = reference_bound(st, params, st.sum_a, st.sum_b + floating + on_a,
+                                      st.sum_g + on_a, pool)
+            children = ((bound_b, CH_B), (bound_a, CH_A)) if bound_b < bound_a \
+                else ((bound_a, CH_A), (bound_b, CH_B))
+        before = st.saved()
+        for bound, ch in children:
+            if not bound > best_crit:
+                st.assign(ecu, ch, split)
+                dfs(depth + 1)
+                st.restore(before)
+
+    if asg_mod.time.monotonic() > deadline:
+        timed_out = True
+    else:
+        dfs(0)
+    if best_a is None:
+        best_a = st.full
+        timed_out = True
+    st.load(best_a)
+    return asg_mod._finish(st, params, optimal=not timed_out and params.beta == 1)
+
+
 def subset_sum_half(items: list[int]) -> bool:
     """Dynamic program: can the multiset be split into two equal halves?"""
     total = sum(items)
@@ -111,11 +193,13 @@ def subset_sum_half(items: list[int]) -> bool:
 
 
 def random_hypergraph(rng: random.Random, max_free: int = 12,
-                      max_edges: int = 40, min_free: int = 3) -> Hypergraph:
-    """Random assignment problem: a few common vertices, weighted signal
-    groups over 1..3 one-port endpoints, occasional all-common groups and
-    FT payload.  Groups with equal one-port endpoints merge into one edge;
-    all-common groups only add to the total payload."""
+                      max_edges: int = 40, min_free: int = 3,
+                      max_weight: int = 20) -> Hypergraph:
+    """Random assignment problem: a few common vertices, signal groups of
+    weight 1..max_weight over 1..3 one-port endpoints, occasional
+    all-common groups and FT payload.  Groups with equal one-port
+    endpoints merge into one edge; all-common groups only add to the total
+    payload."""
     n_free = rng.randint(min_free, max_free)
     free = list(range(1, n_free + 1))
     common = list(range(101, 101 + rng.randint(0, 3)))
@@ -133,7 +217,7 @@ def random_hypergraph(rng: random.Random, max_free: int = 12,
         if key in seen:
             continue
         seen.add(key)
-        weight = rng.randint(1, 20)
+        weight = rng.randint(1, max_weight)
         total += weight
         ends = key.difference(common)
         if ends:

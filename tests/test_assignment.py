@@ -15,6 +15,8 @@ from conftest import (
     oracle_minimum,
     oracle_payloads,
     random_hypergraph,
+    reference_bound,
+    reference_solve_exact,
     subset_sum_half,
 )
 from flexseg import assignment as asg_mod
@@ -286,6 +288,57 @@ def test_exact_deadline_inside_the_search_returns_incumbent(monkeypatch):
             result.criterion) == evaluate_criterion(hg, result.channel_of, params)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+       st.one_of(st.just(1.0), st.floats(0.25, 4)))
+def test_exact_search_matches_the_reference_search(seed, alpha, beta):
+    # weights of 1-3 make ties between child bounds, criteria and the
+    # incumbent, where the order of the search decides the map
+    hg = random_hypergraph(random.Random(seed), max_free=12, min_free=1, max_weight=3)
+    params = CriterionParams(alpha, beta)
+    for walk in (False, True):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if walk:
+                monkeypatch.setattr(asg_mod, "TABLE_MAX_ECUS", -1)
+            assert solve_exact(hg, params).to_json_dict() == \
+                reference_solve_exact(hg, params).to_json_dict()
+
+
+@pytest.mark.parametrize("max_weight, alpha, beta",
+                         [(20, 0.01, 1.0), (20, 0.01, 1.3), (3, 0.0, 1.0), (3, 0.0, 1.3)])
+def test_exact_deadline_stops_where_the_reference_stops(monkeypatch, max_weight, alpha, beta):
+    # the clock passes the deadline at the k-th in-search check (node 64k),
+    # for every k the whole search reaches; the incumbent changes between
+    # near checks, so equal maps mean that both searches count alike
+    hg = random_hypergraph(random.Random(7), max_free=16, min_free=16, max_edges=150,
+                           max_weight=max_weight)
+    assert len(hg.free_ecus) == 16
+    params = CriterionParams(alpha, beta)
+    reads = 0
+    expiry = math.inf
+
+    def monotonic() -> float:
+        nonlocal reads
+        reads += 1
+        return 0.0 if reads <= expiry + 1 else 1e9
+
+    monkeypatch.setattr(asg_mod, "time", mock.Mock(monotonic=monotonic))
+    reference_solve_exact(hg, params)
+    checks = reads - 2
+    criteria = []
+    for expiry in range(1, checks + 1):
+        results = []
+        for solver in (solve_exact, reference_solve_exact):
+            reads = 0
+            results.append(solver(hg, params, time_limit_ms=1000).to_json_dict())
+            assert reads == expiry + 2
+        assert results[0] == results[1]
+        assert not results[0]["optimal"]
+        criteria.append(results[0]["criterion"])
+    assert checks >= 5
+    assert len(set(criteria)) >= 3
+
+
 def test_bound_admissible_on_partial_assignments():
     rng = random.Random(17)
     params = CriterionParams(alpha=0.05, beta=1.3)
@@ -398,17 +451,29 @@ def test_split_and_move_delta_match_applied_moves(seed, alpha, beta):
 def check_split_and_move_delta(state, hg, partial, params) -> list[tuple[int, ...]]:
     """Apply each candidate from its score and check the resulting map
     against the oracle, then undo it; return the sums and every
-    candidate's split or delta, for comparing paths."""
+    candidate's split or delta, for comparing paths.  The scorer, fed the
+    oracle's masks and sums of the map, must give `add_split`, and the
+    search's bound closure must equal `bound_at` and `reference_bound`,
+    also where the pool's split is clamped at 0 or at the pool."""
     def check(channel_of):
         assert state.assigned == channel_of
         assert state.payloads() == oracle_payloads(hg, channel_of)
         assert state.sum_float == sum(w for ends, w in hg.edges.items()
                                       if not any(u in channel_of for u in ends))
 
+    def bounds_agree(sum_a, sum_b, sum_g, pool):
+        value = bound(sum_a, sum_b, sum_g, pool)
+        assert value == state.bound_at(params, sum_a, sum_b, sum_g, pool)
+        assert value == reference_bound(state, params, sum_a, sum_b, sum_g, pool)
+
+    bound = asg_mod._bound(state.ft, params)
+    ft = hg.ft_weight_bytes
     for u, ch in partial.items():
         state.assign(u, ch)
     check(partial)
     sums = (state.sum_a, state.sum_b, state.sum_g, state.sum_float)
+    p_a, p_b, _ = oracle_payloads(hg, partial)
+    masks = [sum(state.bit[u] for u, ch in partial.items() if ch == side) for side in "AB"]
     before = state.saved()
     seen = [sums]
     for u in state.bit:
@@ -422,6 +487,7 @@ def check_split_and_move_delta(state, hg, partial, params) -> list[tuple[int, ..
             state.move(u)
         else:
             split = floating, on_b, on_a = state.add_split(u)
+            assert state.split(state.bit[u], *masks, p_a - ft, p_b - ft, sums[3]) == split
             seen.append(split)
             for ch, child in (("A", (sums[0] + floating + on_b, sums[1], sums[2] + on_b)),
                               ("B", (sums[0], sums[1] + floating + on_a, sums[2] + on_a))):
@@ -430,10 +496,22 @@ def check_split_and_move_delta(state, hg, partial, params) -> list[tuple[int, ..
                 assert state.bound_at(
                     params, state.sum_a, state.sum_b, state.sum_g, state.sum_float
                 ) == state.bound_at(params, *child, sums[3] - floating)
+                bounds_agree(*child, sums[3] - floating)
                 assert state.criterion(params) == state.criterion_at(params, *child)
                 state.restore(before)
         assert (state.sum_a, state.sum_b, state.sum_g, state.sum_float) == sums
         check(partial)
+    # a channel heavier than the other with the whole pool on it: the
+    # balance point lies below 0 (A heavy) or above the pool (B heavy)
+    pool = sums[3] + 1
+    heavy = math.ceil((sums[0] + sums[1] + pool + ft) * (params.beta + 1 / params.beta)) + 1
+    for sum_a, sum_b, clamp in ((heavy, sums[1], 0.0), (sums[0], heavy, pool)):
+        fa, fb = sum_a + ft, sum_b + ft
+        balance = (fb + pool - params.beta * fa) / (1.0 + params.beta)
+        assert balance < 0.0 if clamp == 0.0 else balance > pool
+        bounds_agree(sum_a, sum_b, sums[2], pool)
+        assert bound(sum_a, sum_b, sums[2], pool) == max(
+            params.beta * (fa + clamp), fb + pool - clamp) + params.alpha * sums[2]
     return seen
 
 
